@@ -77,6 +77,12 @@ def _need(obj, key, what):
     return obj[key]
 
 
+def _nonnegative(value, flag):
+    if value < 0:
+        raise InputError("%s must be >= 0, got %d" % (flag, value))
+    return value
+
+
 def _emit(args, payload):
     payload = str_fractions(payload)
     if args.seed is not None:
@@ -139,10 +145,11 @@ def cmd_star(args):
 
 def cmd_cohomology(args):
     p = _bivector(_load_json(args.input))
+    max_grade = _nonnegative(args.max_grade, "--max-grade")
     if args.complex == "lich":
-        rows = poisson_cohomology_dims(p, args.max_grade, args.max_weight)
+        rows = poisson_cohomology_dims(p, max_grade, args.max_weight)
     else:
-        rows = canonical_homology_dims(p, args.max_grade, args.max_weight)
+        rows = canonical_homology_dims(p, max_grade, args.max_weight)
     return _emit(args, {"complex": args.complex, "rows": rows})
 
 
@@ -154,6 +161,8 @@ def cmd_rank(args):
 
 def cmd_casimir(args):
     p = _bivector(_load_json(args.input))
+    if args.max_degree is not None:
+        _nonnegative(args.max_degree, "--max-degree")
     if args.function is not None:
         try:
             f = parse_poly(args.function, p.n)
@@ -192,7 +201,7 @@ def cmd_ideal(args):
     p = _bivector(_load_json(args.input))
     gens = serialize.polys_from_json(_load_json(args.gens, "generators"),
                                      p.n)
-    rep = ideal_check(p, gens, args.degree)
+    rep = ideal_check(p, gens, _nonnegative(args.degree, "--degree"))
     out = {"verdict": rep["verdict"], "poisson_ideal": rep["poisson_ideal"],
            "failures": rep["failures"],
            "certificates": [
@@ -305,8 +314,6 @@ def build_parser():
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized commands; echoed in output")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker bound (results are order-independent)")
 
     parser = argparse.ArgumentParser(
         prog="pforge",
@@ -392,7 +399,6 @@ def _error(args, kind, message, code):
 
 
 def main(argv=None):
-    os.environ.setdefault("PFORGE_COLOR", "0")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

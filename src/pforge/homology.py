@@ -39,10 +39,14 @@ def structure_degree(p):
     return degs.pop() if degs else 0
 
 
-def check_structure(p):
+def _bivector_degree(p):
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector")
-    d = structure_degree(p)
+    return structure_degree(p)
+
+
+def check_structure(p):
+    d = _bivector_degree(p)
     if not jacobiator(p).is_zero():
         raise NonInvolutive("bivector is not involutive")
     return d
@@ -83,16 +87,30 @@ def block_basis(n, complex_kind, grade, weight):
 
 
 class WeightBlock:
-    """One graded, weighted piece of a complex with its differential."""
+    """One graded, weighted piece of a complex with its differential.
 
-    __slots__ = ("grade", "weight", "basis", "target_basis", "matrix")
+    `columns[j]` is the image of `basis[j]` as a sparse
+    {target row: value} dict.
+    """
 
-    def __init__(self, grade, weight, basis, target_basis, matrix):
+    __slots__ = ("grade", "weight", "basis", "target_basis", "columns")
+
+    def __init__(self, grade, weight, basis, target_basis, columns):
         self.grade = grade
         self.weight = weight
         self.basis = basis
         self.target_basis = target_basis
-        self.matrix = matrix
+        self.columns = columns
+
+    @property
+    def matrix(self):
+        """Dense matrix: rows indexed by the target basis, columns by
+        the source."""
+        m = [[Fraction(0)] * len(self.basis) for _ in self.target_basis]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                m[i][j] = v
+        return m
 
 
 def _element_from(n, complex_kind, idx, expts):
@@ -102,10 +120,10 @@ def _element_from(n, complex_kind, idx, expts):
     return Form(n, len(idx), {idx: coeff})
 
 
-def _decompose(obj, target_basis, grade, weight, complex_kind):
-    """Column of the block matrix; asserts the image lands in the block."""
-    pos = {key: i for i, key in enumerate(target_basis)}
-    col = [Fraction(0)] * len(target_basis)
+def _decompose(obj, pos, grade, weight, complex_kind):
+    """Sparse column {target row: value}; asserts the image lands in
+    the block whose basis positions `pos` gives."""
+    col = {}
     for idx, c in obj.terms.items():
         for e, v in c.terms.items():
             key = (idx, e)
@@ -118,11 +136,12 @@ def _decompose(obj, target_basis, grade, weight, complex_kind):
 
 
 def block_matrix(p, complex_kind, grade, weight):
-    """Exact matrix of the differential on block (grade, weight).
+    """Exact differential on block (grade, weight), as sparse columns.
 
-    Rows are indexed by the target block basis, columns by the source.
+    Columns are indexed by the source block basis, their entries by the
+    target basis.  The Jacobi identity is not checked here.
     """
-    d = check_structure(p)
+    d = _bivector_degree(p)
     n = p.n
     basis = block_basis(n, complex_kind, grade, weight)
     if complex_kind == LICHNEROWICZ:
@@ -131,6 +150,7 @@ def block_matrix(p, complex_kind, grade, weight):
         tgrade = grade - 1
     tweight = weight + d - 2
     target = block_basis(n, complex_kind, tgrade, tweight)
+    pos = {key: i for i, key in enumerate(target)}
     cols = []
     for idx, e in basis:
         x = _element_from(n, complex_kind, idx, e)
@@ -138,15 +158,21 @@ def block_matrix(p, complex_kind, grade, weight):
             y = lichnerowicz_dp(p, x)
         else:
             y = delta(p, x)
-        cols.append(_decompose(y, target, grade, weight, complex_kind))
-    matrix = [[cols[j][i] for j in range(len(basis))]
-              for i in range(len(target))]
-    return WeightBlock(grade, weight, basis, target, matrix)
+        cols.append(_decompose(y, pos, grade, weight, complex_kind))
+    return WeightBlock(grade, weight, basis, target, cols)
 
 
-def _block_rank(p, complex_kind, grade, weight):
-    blk = block_matrix(p, complex_kind, grade, weight)
-    return len(blk.basis), linalg.rank(blk.matrix)
+def _ranked_blocks(p, complex_kind):
+    """(grade, weight) -> (block dimension, rank of the differential),
+    assembling and ranking each block once."""
+    memo = {}
+
+    def dim_rank(grade, weight):
+        if (grade, weight) not in memo:
+            blk = block_matrix(p, complex_kind, grade, weight)
+            memo[grade, weight] = len(blk.basis), linalg.rank(blk.columns)
+        return memo[grade, weight]
+    return dim_rank
 
 
 def poisson_cohomology_dims(p, max_grade, max_weight):
@@ -156,16 +182,13 @@ def poisson_cohomology_dims(p, max_grade, max_weight):
     rank_out, dim_H} in canonical order.  Multivector weights run from
     -grade (grade with constant coefficients) up to max_weight.
     """
-    d = check_structure(p)
-    shift = d - 2
+    shift = check_structure(p) - 2
+    dim_rank = _ranked_blocks(p, LICHNEROWICZ)
     rows = []
     for k in range(max_grade + 1):
         for w in range(-k, max_weight + 1):
-            dim_c, rank_out = _block_rank(p, LICHNEROWICZ, k, w)
-            if k == 0:
-                rank_in = 0
-            else:
-                _, rank_in = _block_rank(p, LICHNEROWICZ, k - 1, w - shift)
+            dim_c, rank_out = dim_rank(k, w)
+            rank_in = dim_rank(k - 1, w - shift)[1] if k else 0
             rows.append({"grade": k, "weight": w, "dim_C": dim_c,
                          "rank_in": rank_in, "rank_out": rank_out,
                          "dim_H": dim_c - rank_out - rank_in})
@@ -177,13 +200,13 @@ def canonical_homology_dims(p, max_grade, max_weight):
 
     Form weights start at the grade (constant coefficients).
     """
-    d = check_structure(p)
-    shift = d - 2
+    shift = check_structure(p) - 2
+    dim_rank = _ranked_blocks(p, CANONICAL)
     rows = []
     for k in range(max_grade + 1):
         for w in range(k, max_weight + 1):
-            dim_c, rank_out = _block_rank(p, CANONICAL, k, w)
-            _, rank_in = _block_rank(p, CANONICAL, k + 1, w - shift)
+            dim_c, rank_out = dim_rank(k, w)
+            rank_in = dim_rank(k + 1, w - shift)[1]
             rows.append({"grade": k, "weight": w, "dim_C": dim_c,
                          "rank_in": rank_in, "rank_out": rank_out,
                          "dim_H": dim_c - rank_out - rank_in})

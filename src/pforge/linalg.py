@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of Fraction.  Everything here is small
-and dense; the point is exactness and determinism, not speed.  Rank goes
-through fraction-free (Bareiss) elimination on an integer-scaled copy so
-intermediate entries never explode into huge reduced fractions.
+Rank goes through one sparse fraction-free engine: rows are scaled to
+primitive integer vectors and eliminated with Markowitz pivoting, so
+mostly-zero block matrices cost in proportion to their nonzeros and
+intermediate entries stay integers with no common factor.  `rref`,
+`nullspace` and `solve` work on dense lists of lists of Fraction; the
+point of all of it is exactness and determinism.
 """
 
 from fractions import Fraction
@@ -14,43 +16,88 @@ def _lcm(a, b):
     return a // gcd(a, b) * b
 
 
-def _integer_rows(mat):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in mat:
-        d = 1
-        for x in row:
-            f = Fraction(x)
-            d = _lcm(d, f.denominator)
-        out.append([int(Fraction(x) * d) for x in row])
-    return out
+def _divide_content(vec):
+    """Divide an int row by the gcd of its entries, in place."""
+    g = gcd(*vec.values())
+    if g != 1:
+        for c in vec:
+            vec[c] //= g
 
 
-def rank(mat):
-    """Exact rank via fraction-free Gaussian (Bareiss) elimination."""
-    if not mat or not mat[0]:
-        return 0
-    m = _integer_rows(mat)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+def _primitive_rows(rows):
+    """Nonzero rows as {column: int} dicts with coprime entries, keyed
+    by position, and the column -> row ids index over them."""
+    live, where = {}, {}
+    for i, row in enumerate(rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        vec = {c: x for c, x in items if x}
+        if not vec:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        den = 1
+        for x in vec.values():
+            den = _lcm(den, x.denominator)
+        for c, x in vec.items():
+            vec[c] = x.numerator * (den // x.denominator)
+        _divide_content(vec)
+        live[i] = vec
+        for c in vec:
+            where.setdefault(c, set()).add(i)
+    return live, where
+
+
+def _markowitz_pivot(live, where):
+    """(row id, column) minimising (row length - 1) * (column length - 1)."""
+    best, best_cost = None, None
+    for i, vec in live.items():
+        row_cost = len(vec) - 1
+        for c in vec:
+            cost = row_cost * (len(where[c]) - 1)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = (i, c), cost
+                if cost == 0:
+                    return best
+    return best
+
+
+def rank(rows):
+    """Exact rank by sparse fraction-free elimination.
+
+    Each row is a sequence or a sparse {column: value} dict of ints or
+    Fractions; only nonzero entries are read and the input is not
+    modified.  Each step eliminates the pivot's column from every other
+    row as a*row - b*pivot, with gcd(a, b) divided out first, and keeps
+    the updated row primitive so entries stay small.
+    """
+    live, where = _primitive_rows(rows)
+    r = 0
+    while live:
+        i, c = _markowitz_pivot(live, where)
+        prow = live.pop(i)
+        for k in prow:
+            where[k].discard(i)
+        pv = prow[c]
+        for j in list(where.pop(c)):
+            row = live[j]
+            g = gcd(pv, row[c])
+            s, t = pv // g, row[c] // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
+            for k, v in prow.items():
+                x = row.get(k, 0) - t * v
+                if x:
+                    if k not in row:
+                        where[k].add(j)
+                    row[k] = x
+                else:
+                    del row[k]
+                    if k != c:
+                        where[k].discard(j)
+            if row:
+                _divide_content(row)
+            else:
+                del live[j]
         r += 1
-        if r == rows:
-            break
     return r
 
 

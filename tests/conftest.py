@@ -1,5 +1,6 @@
 """Shared fixtures: the structure catalog and random element builders."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,15 @@ import pytest
 from pforge.ratpoly import Poly, parse_poly
 from pforge.multivec import Multivector, all_index_tuples
 from pforge.forms import Form
+
+
+def pytest_configure(config):
+    # CLI tests run `python -m pforge.cli` in a subprocess, which must
+    # find the package in a checkout that is not installed.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def bivector(n, table):

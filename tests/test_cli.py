@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 PY = [sys.executable, "-m", "pforge.cli"]
 
 SO3 = json.dumps({"n": 3, "grade": 2,
@@ -97,3 +99,28 @@ def test_ncalg_der_cli():
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["der_dim"] == 1
+
+
+def test_parenthesised_coefficient_is_an_input_error():
+    p = json.dumps({"n": 3, "grade": 2,
+                    "terms": [{"idx": [0, 1], "coeff": "(x0+x1)*x2"}]})
+    r = run("check", "-i", p)
+    assert r.returncode == 1
+    assert "error" in json.loads(r.stdout)
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("cohomology", "-i", SO3, "--complex", "lich", "--max-grade", "-1",
+     "--max-weight", "2"),
+    ("casimir", "-i", SO3, "--max-degree", "-1"),
+    ("ideal", "-i", SO3, "--gens", '["x0"]', "--degree", "-1"),
+], ids=["max-grade", "max-degree", "degree"])
+def test_negative_bound_exit_1(args):
+    r = run(*args)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
+
+
+def test_jobs_is_not_an_option():
+    assert run("check", "-i", SO3, "--jobs", "2").returncode == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from pforge import homology
 from pforge.homology import (structure_degree, check_structure, monomials,
                              block_basis, block_matrix,
                              poisson_cohomology_dims, canonical_homology_dims,
@@ -47,6 +48,75 @@ def test_block_composite_is_zero():
     b2 = block_matrix(so3, LICHNEROWICZ, 2, 0)
     comp = linalg.mat_mul(b2.matrix, b1.matrix)
     assert all(all(x == 0 for x in row) for row in comp)
+
+
+def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
+                                                            monkeypatch):
+    jacobiators, blocks = [], []
+    real_jacobiator, real_block = homology.jacobiator, homology.block_matrix
+
+    def counted_jacobiator(p):
+        jacobiators.append(p)
+        return real_jacobiator(p)
+
+    def counted_block(p, kind, grade, weight):
+        blocks.append((grade, weight))
+        return real_block(p, kind, grade, weight)
+
+    monkeypatch.setattr(homology, "jacobiator", counted_jacobiator)
+    monkeypatch.setattr(homology, "block_matrix", counted_block)
+    # so(3) is linear: each differential shifts the weight by -1, so
+    # rank_in comes from the neighbouring grade at weight w + 1
+    for dims, step in ((poisson_cohomology_dims, -1),
+                       (canonical_homology_dims, 1)):
+        del jacobiators[:], blocks[:]
+        want = set()
+        for r in dims(so3, 3, 3):
+            k, w = r["grade"], r["weight"]
+            want.add((k, w))
+            if k + step >= 0:
+                want.add((k + step, w + 1))
+        assert len(jacobiators) == 1
+        assert sorted(blocks) == sorted(want)
+
+
+def test_jacobi_is_checked_by_the_dims_not_by_block_matrix():
+    linear = bivector(3, {(0, 1): "x0", (1, 2): "x1"})
+    blk = block_matrix(linear, LICHNEROWICZ, 1, 1)
+    assert len(blk.columns) == len(blk.basis) == 18
+    for dims in (poisson_cohomology_dims, canonical_homology_dims):
+        with pytest.raises(NonInvolutive):
+            dims(linear, 1, 1)
+    with pytest.raises(NonHomogeneous):
+        block_matrix(bivector(2, {(0, 1): "1 + x0"}), LICHNEROWICZ, 0, 0)
+
+
+def _lie_poisson_h(h_g, casimir_degrees, grade, weight):
+    """dim H^grade(weight) of a semisimple Lie-Poisson structure from
+    H(g) (x) Cas(g): a class of H^k(g) times a Casimir of degree m sits
+    at grade k and weight m - k."""
+    m = weight + grade
+    if m < 0:
+        return 0
+    cas = [1] + [0] * m
+    for deg in casimir_degrees:
+        for i in range(deg, m + 1):
+            cas[i] += cas[i - deg]
+    return h_g.get(grade, 0) * cas[m]
+
+
+def test_so3_plus_so3_against_lie_algebra_cohomology():
+    so3 = {(0, 1): "x2", (1, 2): "x0", (0, 2): "-x1"}
+    so3_b = {(3, 4): "x5", (4, 5): "x3", (3, 5): "-x4"}
+    p = bivector(6, {**so3, **so3_b})
+    # H(so3) has dims 1, 0, 0, 1, so H(so3 + so3) = H(so3) (x) H(so3)
+    h_g = {0: 1, 3: 2, 6: 1}
+    rows = rows_by_key(poisson_cohomology_dims(p, 2, 1))
+    assert rows[(2, 1)]["rank_out"] == 560
+    assert rows[(2, 1)]["dim_C"] == 840
+    for (k, w), r in rows.items():
+        assert r["dim_H"] == _lie_poisson_h(h_g, (2, 2), k, w), r
+    assert [key for key, r in rows.items() if r["dim_H"]] == [(0, 0)]
 
 
 PLANE_LICH_H = {(0, 0): 1}

@@ -1,6 +1,11 @@
+import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from pforge import linalg
+from pforge.homology import block_matrix, LICHNEROWICZ, CANONICAL
 
 
 def F(rows):
@@ -12,6 +17,97 @@ def test_rank():
     assert linalg.rank(F([[1, 0], [0, 1]])) == 2
     assert linalg.rank([]) == 0
     assert linalg.rank(F([[0, 0]])) == 0
+
+
+def _integer_rows(mat):
+    """Scale each row by the lcm of its denominators; returns int rows."""
+    out = []
+    for row in mat:
+        d = 1
+        for x in row:
+            f = Fraction(x)
+            d = d // gcd(d, f.denominator) * f.denominator
+        out.append([int(Fraction(x) * d) for x in row])
+    return out
+
+
+def bareiss_rank(mat):
+    """Reference rank: dense fraction-free (Bareiss) elimination."""
+    if not mat or not mat[0]:
+        return 0
+    m = _integer_rows(mat)
+    rows, cols = len(m), len(m[0])
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _random_matrix(rng):
+    """Sparse Fraction matrix with zero rows and columns, and rows that
+    are combinations of other rows."""
+    rows, cols = rng.randint(1, 10), rng.randint(0, 10)
+    density = rng.random()
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+          if rng.random() < density else Fraction(0) for _ in range(cols)]
+         for _ in range(rows)]
+    if cols and rng.random() < 0.5:
+        dead = rng.randrange(cols)
+        for row in m:
+            row[dead] = Fraction(0)
+    if rows and rng.random() < 0.5:
+        m[rng.randrange(rows)] = [Fraction(0)] * cols
+    for _ in range(rng.randint(0, 3)):
+        if rows < 2:
+            break
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(2))
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _as_dicts(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def test_rank_matches_bareiss_on_random_matrices():
+    rng = random.Random(20260)
+    shapes = [[], [[]], [[], []], [[Fraction(0)] * 4]]
+    for m in shapes + [_random_matrix(rng) for _ in range(400)]:
+        want = bareiss_rank(m)
+        snapshot = [list(row) for row in m]
+        assert linalg.rank(m) == want, m
+        assert linalg.rank(_as_dicts(m)) == want, m
+        assert m == snapshot
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+def test_rank_matches_bareiss_on_blocks(name, request):
+    p = request.getfixturevalue(name)
+    for kind in (LICHNEROWICZ, CANONICAL):
+        for k in range(4):
+            for w in range(-k, 5):
+                blk = block_matrix(p, kind, k, w)
+                m = blk.matrix
+                assert linalg.rank(blk.columns) == bareiss_rank(m) \
+                    == linalg.rank(m), (kind, k, w)
 
 
 def test_rref_pivots():
