@@ -178,13 +178,13 @@ def integrability_at(p, point):
     point = [Fraction(x) for x in point]
     n = p.n
     m = bivector_matrix_at(p, point)
-    image = linalg.row_space_basis(m)
+    image = linalg.Subspace(m, n)
     fields = [hamiltonian(p, Poly.var(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             br = vf_bracket(fields[i], fields[j])
             vec = [br.coeff((t,)).eval(point) for t in range(n)]
-            if not linalg.in_span(image, vec):
+            if not image.contains(vec):
                 return False
     return True
 

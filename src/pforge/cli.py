@@ -22,7 +22,7 @@ from .homology import (poisson_cohomology_dims, canonical_homology_dims,
 from .analysis import (rank_at, integrability_at, is_casimir, casimir_basis,
                        momentum_cocycle, ideal_check, BadLieAlgebra)
 from .superalg import (super_axiom_report, koszul_check, standard_algebra,
-                       BadAlgebra as BadOracleAlgebra, NonInvolutiveElement)
+                       NonInvolutiveElement)
 from .ncalg import (validate_algebra, derivations, submanifold_check,
                     quotient_check, bott_quotient, bott_forms, bott_integral,
                     BadAlgebra, NotAnIdeal, NotASubalgebra)
@@ -37,7 +37,6 @@ _PRECONDITION_KINDS = [
     (NotAnIdeal, "not-an-ideal"),
     (NotASubalgebra, "not-a-subalgebra"),
     (BadAlgebra, "bad-algebra"),
-    (BadOracleAlgebra, "bad-algebra"),
     (BadLieAlgebra, "bad-lie-algebra"),
 ]
 
@@ -218,17 +217,36 @@ def cmd_oracle_super(args):
     return _emit(args, rep)
 
 
+def _oracle_algebra(obj):
+    """Algebra JSON for the Koszul oracle, which needs dim >= 1 and a
+    unit; these are checked before the structure constants are."""
+    if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:
+        raise InputError("algebra needs dim, mult and unit")
+    if not isinstance(obj.get("dim"), int) or obj["dim"] <= 0:
+        raise InputError("dim must be a positive integer")
+    if obj.get("unit") is None:
+        raise InputError("the oracle needs a designated unit")
+    return serialize.algebra_from_json(obj)
+
+
 def cmd_oracle_koszul(args):
-    src = args.algebra
     try:
-        A = standard_algebra(src)
+        A = standard_algebra(args.algebra)
     except KeyError:
-        A = serialize.finite_algebra_from_json(_load_json(src, "algebra"))
+        A = _oracle_algebra(_load_json(args.algebra, "algebra"))
     return _emit(args, koszul_check(A))
 
 
 def _ncalg_algebra(args):
     return serialize.algebra_from_json(_load_json(args.algebra, "algebra"))
+
+
+def _subspace_rows(source, what, dim):
+    """Rows of coordinate vectors spanning a subspace of Q^dim."""
+    rows = serialize.rows_from_json(_load_json(source, what), what)
+    if any(len(row) != dim for row in rows):
+        raise InputError("%s rows need %d coordinates each" % (what, dim))
+    return rows
 
 
 def cmd_ncalg_der(args):
@@ -243,8 +261,7 @@ def cmd_ncalg_der(args):
 
 def cmd_ncalg_submanifold(args):
     A = _ncalg_algebra(args)
-    ideal = serialize.rows_from_json(_load_json(args.ideal, "ideal"), "ideal")
-    rep = submanifold_check(A, ideal)
+    rep = submanifold_check(A, _subspace_rows(args.ideal, "ideal", A.dim))
     return _emit(args, {"submanifold": rep["submanifold"],
                         "rank_r_I": rep["rank_r_I"],
                         "dim_der_quotient": rep["dim_der_quotient"],
@@ -255,9 +272,7 @@ def cmd_ncalg_submanifold(args):
 
 def cmd_ncalg_quotient(args):
     A = _ncalg_algebra(args)
-    sub = serialize.rows_from_json(_load_json(args.sub, "subalgebra"),
-                                   "subalgebra")
-    rep = quotient_check(A, sub)
+    rep = quotient_check(A, _subspace_rows(args.sub, "subalgebra", A.dim))
     return _emit(args, {"q1": rep["q1"], "q2": rep["q2"], "q3": rep["q3"],
                         "quotient_manifold_algebra":
                             rep["quotient_manifold_algebra"],
@@ -270,9 +285,7 @@ def cmd_ncalg_quotient(args):
 
 def cmd_ncalg_bott_quotient(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
-    sub = serialize.rows_from_json(_load_json(args.sub, "subalgebra"),
-                                   "subalgebra")
-    table = bott_quotient(g, sub)
+    table = bott_quotient(g, _subspace_rows(args.sub, "subalgebra", g.dim))
     return _emit(args, {"module_basis": table.module_basis,
                         "acting_basis": table.acting_basis,
                         "matrices": table.matrices,
@@ -283,9 +296,7 @@ def cmd_ncalg_bott_quotient(args):
 
 def cmd_ncalg_bott_forms(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
-    sub = serialize.rows_from_json(_load_json(args.sub, "subalgebra"),
-                                   "subalgebra")
-    rep = bott_forms(g, sub)
+    rep = bott_forms(g, _subspace_rows(args.sub, "subalgebra", g.dim))
     table = rep["connection"]
     return _emit(args, {"module_basis": table.module_basis,
                         "acting_basis": table.acting_basis,
@@ -300,8 +311,11 @@ def cmd_ncalg_bott_integral(args):
         raise InputError("distribution must be a list of matrices")
     ops = [serialize.matrix_from_json(m, "distribution element")
            for m in dist]
-    ideal = serialize.rows_from_json(_load_json(args.ideal, "ideal"), "ideal")
-    rep = bott_integral(A, ops, ideal)
+    if any(len(X) != A.dim or any(len(row) != A.dim for row in X)
+           for X in ops):
+        raise InputError("distribution elements must be %d x %d matrices"
+                         % (A.dim, A.dim))
+    rep = bott_integral(A, ops, _subspace_rows(args.ideal, "ideal", A.dim))
     return _emit(args, rep)
 
 

@@ -12,7 +12,7 @@ expansion on a0*da1^...^dak is kept as an independent cross-check.
 """
 
 from .ratpoly import Poly, DimensionMismatch
-from .multivec import (Multivector, merge_indices, all_index_tuples,
+from .multivec import (Multivector, sort_sign, all_index_tuples,
                        GradeMismatch, wedge as mv_wedge, jacobiator)
 
 
@@ -122,7 +122,7 @@ def form_wedge(a, b):
     out = Form.zero(a.n, a.grade + b.grade)
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
-            sign, idx = merge_indices(ia, ib)
+            sign, idx = sort_sign(ia + ib)
             if sign:
                 out = out + Form.basis(a.n, idx, ca * cb * sign)
     return out
@@ -136,7 +136,7 @@ def form_d(a):
             dc = c.diff(i)
             if dc.is_zero():
                 continue
-            sign, nidx = merge_indices((i,), idx)
+            sign, nidx = sort_sign((i,) + idx)
             if sign:
                 out = out + Form.basis(a.n, nidx, dc * sign)
     return out
@@ -158,7 +158,7 @@ def interior(u, a):
     out = Form.zero(n, a.grade - u.grade)
     for iu, cu in u.terms.items():
         for rest in all_index_tuples(n, a.grade - u.grade):
-            sign, idx = merge_indices(iu, rest)
+            sign, idx = sort_sign(iu + rest)
             if not sign:
                 continue
             ca = a.terms.get(idx)

@@ -4,11 +4,14 @@ Rank goes through one sparse fraction-free engine: rows are scaled to
 primitive integer vectors and eliminated with Markowitz pivoting, so
 mostly-zero block matrices cost in proportion to their nonzeros and
 intermediate entries stay integers with no common factor.  `rref`,
-`nullspace` and `solve` work on dense lists of lists of Fraction; the
-point of all of it is exactness and determinism.
+`nullspace` and `solve` work on dense lists of lists of Fraction, and
+`Subspace` keeps one span's echelon form for repeated membership,
+coordinate and quotient queries; the point of all of it is exactness
+and determinism.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -180,20 +183,9 @@ def row_space_basis(rows):
     return [red[i] for i in range(len(pivots))]
 
 
-def in_span(rows, vec):
-    """Exact membership of vec in the row span of rows."""
-    base = [r for r in rows if any(x != 0 for x in r)]
-    if not base:
-        return all(x == 0 for x in vec)
-    return rank(base) == rank(base + [vec])
-
-
-def subspace_contains(rows, other_rows):
-    return all(in_span(rows, v) for v in other_rows)
-
-
 def subspace_equal(rows_a, rows_b):
-    return subspace_contains(rows_a, rows_b) and subspace_contains(rows_b, rows_a)
+    """Equal row spans: the reduced echelon basis of a span is unique."""
+    return row_space_basis(rows_a) == row_space_basis(rows_b)
 
 
 def intersect(rows_a, rows_b):
@@ -216,24 +208,69 @@ def intersect(rows_a, rows_b):
     return row_space_basis(combined)
 
 
-def complement_basis(rows, n):
-    """Coordinate vectors extending span(rows) to all of Q^n."""
-    base = row_space_basis(rows)
-    comp = []
-    for i in range(n):
-        e = unit_vector(i, n)
-        if not in_span(base + comp, e):
-            comp.append(e)
-    return comp
+class Subspace:
+    """The row span of `rows` in Q^n, reduced to echelon form once.
 
+    `basis` is the reduced row echelon basis, the rows `row_space_basis`
+    gives.  `coords(vec)` writes a vector of the span over `rows` as
+    given, uniquely when they are independent.  `complement` lists the
+    unit vectors e_i, taken greedily in order of i, that extend the span
+    to Q^n, and `project(vec)` gives the coordinates of vec along them
+    in the splitting Q^n = span(rows) + span(complement): the image of
+    vec in the quotient Q^n / span(rows).
+    """
 
-def coordinates_in_basis(basis_rows, vec):
-    """Coefficients of vec in the given (independent) basis, or None."""
-    if not basis_rows:
-        return [] if all(x == 0 for x in vec) else None
-    mat = [[basis_rows[j][c] for j in range(len(basis_rows))]
-           for c in range(len(vec))]
-    return solve(mat, list(vec))
+    def __init__(self, rows, n):
+        if any(len(row) != n for row in rows):
+            raise ValueError("subspace rows must have length %d" % n)
+        self.n = n
+        m = len(rows)
+        red, pivots = rref([list(row) + unit_vector(i, m)
+                            for i, row in enumerate(rows)])
+        k = sum(1 for p in pivots if p < n)
+        self._pivots = pivots[:k]
+        self.basis = [row[:n] for row in red[:k]]
+        # echelon row i equals sum_j combos[i][j] * rows[j]
+        self._combos = [row[n:] for row in red[:k]]
+        self._size = m
+
+    def contains(self, vec):
+        out = list(vec)
+        for p, row in zip(self._pivots, self.basis):
+            f = vec[p]
+            if f:
+                out = [a - f * b for a, b in zip(out, row)]
+        return not any(out)
+
+    def coords(self, vec):
+        """Coefficients c with sum c_j rows[j] == vec, or None outside."""
+        if not self.contains(vec):
+            return None
+        out = [Fraction(0)] * self._size
+        for p, combo in zip(self._pivots, self._combos):
+            f = vec[p]
+            if f:
+                out = [a + f * b for a, b in zip(out, combo)]
+        return out
+
+    @cached_property
+    def _splitting(self):
+        """Complement indices and the matrix of the quotient map, from
+        one elimination of [basis^T | I_n]: its pivot columns are the
+        basis, then the greedy complement, and the identity block ends
+        as the inverse of [basis^T | complement]."""
+        k, n = len(self.basis), self.n
+        red, pivots = rref([[b[r] for b in self.basis] + unit_vector(r, n)
+                            for r in range(n)])
+        return [p - k for p in pivots[k:]], [row[k:] for row in red[k:]]
+
+    @property
+    def complement(self):
+        return [unit_vector(i, self.n) for i in self._splitting[0]]
+
+    def project(self, vec):
+        """Coordinates of vec along `complement`, modulo the span."""
+        return mat_vec(self._splitting[1], vec)
 
 
 def mat_mul(a, b):

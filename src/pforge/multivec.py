@@ -33,21 +33,14 @@ class GradeMismatch(ValueError):
     pass
 
 
-def merge_indices(a, b):
-    """Sign and sorted tuple for wedging basis tuples a and b.
-
-    Returns (sign, tuple) or (0, None) when an index repeats.
-    """
-    if set(a) & set(b):
+def sort_sign(idx):
+    """Sign of the permutation sorting an index tuple, and the sorted
+    tuple; (0, None) when an index repeats."""
+    if len(set(idx)) != len(idx):
         return 0, None
-    combined = list(a) + list(b)
-    # count inversions of the concatenation
-    inv = 0
-    for i in range(len(combined)):
-        for j in range(i + 1, len(combined)):
-            if combined[i] > combined[j]:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(combined))
+    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
+              if idx[a] > idx[b])
+    return (-1) ** inv, tuple(sorted(idx))
 
 
 class Multivector:
@@ -157,7 +150,7 @@ def wedge(u, v):
     out = Multivector.zero(u.n, u.grade + v.grade)
     for iu, cu in u.terms.items():
         for iv, cv in v.terms.items():
-            sign, idx = merge_indices(iu, iv)
+            sign, idx = sort_sign(iu + iv)
             if sign:
                 out = out + Multivector.basis(u.n, idx, cu * cv * sign)
     return out
@@ -212,11 +205,10 @@ def _wedge_simple(fields, n):
     for i, c in fields:
         coeff = coeff * c
         indices.append(i)
-    if len(set(indices)) != len(indices):
+    sign, idx = sort_sign(indices)
+    if not sign:
         return Multivector.zero(n, len(indices))
-    inv = sum(1 for a in range(len(indices)) for b in range(a + 1, len(indices))
-              if indices[a] > indices[b])
-    return Multivector.basis(n, tuple(sorted(indices)), coeff * ((-1) ** inv))
+    return Multivector.basis(n, idx, coeff * sign)
 
 
 def schouten(u, v):
@@ -297,9 +289,7 @@ def evaluate_on_functions(u, funcs):
 def _permutations_signed(k):
     from itertools import permutations
     for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k)
-                  if perm[a] > perm[b])
-        yield (-1) ** inv, perm
+        yield sort_sign(perm)[0], perm
 
 
 def all_index_tuples(n, k):

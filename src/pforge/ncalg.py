@@ -16,7 +16,8 @@ from . import linalg
 
 
 class BadAlgebra(ValueError):
-    pass
+    """Structure constants fail a length, associativity, unit or
+    commutativity check."""
 
 
 class NotAnIdeal(ValueError):
@@ -32,7 +33,8 @@ class NotASplitting(ValueError):
 
 
 class AlgebraSC:
-    """Associative algebra on Q^dim; mult[i][j] = coordinates of e_i e_j."""
+    """Associative algebra on Q^dim; mult[i][j] = coordinates of e_i e_j,
+    unit (optional) = coordinates of 1."""
 
     __slots__ = ("dim", "mult", "unit")
 
@@ -41,6 +43,15 @@ class AlgebraSC:
         self.mult = [[[Fraction(x) for x in mult[i][j]] for j in range(dim)]
                      for i in range(dim)]
         self.unit = None if unit is None else [Fraction(x) for x in unit]
+        for i in range(dim):
+            for j in range(dim):
+                if len(self.mult[i][j]) != dim:
+                    raise BadAlgebra(
+                        "structure constant vector (%d,%d) has length %d, "
+                        "not %d" % (i, j, len(self.mult[i][j]), dim))
+        if self.unit is not None and len(self.unit) != dim:
+            raise BadAlgebra("unit has length %d, not %d"
+                             % (len(self.unit), dim))
         bad = self.associativity_witness()
         if bad is not None:
             raise BadAlgebra("not associative at basis triple %r" % (bad,))
@@ -78,12 +89,12 @@ class AlgebraSC:
     def left_mult(self, u):
         d = self.dim
         cols = [self.multiply(u, linalg.unit_vector(j, d)) for j in range(d)]
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        return _from_columns(cols, d)
 
     def right_mult(self, u):
         d = self.dim
         cols = [self.multiply(linalg.unit_vector(j, d), u) for j in range(d)]
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        return _from_columns(cols, d)
 
 
 def center(A):
@@ -112,12 +123,13 @@ def derivations(A):
     d = A.dim
     if d == 0:
         return {"basis": [], "inner": []}
+    left = [A.left_mult(linalg.unit_vector(i, d)) for i in range(d)]
+    right = [A.right_mult(linalg.unit_vector(i, d)) for i in range(d)]
     rows = []
     for i in range(d):
         for j in range(d):
             prod = A.mult[i][j]
-            li = A.left_mult(linalg.unit_vector(i, d))
-            rj = A.right_mult(linalg.unit_vector(j, d))
+            li, rj = left[i], right[j]
             for r in range(d):
                 # X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0, row r
                 row = [Fraction(0)] * (d * d)
@@ -127,25 +139,16 @@ def derivations(A):
                     row[r2 * d + i] -= rj[r][r2]
                     row[r2 * d + j] -= li[r][r2]
                 rows.append(row)
-    basis = []
-    for v in linalg.nullspace(rows, ncols=d * d):
-        basis.append([[v[r * d + c] for c in range(d)] for r in range(d)])
-    inner = []
-    flat_basis = [_flatten(m) for m in basis]
-    for i in range(d):
-        ad = linalg.mat_sub(A.left_mult(linalg.unit_vector(i, d)),
-                            A.right_mult(linalg.unit_vector(i, d)))
-        inner.append(ad)
-    inner_rows = linalg.row_space_basis([_flatten(m) for m in inner])
-    inner_basis = [[[r[x * d + y] for y in range(d)] for x in range(d)]
-                   for r in inner_rows]
+    basis = [_unflatten(v, d) for v in linalg.nullspace(rows, ncols=d * d)]
+    inner_rows = linalg.row_space_basis(
+        [_flatten(linalg.mat_sub(l, r)) for l, r in zip(left, right)])
     # closure of Der(A) under commutator, checked exactly
-    for a in basis:
-        for b in basis:
-            br = _commutator(a, b)
-            if not linalg.in_span(flat_basis, _flatten(br)):
+    span = linalg.Subspace([_flatten(m) for m in basis], d * d)
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:]:
+            if not span.contains(_flatten(_commutator(a, b))):
                 raise AssertionError("Der(A) not closed under commutator")
-    return {"basis": basis, "inner": inner_basis}
+    return {"basis": basis, "inner": [_unflatten(r, d) for r in inner_rows]}
 
 
 def _flatten(m):
@@ -156,30 +159,55 @@ def _unflatten(v, d):
     return [[v[r * d + c] for c in range(d)] for r in range(d)]
 
 
+def _from_columns(cols, nrows):
+    """The nrows-row matrix whose columns are cols."""
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
 def _commutator(a, b):
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def _combination(coeffs, vecs):
+    """sum of c * v over coeffs and the equally long vectors vecs."""
+    out = [Fraction(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            out = [a + c * x for a, x in zip(out, v)]
+    return out
+
+
+def _span(rows, n):
+    """Subspace whose coords are taken over its reduced echelon basis."""
+    return linalg.Subspace(linalg.row_space_basis(rows), n)
+
+
+def _restriction(X, S):
+    """Matrix of X on span(S), over S.basis; X must preserve the span."""
+    return _from_columns([S.coords(linalg.mat_vec(X, b)) for b in S.basis],
+                         len(S.basis))
 
 
 def check_ideal(A, I_rows):
     """Two-sided ideal test; returns a witness (side, i, j) or None."""
     d = A.dim
-    base = linalg.row_space_basis(I_rows)
-    for j, g in enumerate(base):
+    ideal = linalg.Subspace(I_rows, d)
+    for j, g in enumerate(ideal.basis):
         for i in range(d):
             e = linalg.unit_vector(i, d)
-            if not linalg.in_span(base, A.multiply(e, g)):
+            if not ideal.contains(A.multiply(e, g)):
                 return ("left", i, j)
-            if not linalg.in_span(base, A.multiply(g, e)):
+            if not ideal.contains(A.multiply(g, e)):
                 return ("right", i, j)
     return None
 
 
 def check_subalgebra(A, B_rows):
     """Subalgebra test; returns a witness pair (i, j) or None."""
-    base = linalg.row_space_basis(B_rows)
-    for i, u in enumerate(base):
-        for j, v in enumerate(base):
-            if not linalg.in_span(base, A.multiply(u, v)):
+    sub = linalg.Subspace(B_rows, A.dim)
+    for i, u in enumerate(sub.basis):
+        for j, v in enumerate(sub.basis):
+            if not sub.contains(A.multiply(u, v)):
                 return (i, j)
     return None
 
@@ -192,27 +220,40 @@ def quotient_algebra(A, I_rows):
     along the chosen complement basis.
     """
     d = A.dim
-    ibase = linalg.row_space_basis(I_rows)
-    comp = linalg.complement_basis(ibase, d)
+    ideal = linalg.Subspace(I_rows, d)
+    comp = ideal.complement
     q = len(comp)
-    full = ibase + comp
-    proj = []
-    for r in range(d):
-        e = linalg.unit_vector(r, d)
-        coords = linalg.coordinates_in_basis(full, e)
-        proj.append(coords[len(ibase):])
     # proj as q x d matrix (column r = quotient coords of e_r)
-    proj = [[proj[r][s] for r in range(d)] for s in range(q)]
+    proj = _from_columns([ideal.project(e) for e in linalg.identity(d)], q)
     section = [[comp[j][r] for j in range(q)] for r in range(d)]
-
-    def project(vec):
-        return linalg.mat_vec(proj, vec)
-
-    mult = [[project(A.multiply(comp[i], comp[j])) for j in range(q)]
+    mult = [[ideal.project(A.multiply(comp[i], comp[j])) for j in range(q)]
             for i in range(q)]
-    unit = project(A.unit) if (A.unit is not None and q) else None
+    unit = ideal.project(A.unit) if (A.unit is not None and q) else None
     Q = AlgebraSC(q, mult, unit)
     return Q, proj, section
+
+
+def _images(vecs, d, reduce):
+    """Residual for `_sub_basis`: reduce(X v) for v in vecs, concatenated,
+    for X the d x d matrix of a flattened operator."""
+    def residual(x):
+        X = _unflatten(x, d)
+        return [c for v in vecs for c in reduce(linalg.mat_vec(X, v))]
+    return residual
+
+
+def _sub_basis(span_rows, residual):
+    """Basis of the subspace of span(span_rows) where a linear residual
+    vanishes, as combinations of span_rows.
+
+    `residual` maps a vector to its constraint-violation vector; an
+    empty vector means no constraints.
+    """
+    if not span_rows:
+        return []
+    mat = [list(r) for r in zip(*(residual(v) for v in span_rows))]
+    return [_combination(c, span_rows)
+            for c in linalg.nullspace(mat, ncols=len(span_rows))]
 
 
 def ideal_derivations(A, I_rows):
@@ -225,104 +266,39 @@ def ideal_derivations(A, I_rows):
     if witness is not None:
         raise NotAnIdeal("not a two-sided ideal, witness %r" % (witness,))
     d = A.dim
-    der = derivations(A)["basis"]
-    ibase = linalg.row_space_basis(I_rows)
-    icomp_proj = _annihilator_projector(ibase, d)
-
-    def preserves_residual(X):
-        out = []
-        for g in ibase:
-            out.extend(linalg.mat_vec(icomp_proj, linalg.mat_vec(X, g)))
-        return out
-
-    def into_ideal_residual(X):
-        out = []
-        for i in range(d):
-            out.extend(linalg.mat_vec(
-                icomp_proj, linalg.mat_vec(X, linalg.unit_vector(i, d))))
-        return out
-
-    der_i = _sub_basis(der, preserves_residual)
-    der_i0 = _sub_basis(der, into_ideal_residual)
+    der = [_flatten(m) for m in derivations(A)["basis"]]
+    ideal = linalg.Subspace(I_rows, d)
+    der_i = _sub_basis(der, _images(ideal.basis, d, ideal.project))
+    der_i0 = _sub_basis(der, _images(linalg.identity(d), d, ideal.project))
     Q, proj, section = quotient_algebra(A, I_rows)
     der_q = derivations(Q)["basis"]
-    der_q_flat = [_flatten(m) for m in der_q]
+    der_q_span = linalg.Subspace([_flatten(m) for m in der_q], Q.dim ** 2)
     rI = []
-    for X in der_i:
-        m = linalg.mat_mul(proj, linalg.mat_mul(X, section))
-        coords = linalg.coordinates_in_basis(der_q_flat, _flatten(m)) \
-            if der_q_flat else ([] if not any(_flatten(m)) else None)
+    for x in der_i:
+        m = linalg.mat_mul(proj, linalg.mat_mul(_unflatten(x, d), section))
+        coords = der_q_span.coords(_flatten(m))
         if coords is None:
             raise AssertionError("restriction left Der(A/I)")
         rI.append(coords)
     # kernel(r_I) == Der_I_0
-    kernel = []
-    if der_i:
-        mat = [[rI[j][r] for j in range(len(der_i))]
-               for r in range(len(der_q))]
-        for v in linalg.nullspace(mat, ncols=len(der_i)):
-            acc = [[Fraction(0)] * d for _ in range(d)]
-            for c, X in zip(v, der_i):
-                if c:
-                    acc = [[a + c * x for a, x in zip(ra, rx)]
-                           for ra, rx in zip(acc, X)]
-            kernel.append(acc)
-    if not linalg.subspace_equal([_flatten(m) for m in kernel],
-                                 [_flatten(m) for m in der_i0]):
+    kernel = [_combination(v, der_i) for v in linalg.nullspace(
+        _from_columns(rI, len(der_q)), ncols=len(der_i))]
+    if not linalg.subspace_equal(kernel, der_i0):
         raise AssertionError("kernel(r_I) != Der_I(A)_0")
-    return {"der_I": der_i, "der_I_0": der_i0, "r_I": rI,
+    return {"der_I": [_unflatten(x, d) for x in der_i],
+            "der_I_0": [_unflatten(x, d) for x in der_i0], "r_I": rI,
             "quotient": Q, "der_quotient": der_q,
             "proj": proj, "section": section}
 
 
-def _sub_basis(der, residual):
-    """Basis of the subspace of span(der) where a linear residual is zero.
-
-    `residual` maps a matrix to its constraint-violation vector; an
-    empty vector means no constraints.
-    """
-    if not der:
-        return []
-    d = len(der[0])
-    k = len(der)
-    res = [residual(X) for X in der]
-    if not res[0]:
-        coeffs = [linalg.unit_vector(i, k) for i in range(k)]
-    else:
-        mat = [[res[i][r] for i in range(k)] for r in range(len(res[0]))]
-        coeffs = linalg.nullspace(mat, ncols=k)
-    sub = []
-    for v in coeffs:
-        acc = [[Fraction(0)] * d for _ in range(d)]
-        for c, X in zip(v, der):
-            if c:
-                acc = [[a + c * x for a, x in zip(ra, rx)]
-                       for ra, rx in zip(acc, X)]
-        sub.append(acc)
-    return sub
-
-
-def _annihilator_projector(rows, n):
-    """Matrix projecting onto a complement of span(rows) along it."""
-    base = linalg.row_space_basis(rows)
-    comp = linalg.complement_basis(base, n)
-    full = base + comp
-    out = []
-    for r in range(n):
-        coords = linalg.coordinates_in_basis(full, linalg.unit_vector(r, n))
-        out.append(coords[len(base):])
-    return [[out[r][s] for r in range(n)] for s in range(len(comp))]
-
-
 def submanifold_check(A, I_rows):
-    """r_I surjective onto Der(A/I)?  Report with ranks and witnesses."""
+    """r_I surjective onto Der(A/I)?  Report with ranks and witnesses,
+    alongside everything `ideal_derivations` returns."""
     info = ideal_derivations(A, I_rows)
     target_dim = len(info["der_quotient"])
-    r = linalg.rank(info["r_I"]) if info["r_I"] else 0
-    return {"submanifold": r == target_dim,
-            "rank_r_I": r, "dim_der_quotient": target_dim,
-            "der_I": info["der_I"], "der_I_0": info["der_I_0"],
-            "r_I": info["r_I"]}
+    r = linalg.rank(info["r_I"])
+    return dict(info, submanifold=r == target_dim, rank_r_I=r,
+                dim_der_quotient=target_dim)
 
 
 def quotient_check(A, B_rows):
@@ -331,63 +307,38 @@ def quotient_check(A, B_rows):
     if witness is not None:
         raise NotASubalgebra("not a subalgebra, witness %r" % (witness,))
     d = A.dim
-    bbase = linalg.row_space_basis(B_rows)
-    der = derivations(A)["basis"]
-
-    def preserves_b(X):
-        # residuals: projection of X(b) onto a complement of B
-        pb = _annihilator_projector(bbase, d)
-        out = []
-        for b in bbase:
-            out.extend(linalg.mat_vec(pb, linalg.mat_vec(X, b)))
-        return out
-
-    def kills_b(X):
-        out = []
-        for b in bbase:
-            out.extend(linalg.mat_vec(X, b))
-        return out
-
-    q_b = _sub_basis(der, preserves_b)
-    v_b = _sub_basis(der, kills_b)
+    sub = _span(B_rows, d)
+    bbase = sub.basis
+    der = [_flatten(m) for m in derivations(A)["basis"]]
+    # Q_B preserves B: X(b) vanishes modulo B; V_B kills B outright
+    q_b = [_unflatten(x, d)
+           for x in _sub_basis(der, _images(bbase, d, sub.project))]
+    v_b = [_unflatten(x, d) for x in _sub_basis(der, _images(bbase, d, list))]
 
     # B as an algebra in its own right
-    bsec = [[bbase[j][r] for j in range(len(bbase))] for r in range(d)]
-    bproj = _projector_onto(bbase, d)
-    bmult = [[linalg.mat_vec(bproj, A.multiply(bbase[i], bbase[j]))
-              for j in range(len(bbase))] for i in range(len(bbase))]
-    bunit = None
-    if A.unit is not None and linalg.in_span(bbase, A.unit):
-        bunit = linalg.mat_vec(bproj, A.unit)
+    bmult = [[sub.coords(A.multiply(u, v)) for v in bbase] for u in bbase]
+    bunit = None if A.unit is None else sub.coords(A.unit)
     B = AlgebraSC(len(bbase), bmult, bunit)
 
     # q1: Z(B) == B intersect Z(A)
-    zb = center(B)
-    zb_ambient = [linalg.mat_vec(bsec, z) for z in zb]
-    za = center(A)
-    inter = linalg.intersect([list(b) for b in bbase], za)
+    zb_ambient = [_combination(z, bbase) for z in center(B)]
+    inter = linalg.intersect([list(b) for b in bbase], center(A))
     q1 = linalg.subspace_equal(zb_ambient, inter)
 
     # q2: restriction Q_B -> Der(B) surjective
     der_b = derivations(B)["basis"]
-    der_b_flat = [_flatten(m) for m in der_b]
+    der_b_span = linalg.Subspace([_flatten(m) for m in der_b], B.dim ** 2)
     r_b = []
     for X in q_b:
-        m = linalg.mat_mul(bproj, linalg.mat_mul(X, bsec))
-        coords = linalg.coordinates_in_basis(der_b_flat, _flatten(m)) \
-            if der_b_flat else ([] if not any(_flatten(m)) else None)
+        coords = der_b_span.coords(_flatten(_restriction(X, sub)))
         if coords is None:
             raise AssertionError("restriction of Q_B left Der(B)")
         r_b.append(coords)
-    rank_rb = linalg.rank(r_b) if r_b else 0
-    q2 = rank_rb == len(der_b)
+    q2 = linalg.rank(r_b) == len(der_b)
 
     # q3: joint kernel of V_B on A equals B
-    inv_rows = []
-    for X in v_b:
-        inv_rows.extend(X)
-    invariants = linalg.nullspace(inv_rows, ncols=d) if inv_rows else \
-        [linalg.unit_vector(i, d) for i in range(d)]
+    inv_rows = [row for X in v_b for row in X]
+    invariants = linalg.nullspace(inv_rows, ncols=d)
     q3 = linalg.subspace_equal(invariants, [list(b) for b in bbase])
 
     return {"q1": q1, "q2": q2, "q3": q3,
@@ -397,16 +348,18 @@ def quotient_check(A, B_rows):
             "B_algebra": B, "B_basis": bbase}
 
 
-def _projector_onto(rows, n):
-    """Coordinates-in-span matrix for a subspace basis (len(rows) x n)."""
-    base = linalg.row_space_basis(rows)
-    comp = linalg.complement_basis(base, n)
-    full = base + comp
-    out = []
-    for r in range(n):
-        coords = linalg.coordinates_in_basis(full, linalg.unit_vector(r, n))
-        out.append(coords[:len(base)])
-    return [[out[r][s] for r in range(n)] for s in range(len(base))]
+def _curvature(mats, bracket_coords):
+    """R(i, j) = [M_i, M_j] - sum_k c_k M_k for i < j, where c =
+    bracket_coords(i, j) writes the bracket of acting elements i and j
+    over the acting basis."""
+    size = len(mats[0]) if mats else 0
+    flat = [_flatten(m) for m in mats]
+    table = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            nab = _unflatten(_combination(bracket_coords(i, j), flat), size)
+            table[(i, j)] = linalg.mat_sub(_commutator(mats[i], mats[j]), nab)
+    return table
 
 
 def splitting_curvature(A, B_rows, s_ops, g_ops=None):
@@ -420,36 +373,21 @@ def splitting_curvature(A, B_rows, s_ops, g_ops=None):
     """
     info = quotient_check(A, B_rows)
     der_b = info["der_B"]
-    q_b_flat = [_flatten(m) for m in info["Q_B"]]
-    bbase, d = info["B_basis"], A.dim
-    bproj = _projector_onto(bbase, d)
-    bsec = [[bbase[j][r] for j in range(len(bbase))] for r in range(d)]
-    der_b_flat = [_flatten(m) for m in der_b]
+    q_b_span = linalg.Subspace([_flatten(m) for m in info["Q_B"]],
+                               A.dim ** 2)
+    sub = linalg.Subspace(info["B_basis"], A.dim)
+    der_b_span = linalg.Subspace([_flatten(m) for m in der_b],
+                                 len(info["B_basis"]) ** 2)
     if len(s_ops) != len(der_b):
         raise NotASplitting("need one operator per Der(B) basis element")
     for i, sx in enumerate(s_ops):
-        if not linalg.in_span(q_b_flat, _flatten(sx)):
+        if not q_b_span.contains(_flatten(sx)):
             raise NotASplitting("s(X_%d) is not in Q_B" % i)
-        m = linalg.mat_mul(bproj, linalg.mat_mul(sx, bsec))
-        want = _flatten(der_b[i])
-        if _flatten(m) != want:
+        if _restriction(sx, sub) != der_b[i]:
             raise NotASplitting("r_B(s(X_%d)) != X_%d" % (i, i))
 
-    def s_of(coords):
-        acc = [[Fraction(0)] * d for _ in range(d)]
-        for c, sx in zip(coords, s_ops):
-            if c:
-                acc = [[a + c * x for a, x in zip(ra, rx)]
-                       for ra, rx in zip(acc, sx)]
-        return acc
-
-    table = {}
-    for i in range(len(der_b)):
-        for j in range(i + 1, len(der_b)):
-            br = _commutator(der_b[i], der_b[j])
-            coords = linalg.coordinates_in_basis(der_b_flat, _flatten(br))
-            r = linalg.mat_sub(_commutator(s_ops[i], s_ops[j]), s_of(coords))
-            table[(i, j)] = r
+    table = _curvature(s_ops, lambda i, j: der_b_span.coords(
+        _flatten(_commutator(der_b[i], der_b[j]))))
     out = {"curvature": table,
            "flat": all(not any(_flatten(m)) for m in table.values())}
     if g_ops is not None:
@@ -483,49 +421,31 @@ class ConnectionTable:
                    for m in self.curvature.values())
 
 
-def _lie_subalgebra_witness(g, rows):
-    base = linalg.row_space_basis(rows)
-    for i, u in enumerate(base):
-        for j, v in enumerate(base):
-            if not linalg.in_span(base, g.bracket(u, v)):
-                return (i, j)
-    return None
+def _lie_subalgebra(g, rows):
+    """span(rows) as a Subspace over its echelon basis, or NotASubalgebra."""
+    sub = _span(rows, g.dim)
+    for i, u in enumerate(sub.basis):
+        for j, v in enumerate(sub.basis):
+            if not sub.contains(g.bracket(u, v)):
+                raise NotASubalgebra("L0 not a Lie subalgebra, witness %r"
+                                     % ((i, j),))
+    return sub
+
+
+def _bracket_coords(g, sub):
+    base = sub.basis
+    return lambda i, j: sub.coords(g.bracket(base[i], base[j]))
 
 
 def bott_quotient(g, L0_rows):
     """Canonical connection of L0 on L/L0: grad_X q(u) = q([X, u])."""
-    witness = _lie_subalgebra_witness(g, L0_rows)
-    if witness is not None:
-        raise NotASubalgebra("L0 not a Lie subalgebra, witness %r"
-                             % (witness,))
-    d = g.dim
-    base = linalg.row_space_basis(L0_rows)
-    comp = linalg.complement_basis(base, d)
-    full = base + comp
-    proj = []
-    for r in range(d):
-        coords = linalg.coordinates_in_basis(full, linalg.unit_vector(r, d))
-        proj.append(coords[len(base):])
-    proj = [[proj[r][s] for r in range(d)] for s in range(len(comp))]
-    mats = []
-    for x in base:
-        cols = [linalg.mat_vec(proj, g.bracket(x, u)) for u in comp]
-        mats.append([[cols[j][i] for j in range(len(comp))]
-                     for i in range(len(comp))])
-    l0_proj = _projector_onto(base, d)
-    curvature = {}
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            br = g.bracket(base[i], base[j])
-            coords = linalg.mat_vec(l0_proj, br)
-            nab = [[Fraction(0)] * len(comp) for _ in range(len(comp))]
-            for c, m in zip(coords, mats):
-                if c:
-                    nab = [[a + c * x for a, x in zip(ra, rx)]
-                           for ra, rx in zip(nab, m)]
-            curvature[(i, j)] = linalg.mat_sub(
-                _commutator(mats[i], mats[j]), nab)
-    return ConnectionTable(comp, base, mats, curvature)
+    sub = _lie_subalgebra(g, L0_rows)
+    comp = sub.complement
+    mats = [_from_columns([sub.project(g.bracket(x, u)) for u in comp],
+                          len(comp))
+            for x in sub.basis]
+    return ConnectionTable(comp, sub.basis, mats,
+                           _curvature(mats, _bracket_coords(g, sub)))
 
 
 def bott_forms(g, L0_rows):
@@ -534,45 +454,24 @@ def bott_forms(g, L0_rows):
     (grad_X a)(u) = -a([X, u]); the annihilator is verified to be
     invariant and the curvature to vanish identically.
     """
-    witness = _lie_subalgebra_witness(g, L0_rows)
-    if witness is not None:
-        raise NotASubalgebra("L0 not a Lie subalgebra, witness %r"
-                             % (witness,))
+    sub = _lie_subalgebra(g, L0_rows)
     d = g.dim
-    base = linalg.row_space_basis(L0_rows)
-    ann = linalg.nullspace(base, ncols=d) if base else \
-        [linalg.unit_vector(i, d) for i in range(d)]
-
-    def nabla(x, alpha):
-        # (grad_x alpha)(e_t) = -alpha([x, e_t])
-        return [-sum(alpha[r] * g.bracket(x, linalg.unit_vector(t, d))[r]
-                     for r in range(d)) for t in range(d)]
-
+    ann = linalg.nullspace(sub.basis, ncols=d)
+    ann_span = linalg.Subspace(ann, d)
     mats = []
-    for x in base:
+    for x in sub.basis:
+        ad = [g.bracket(x, e) for e in linalg.identity(d)]
         cols = []
         for alpha in ann:
-            na = nabla(x, alpha)
-            coords = linalg.coordinates_in_basis(ann, na)
+            # (grad_x alpha)(e_t) = -alpha([x, e_t])
+            coords = ann_span.coords(
+                [-sum(a * b for a, b in zip(alpha, col)) for col in ad])
             if coords is None:
                 raise AssertionError("annihilator not invariant")
             cols.append(coords)
-        mats.append([[cols[j][i] for j in range(len(ann))]
-                     for i in range(len(ann))])
-    l0_proj = _projector_onto(base, d) if base else []
-    curvature = {}
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            br = g.bracket(base[i], base[j])
-            coords = linalg.mat_vec(l0_proj, br)
-            nab = [[Fraction(0)] * len(ann) for _ in range(len(ann))]
-            for c, m in zip(coords, mats):
-                if c:
-                    nab = [[a + c * x for a, x in zip(ra, rx)]
-                           for ra, rx in zip(nab, m)]
-            curvature[(i, j)] = linalg.mat_sub(
-                _commutator(mats[i], mats[j]), nab)
-    table = ConnectionTable(ann, base, mats, curvature)
+        mats.append(_from_columns(cols, len(ann)))
+    table = ConnectionTable(ann, sub.basis, mats,
+                            _curvature(mats, _bracket_coords(g, sub)))
     return {"connection": table, "flat": table.flat()}
 
 
@@ -589,9 +488,15 @@ def _one_forms(A, der):
             for X in der:
                 xj = linalg.mat_vec(X, linalg.unit_vector(j, d))
                 cols.append(A.multiply(linalg.unit_vector(i, d), xj))
-            gens.append(_flatten([[cols[c][r] for c in range(k)]
-                                  for r in range(d)]))
+            gens.append(_flatten(_from_columns(cols, d)))
     return linalg.row_space_basis(gens)
+
+
+def _new_directions(base, vecs, n):
+    """Positions of the vecs not in the span of base and the vecs before
+    them: the pivot columns past base of the matrix with these columns."""
+    _, pivots = linalg.rref([[v[r] for v in base + vecs] for r in range(n)])
+    return [p - len(base) for p in pivots if p >= len(base)]
 
 
 def bott_integral(A, D_ops, I_rows):
@@ -605,140 +510,100 @@ def bott_integral(A, D_ops, I_rows):
     D/D_I, with representative independence verified.
     """
     d = A.dim
-    der_info = derivations(A)
-    der = der_info["basis"]
-    der_flat = [_flatten(m) for m in der]
-    problems = []
+    der = derivations(A)["basis"]
+    k = len(der)
+    der_span = linalg.Subspace([_flatten(m) for m in der], d * d)
     d_flat = [_flatten(m) for m in D_ops]
-    for i, X in enumerate(D_ops):
-        if not linalg.in_span(der_flat, _flatten(X)):
+    d_span = linalg.Subspace(d_flat, d * d)
+    problems = []
+    for i, x in enumerate(d_flat):
+        if not der_span.contains(x):
             problems.append("D[%d] is not a derivation" % i)
     for i, X in enumerate(D_ops):
         for j, Y in enumerate(D_ops):
-            if not linalg.in_span(d_flat, _flatten(_commutator(X, Y))):
+            if not d_span.contains(_flatten(_commutator(X, Y))):
                 problems.append("D not involutive at pair (%d,%d)" % (i, j))
-    ibase = linalg.row_space_basis(I_rows)
+    ideal = linalg.Subspace(I_rows, d)
     for i, X in enumerate(D_ops):
-        for j, gv in enumerate(ibase):
-            if not linalg.in_span(ibase, linalg.mat_vec(X, gv)):
+        for gv in ideal.basis:
+            if not ideal.contains(linalg.mat_vec(X, gv)):
                 problems.append("D[%d] does not preserve I" % i)
     if problems:
         return {"integral": False, "problems": sorted(set(problems))}
-    sub = submanifold_check(A, I_rows)
-    if not sub["submanifold"]:
+    info = submanifold_check(A, I_rows)
+    if not info["submanifold"]:
         return {"integral": False,
                 "problems": ["A/I is not a submanifold algebra"]}
     # integral iff additionally r_I(D) equals Der(A/I); the quotient
     # module and connection only need D-invariance of I, so they are
     # reported either way
-    info = ideal_derivations(A, I_rows)
     der_q = info["der_quotient"]
-    proj, section = info["proj"], info["section"]
-    der_q_flat = [_flatten(m) for m in der_q]
-    integral = True
-    for X in D_ops:
-        m = linalg.mat_mul(proj, linalg.mat_mul(X, section))
-        coords = linalg.coordinates_in_basis(der_q_flat, _flatten(m)) \
-            if der_q_flat else ([] if not any(_flatten(m)) else None)
-        if coords is None:
-            integral = False
-            break
-    else:
-        images = []
-        for X in D_ops:
-            m = linalg.mat_mul(proj, linalg.mat_mul(X, section))
-            images.append(linalg.coordinates_in_basis(der_q_flat,
-                                                      _flatten(m))
-                          if der_q_flat else [])
-        if not linalg.subspace_equal(
-                images, [linalg.unit_vector(i, len(der_q))
-                         for i in range(len(der_q))]):
-            integral = False
+    der_q_span = linalg.Subspace([_flatten(m) for m in der_q],
+                                 info["quotient"].dim ** 2)
+    images = [der_q_span.coords(_flatten(linalg.mat_mul(
+        info["proj"], linalg.mat_mul(X, info["section"])))) for X in D_ops]
+    integral = all(c is not None for c in images) and \
+        linalg.rank(images) == len(der_q)
 
     # D_I = elements of D mapping all of A into I
-    iproj = _annihilator_projector(ibase, d)
-
-    def into_ideal_residual(X):
-        out = []
-        for i in range(d):
-            out.extend(linalg.mat_vec(
-                iproj, linalg.mat_vec(X, linalg.unit_vector(i, d))))
-        return out
-
-    d_i = _sub_basis(D_ops, into_ideal_residual)
-    d_i_flat = [_flatten(m) for m in d_i]
-    reps = []
-    for X in D_ops:
-        if not linalg.in_span(d_i_flat + [_flatten(r) for r in reps],
-                              _flatten(X)):
-            reps.append(X)
+    d_i = _sub_basis(d_flat, _images(linalg.identity(d), d, ideal.project))
+    reps = [D_ops[i] for i in _new_directions(d_i, d_flat, d * d)]
 
     omega1 = _one_forms(A, der)
-    k = len(der)
+    # coordinates over Der(A) of each D element and of each [X, Y_c]
+    d_coords = [der_span.coords(x) for x in d_flat]
 
-    # forms vanishing on D: constraint rows, one per (D element, value row)
-    def vanishes_on_d(flat_form):
-        form = _unflatten_form(flat_form, d, k)
-        out = []
-        for X in D_ops:
-            coords = linalg.coordinates_in_basis(der_flat, _flatten(X))
-            val = [sum(coords[c] * form[r][c] for c in range(k))
-                   for r in range(d)]
-            out.extend(val)
-        return out
+    def vanishes_on_d(v):
+        """The values a(X) for X in D, for a flattened 1-form a."""
+        form = _unflatten_form(v, d, k)
+        return [sum(c[t] * form[r][t] for t in range(k))
+                for c in d_coords for r in range(d)]
 
-    omega_d = _vec_sub_basis(omega1, vanishes_on_d)
+    def i_valued(v):
+        """Every value column of the 1-form modulo I."""
+        form = _unflatten_form(v, d, k)
+        return [x for c in range(k)
+                for x in ideal.project([form[r][c] for r in range(d)])]
 
-    # I-valued forms: every value column lies in I
-    def i_valued(flat_form):
-        form = _unflatten_form(flat_form, d, k)
-        out = []
-        for c in range(k):
-            col = [form[r][c] for r in range(d)]
-            out.extend(linalg.mat_vec(iproj, col))
-        return out
-
-    omega_i = _vec_sub_basis(omega1, i_valued)
+    omega_d = linalg.row_space_basis(_sub_basis(omega1, vanishes_on_d))
+    omega_i = linalg.row_space_basis(_sub_basis(omega1, i_valued))
     inter = linalg.intersect(omega_d, omega_i)
-    gamma_reps = []
-    for v in omega_d:
-        if not linalg.in_span(inter + gamma_reps, v):
-            gamma_reps.append(v)
-    gamma_basis = inter + gamma_reps
+    gamma_reps = [omega_d[i]
+                  for i in _new_directions(inter, omega_d, d * k)]
 
-    def lie_derivative(X, flat_form):
-        """(L_X a)(Y) = X(a(Y)) - a([X, Y]) for a vanishing on X."""
-        form = _unflatten_form(flat_form, d, k)
-        cols = []
-        for c in range(k):
-            col = [form[r][c] for r in range(d)]
-            t1 = linalg.mat_vec(X, col)
-            br = _commutator(X, der[c])
-            coords = linalg.coordinates_in_basis(der_flat, _flatten(br))
-            t2 = [sum(coords[t] * form[r][t] for t in range(k))
-                  for r in range(d)]
-            cols.append([a - b for a, b in zip(t1, t2)])
-        return _flatten([[cols[c][r] for c in range(k)] for r in range(d)])
+    def lie_derivative(X):
+        """a -> L_X a, (L_X a)(Y) = X(a(Y)) - a([X, Y]), for a vanishing
+        on X; forms flattened."""
+        brackets = [der_span.coords(_flatten(_commutator(X, Y)))
+                    for Y in der]
+
+        def apply(v):
+            form = _unflatten_form(v, d, k)
+            xform = linalg.mat_mul(X, form)
+            return [xform[r][c] - sum(brackets[c][t] * form[r][t]
+                                      for t in range(k))
+                    for r in range(d) for c in range(k)]
+        return apply
 
     # representative independence: L_V of a D-vanishing form is I-valued
+    omega_i_span = linalg.Subspace(omega_i, d * k)
     for V in d_i:
-        for v in omega_d:
-            lv = lie_derivative(V, v)
-            if not linalg.in_span(omega_i, lv):
-                raise AssertionError(
-                    "representative independence fails for D_I element")
+        lv = lie_derivative(_unflatten(V, d))
+        if not all(omega_i_span.contains(lv(v)) for v in omega_d):
+            raise AssertionError(
+                "representative independence fails for D_I element")
 
-    def gamma_coords(v):
-        coords = linalg.coordinates_in_basis(gamma_basis, v)
-        if coords is None:
-            raise AssertionError("Lie derivative left Omega^1_D")
-        return coords[len(inter):]
-
+    gamma_span = linalg.Subspace(inter + gamma_reps, d * k)
     mats = []
     for X in reps:
-        cols = [gamma_coords(lie_derivative(X, v)) for v in gamma_reps]
-        mats.append([[cols[j][i] for j in range(len(gamma_reps))]
-                     for i in range(len(gamma_reps))])
+        lx = lie_derivative(X)
+        cols = []
+        for v in gamma_reps:
+            coords = gamma_span.coords(lx(v))
+            if coords is None:
+                raise AssertionError("Lie derivative left Omega^1_D")
+            cols.append(coords[len(inter):])
+        mats.append(_from_columns(cols, len(gamma_reps)))
     return {"integral": integral,
             "gamma_basis": gamma_reps,
             "gamma_dim": len(gamma_reps),
@@ -750,22 +615,3 @@ def bott_integral(A, D_ops, I_rows):
 
 def _unflatten_form(v, d, k):
     return [[v[r * k + c] for c in range(k)] for r in range(d)]
-
-
-def _vec_sub_basis(span_rows, residual):
-    """Subspace of span(span_rows) where a linear residual vanishes."""
-    if not span_rows:
-        return []
-    res = [residual(v) for v in span_rows]
-    if not res[0]:
-        return list(span_rows)
-    mat = [[res[i][r] for i in range(len(span_rows))]
-           for r in range(len(res[0]))]
-    out = []
-    for c in linalg.nullspace(mat, ncols=len(span_rows)):
-        vec = [Fraction(0)] * len(span_rows[0])
-        for ci, v in zip(c, span_rows):
-            if ci:
-                vec = [a + ci * b for a, b in zip(vec, v)]
-        out.append(vec)
-    return linalg.row_space_basis(out) if out else []

@@ -15,22 +15,12 @@ import json
 from fractions import Fraction
 
 from .ratpoly import Poly, parse_poly, PolyParseError
-from .multivec import Multivector, GradeMismatch
+from .multivec import Multivector, GradeMismatch, sort_sign
 from .forms import Form
 
 
 class InputError(ValueError):
     """Malformed wire data (shape, types, unknown fields)."""
-
-
-def _normalize_idx(idx, coeff):
-    """Sort an index tuple, folding the permutation sign into coeff."""
-    idx = list(idx)
-    if len(set(idx)) != len(idx):
-        return None, None
-    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-              if idx[a] > idx[b])
-    return tuple(sorted(idx)), coeff * ((-1) ** inv)
 
 
 def _terms_from_json(obj, n, grade):
@@ -49,10 +39,10 @@ def _terms_from_json(obj, n, grade):
             coeff = parse_poly(str(entry.get("coeff", "0")), n)
         except PolyParseError as exc:
             raise InputError("bad coefficient: %s" % exc)
-        key, coeff = _normalize_idx(idx, coeff)
-        if key is None:
+        sign, key = sort_sign(idx)
+        if not sign:
             continue
-        terms[key] = terms.get(key, Poly.zero(n)) + coeff
+        terms[key] = terms.get(key, Poly.zero(n)) + coeff * sign
     return terms
 
 
@@ -122,7 +112,7 @@ def rows_from_json(rows, what="subspace"):
 
 
 def algebra_from_json(obj):
-    from .ncalg import AlgebraSC, BadAlgebra
+    from .ncalg import AlgebraSC
     if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:
         raise InputError("algebra needs dim, mult and optional unit")
     dim = obj.get("dim")
@@ -136,27 +126,10 @@ def algebra_from_json(obj):
         raise InputError("mult must be a dim x dim table of vectors")
     unit = obj.get("unit")
     if unit is not None:
+        if not isinstance(unit, list):
+            raise InputError("unit must be a list of numbers")
         unit = [fraction_from_json(x) for x in unit]
     return AlgebraSC(dim, table, unit)
-
-
-def finite_algebra_from_json(obj):
-    """Commutative-unital variant used by the superalgebra oracle."""
-    from .superalg import FiniteAlgebra
-    if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:
-        raise InputError("algebra needs dim, mult and unit")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
-        raise InputError("dim must be a positive integer")
-    try:
-        table = [[[fraction_from_json(x) for x in obj["mult"][i][j]]
-                  for j in range(dim)] for i in range(dim)]
-    except (TypeError, IndexError, KeyError):
-        raise InputError("mult must be a dim x dim table of vectors")
-    unit = obj.get("unit")
-    if unit is None:
-        raise InputError("the oracle needs a designated unit")
-    return FiniteAlgebra(dim, table, [fraction_from_json(x) for x in unit])
 
 
 def liealg_from_json(obj):

@@ -22,6 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
+from .multivec import sort_sign
+from .ncalg import (AlgebraSC, BadAlgebra, derivations, _commutator,
+                    _flatten)
 
 
 class ArityMismatch(ValueError):
@@ -36,21 +39,8 @@ class NonInvolutiveElement(ValueError):
     pass
 
 
-class BadAlgebra(ValueError):
-    """Structure constants fail commutativity, associativity, or unit."""
-
-
 def _zero_vec(dim):
     return [Fraction(0)] * dim
-
-
-def _sort_sign(idx):
-    """(sign, sorted tuple) for an index tuple; (0, None) on repeats."""
-    if len(set(idx)) != len(idx):
-        return 0, None
-    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-              if idx[a] > idx[b])
-    return (-1) ** inv, tuple(sorted(idx))
 
 
 class MultiMap:
@@ -90,7 +80,7 @@ class MultiMap:
 
     def value(self, idx):
         """Signed read at an arbitrary basis-index tuple."""
-        sign, key = _sort_sign(idx)
+        sign, key = sort_sign(idx)
         if not sign:
             return _zero_vec(self.dim)
         vec = self.table.get(key)
@@ -236,98 +226,13 @@ def super_axiom_report(dim, seed, trials=50, max_arity=3):
 # Commutative algebras by structure constants
 
 
-class FiniteAlgebra:
-    """Commutative associative unital algebra on Q^dim.
-
-    mult[i][j] is the coordinate vector of e_i * e_j; unit is the
-    coordinate vector of 1.
-    """
-
-    __slots__ = ("dim", "mult", "unit")
-
-    def __init__(self, dim, mult, unit):
-        self.dim = dim
-        self.mult = [[[Fraction(x) for x in mult[i][j]] for j in range(dim)]
-                     for i in range(dim)]
-        self.unit = [Fraction(x) for x in unit]
-        self._validate()
-
-    def _validate(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if len(self.mult[i][j]) != d:
-                    raise BadAlgebra("structure constant vector length")
-                if self.mult[i][j] != self.mult[j][i]:
-                    raise BadAlgebra(
-                        "not commutative at basis pair (%d,%d)" % (i, j))
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = self.multiply(self.mult[i][j],
-                                         linalg.unit_vector(k, d))
-                    right = self.multiply(linalg.unit_vector(i, d),
-                                          self.mult[j][k])
-                    if left != right:
-                        raise BadAlgebra(
-                            "not associative at (%d,%d,%d)" % (i, j, k))
-        for i in range(d):
-            e = linalg.unit_vector(i, d)
-            if self.multiply(self.unit, e) != e:
-                raise BadAlgebra("unit fails on basis element %d" % i)
-
-    def multiply(self, u, v):
-        d = self.dim
-        out = _zero_vec(d)
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                out = [a + c * b for a, b in zip(out, self.mult[i][j])]
-        return out
-
-    def left_mult_matrix(self, u):
-        """Matrix of multiplication by u, columns = u * e_j."""
-        d = self.dim
-        cols = [self.multiply(u, linalg.unit_vector(j, d)) for j in range(d)]
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def derivations(A):
-    """Basis of Der(A) as dim x dim matrices (Leibniz linear system)."""
-    d = self_dim = A.dim
-    # unknowns: matrix entries X[r][c], flattened row-major
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            prod = A.mult[i][j]
-            li = A.left_mult_matrix(linalg.unit_vector(i, d))
-            lj = A.left_mult_matrix(linalg.unit_vector(j, d))
-            for r in range(d):
-                # coefficient of X[r2][c] in: X(e_i e_j) - X(e_i) e_j - e_i X(e_j), row r
-                row = [Fraction(0)] * (d * d)
-                for c in range(d):
-                    row[r * d + c] += prod[c]
-                for r2 in range(d):
-                    # (e_j * X(e_i))_r picks X[r2][i] with weight lj[r][r2]
-                    row[r2 * d + i] -= lj[r][r2]
-                    row[r2 * d + j] -= li[r][r2]
-                rows.append(row)
-    basis = []
-    for v in linalg.nullspace(rows, ncols=d * d):
-        basis.append([[v[r * d + c] for c in range(d)] for r in range(d)])
-    return basis
-
-
-def _flatten(mat):
-    return [x for row in mat for x in row]
-
-
-def _commutator(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+def _check_commutative(A):
+    """Raise BadAlgebra unless e_i e_j = e_j e_i for all basis pairs."""
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            if A.mult[i][j] != A.mult[j][i]:
+                raise BadAlgebra(
+                    "not commutative at basis pair (%d,%d)" % (i, j))
 
 
 class OperatorSpace:
@@ -339,16 +244,17 @@ class OperatorSpace:
 
     def __init__(self, A):
         self.A = A
-        self.der = derivations(A)
+        self.der = derivations(A)["basis"]
         self.d_der = len(self.der)
         self.ops = list(self.der) + [
-            A.left_mult_matrix(linalg.unit_vector(i, A.dim))
+            A.left_mult(linalg.unit_vector(i, A.dim))
             for i in range(A.dim)]
         self.dim = len(self.ops)
-        self._flat = [_flatten(m) for m in self.ops]
+        self._span = linalg.Subspace([_flatten(m) for m in self.ops],
+                                     A.dim ** 2)
 
     def coords(self, op):
-        c = linalg.coordinates_in_basis(self._flat, _flatten(op))
+        c = self._span.coords(_flatten(op))
         if c is None:
             raise SpaceMismatch("operator not in Der(A) + A")
         return c
@@ -365,7 +271,7 @@ class OperatorSpace:
 
     def module_action(self, a_idx, v_idx):
         """Coordinates of e_a . (basis op v) = L_{e_a} compose v."""
-        la = self.A.left_mult_matrix(linalg.unit_vector(a_idx, self.A.dim))
+        la = self.A.left_mult(linalg.unit_vector(a_idx, self.A.dim))
         return self.coords(linalg.mat_mul(la, self.ops[v_idx]))
 
 
@@ -384,7 +290,7 @@ def _form_basis(space, n):
 
     def read(unknown_row, idx, coeff):
         """Add coeff * omega(idx) (signed) into a constraint row."""
-        sign, key = _sort_sign(idx)
+        sign, key = sort_sign(idx)
         if not sign or key not in pos:
             return
         base = pos[key] * A.dim
@@ -393,7 +299,7 @@ def _form_basis(space, n):
 
     rows = []
     for a in range(A.dim):
-        la = A.left_mult_matrix(linalg.unit_vector(a, A.dim))
+        la = A.left_mult(linalg.unit_vector(a, A.dim))
         for key in keys:
             # omega(a . X_{k0}, rest) - a * omega(key) = 0
             block = [[Fraction(0)] * nunk for _ in range(A.dim)]
@@ -436,7 +342,7 @@ def _koszul_d(space, table, n):
         acc = _zero_vec(A.dim)
         for i in range(n + 1):
             rest = key[:i] + key[i + 1:]
-            sign, srt = _sort_sign(rest)
+            sign, srt = sort_sign(rest)
             val = table.get(srt)
             if val is not None:
                 xv = linalg.mat_vec(space.der[key[i]],
@@ -453,7 +359,7 @@ def _koszul_d(space, table, n):
                 for t in range(d):
                     if not br[t]:
                         continue
-                    sign, srt = _sort_sign((t,) + rest)
+                    sign, srt = sort_sign((t,) + rest)
                     if not sign:
                         continue
                     val = table.get(srt)
@@ -471,8 +377,10 @@ def koszul_check(A, max_grade=2):
     V is Der(A) (+) A acting on A, mu its commutator tensor.  Checked
     on grade 0 (elements of A) and on a computed basis of each graded
     piece up to max_grade; entrywise over the full V table, which also
-    certifies that [mu, w] stays inside the subspace.
+    certifies that [mu, w] stays inside the subspace.  A must be
+    commutative; BadAlgebra otherwise.
     """
+    _check_commutative(A)
     space = OperatorSpace(A)
     mu = space.mu()
     if not supercomm(mu, mu).is_zero():
@@ -510,10 +418,10 @@ def koszul_check(A, max_grade=2):
 def standard_algebra(name):
     """Small named test algebras for the oracle."""
     if name in ("Q", "field"):
-        return FiniteAlgebra(1, [[[1]]], [1])
+        return AlgebraSC(1, [[[1]]], [1])
     if name in ("QxQ", "product"):
         mult = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-        return FiniteAlgebra(2, mult, [1, 1])
+        return AlgebraSC(2, mult, [1, 1])
     if name in ("Q[t]/t^3", "truncated3"):
         # basis 1, t, t^2
         z = [0, 0, 0]
@@ -522,7 +430,7 @@ def standard_algebra(name):
             [[0, 1, 0], [0, 0, 1], z],
             [[0, 0, 1], z, z],
         ]
-        return FiniteAlgebra(3, mult, [1, 0, 0])
+        return AlgebraSC(3, mult, [1, 0, 0])
     if name in ("Q[s,t]/(s^2,t^2)", "dual_pair"):
         # basis 1, s, t, st
         z = [0, 0, 0, 0]
@@ -533,5 +441,5 @@ def standard_algebra(name):
             [e(2, 4), e(3, 4), z, z],
             [e(3, 4), z, z, z],
         ]
-        return FiniteAlgebra(4, mult, [1, 0, 0, 0])
+        return AlgebraSC(4, mult, [1, 0, 0, 0])
     raise KeyError("unknown algebra %r" % name)

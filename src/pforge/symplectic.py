@@ -20,7 +20,7 @@ from math import factorial
 
 from . import linalg
 from .ratpoly import Poly
-from .multivec import Multivector, all_index_tuples, GradeMismatch
+from .multivec import all_index_tuples, sort_sign, GradeMismatch
 from .forms import Form, form_wedge
 
 
@@ -102,30 +102,22 @@ class SymplecticContext:
 
     def _star_matrix(self, k):
         """Matrix of star on grade-k basis forms, solved from the
-        defining relation against every grade-k basis beta."""
+        defining relation against every grade-k basis beta: one system
+        whose (beta, gamma) entries are the signs of beta ^ gamma, with
+        one right-hand side per source basis form alpha."""
         if k in self._star_matrices:
             return self._star_matrices[k]
-        n, two_m = self.n, self.n
+        n = self.n
         src = all_index_tuples(n, k)
-        dst = all_index_tuples(n, two_m - k)
-        vol_coeff = self.vol.coeff(tuple(range(n)))
-        vc = vol_coeff.constant_term()
-        cols = []
-        for alpha in src:
-            # unknowns: coefficients of star(dx_alpha) over dst
-            mat = []
-            rhs = []
-            for beta in src:
-                row = []
-                for gamma in dst:
-                    sign, idx = _merge(beta, gamma)
-                    row.append(Fraction(sign) if sign else Fraction(0))
-                mat.append(row)
-                rhs.append(self.pairing_basis(alpha, beta) * vc)
-            sol = linalg.solve(mat, rhs)
-            if sol is None:
-                raise DegenerateBivector("star system unsolvable at grade %d" % k)
-            cols.append(sol)
+        dst = all_index_tuples(n, n - k)
+        vc = self.vol.coeff(tuple(range(n))).constant_term()
+        aug = [[Fraction(sort_sign(beta + gamma)[0]) for gamma in dst]
+               + [self.pairing_basis(alpha, beta) * vc for alpha in src]
+               for beta in src]
+        red, pivots = linalg.rref(aug)
+        if pivots != list(range(len(dst))):
+            raise DegenerateBivector("star system unsolvable at grade %d" % k)
+        cols = [[row[len(dst) + a] for row in red] for a in range(len(src))]
         self._star_matrices[k] = (src, dst, cols)
         return self._star_matrices[k]
 
@@ -152,18 +144,11 @@ def _det(m):
     from itertools import permutations
     total = Fraction(0)
     for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k)
-                  if perm[a] > perm[b])
-        prod = Fraction((-1) ** inv)
+        prod = Fraction(sort_sign(perm)[0])
         for r, c in enumerate(perm):
             prod *= m[r][c]
         total += prod
     return total
-
-
-def _merge(a, b):
-    from .multivec import merge_indices
-    return merge_indices(a, b)
 
 
 def make_context(p):

@@ -124,3 +124,35 @@ def test_negative_bound_exit_1(args):
 
 def test_jobs_is_not_an_option():
     assert run("check", "-i", SO3, "--jobs", "2").returncode == 1
+
+
+_ALG2 = {"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+         "unit": [1, 0]}
+
+
+@pytest.mark.parametrize("command", [("ncalg", "der"), ("oracle", "koszul")],
+                         ids=["ncalg-der", "oracle-koszul"])
+@pytest.mark.parametrize("alg", [
+    dict(_ALG2, mult=[[[1], [0, 1]], [[0, 1], [0, 0]]]),
+    dict(_ALG2, mult=[[[1, 0, 0], [0, 1]], [[0, 1], [0, 0]]]),
+    dict(_ALG2, unit=[1]),
+    dict(_ALG2, unit=[1, 0, 0]),
+    dict(_ALG2, unit=5),
+], ids=["short-mult", "long-mult", "short-unit", "long-unit", "scalar-unit"])
+def test_malformed_algebra_is_an_error(command, alg):
+    r = run(*command, "--algebra", json.dumps(alg))
+    assert r.returncode in (1, 2)
+    assert "error" in json.loads(r.stdout)
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("ncalg", "submanifold", "--ideal", "[[0, 1, 0]]"),
+    ("ncalg", "quotient", "--sub", "[[1, 0, 0]]"),
+    ("ncalg", "bott-integral", "--dist", "[[[1]]]", "--ideal", "[]"),
+], ids=["ideal", "sub", "dist"])
+def test_misshapen_subspace_is_an_input_error(args):
+    r = run(*args, "--algebra", json.dumps(_ALG2))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
+    assert "Traceback" not in r.stderr

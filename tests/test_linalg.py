@@ -136,15 +136,74 @@ def test_span_operations():
     b = F([[1, 1, 0], [0, 0, 1]])
     inter = linalg.intersect(a, b)
     assert len(inter) == 1
-    assert linalg.in_span(a, inter[0]) and linalg.in_span(b, inter[0])
-    comp = linalg.complement_basis(a, 3)
+    assert linalg.Subspace(a, 3).contains(inter[0]) and \
+        linalg.Subspace(b, 3).contains(inter[0])
+    comp = linalg.Subspace(a, 3).complement
     assert len(comp) == 1
     assert linalg.rank(a + comp) == 3
 
 
 def test_coordinates_and_inverse():
     basis = F([[1, 1], [0, 1]])
-    c = linalg.coordinates_in_basis(basis, [Fraction(2), Fraction(3)])
+    c = linalg.Subspace(basis, 2).coords([Fraction(2), Fraction(3)])
     assert c == [Fraction(2), Fraction(1)]
     m = F([[2, 1], [1, 1]])
     assert linalg.mat_mul(m, linalg.invert(m)) == linalg.identity(2)
+
+
+def _random_rows(rng, n):
+    """Row sets with zero rows, duplicate rows and dependent rows; a
+    quarter of them span all of Q^n."""
+    m = rng.randint(0, 6)
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+            for _ in range(m)]
+    if rows and rng.random() < 0.3:
+        rows.append([Fraction(0)] * n)
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if len(rows) >= 2 and rng.random() < 0.3:
+        a, b = rng.sample(rows, 2)
+        rows.append([2 * x - y for x, y in zip(a, b)])
+    if rng.random() < 0.25:
+        rows += [linalg.unit_vector(i, n) for i in range(n)]
+        rng.shuffle(rows)
+    return rows
+
+
+def test_subspace_matches_rank_criterion():
+    rng = random.Random(4242)
+    cases = [([], 0), ([[], []], 0), ([], 3), ([[Fraction(0)] * 3], 3)]
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        cases.append((_random_rows(rng, n), n))
+    for rows, n in cases:
+        S = linalg.Subspace(rows, n)
+        r = linalg.rank(rows)
+        assert len(S.basis) == r
+        assert S.basis == linalg.row_space_basis(rows)
+        assert len(S.basis) + len(S.complement) == n
+        assert linalg.rank(S.basis + S.complement) == n
+        inside = [[sum(c * row[j] for c, row in zip(coeffs, rows))
+                   for j in range(n)]
+                  for coeffs in ([Fraction(rng.randint(-2, 2))
+                                  for _ in rows] for _ in range(3))]
+        probes = inside + [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                           for _ in range(3)]
+        for v in probes:
+            member = linalg.rank(rows + [v]) == r
+            assert S.contains(v) == member, (rows, v)
+            c = S.coords(v)
+            if not member:
+                assert c is None
+                continue
+            assert len(c) == len(rows)
+            assert [sum(x * row[j] for x, row in zip(c, rows))
+                    for j in range(n)] == v
+            assert not any(S.project(v))
+        for row in rows + S.basis:
+            assert not any(S.project(row))
+        # the complement coordinates of a complement vector are its own
+        q = len(S.complement)
+        for i, e in enumerate(S.complement):
+            assert S.project(e) == linalg.unit_vector(i, q)

@@ -88,7 +88,7 @@ def test_center_of_matrix_algebra():
     A = matrix_algebra_2x2()
     z = center(A)
     assert len(z) == 1
-    assert linalg.in_span(z, A.unit)
+    assert linalg.Subspace(z, A.dim).contains(A.unit)
 
 
 def test_derivations_matrix_algebra_all_inner():
@@ -175,7 +175,7 @@ def _tensor6_splitting():
     basis = [flat(restrict(tddt)), flat(restrict(t2ddt))]
     s_ops = []
     for Xb in info["der_B"]:
-        c = linalg.coordinates_in_basis(basis, flat(Xb))
+        c = linalg.Subspace(basis, len(Xb) ** 2).coords(flat(Xb))
         s_ops.append([[c[0] * tddt[i][j] + c[1] * t2ddt[i][j]
                        for j in range(6)] for i in range(6)])
     return A, B, s_ops, stdds

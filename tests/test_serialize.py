@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pforge import serialize
+from pforge import cli, serialize
 from pforge.serialize import InputError
 from pforge.ratpoly import parse_poly
 from conftest import bivector, random_form, random_multivector, rng_for
@@ -90,7 +90,7 @@ def test_algebra_parsers():
            "unit": [1, 0]}
     A = serialize.algebra_from_json(obj)
     assert A.dim == 2
-    B = serialize.finite_algebra_from_json(obj)
+    B = cli._oracle_algebra(obj)
     assert B.dim == 2
     with pytest.raises(InputError):
         serialize.algebra_from_json({"dim": 2})

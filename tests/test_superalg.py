@@ -4,9 +4,9 @@ import pytest
 
 from pforge.superalg import (MultiMap, comp_product, supercomm, dmu,
                              random_multimap, super_axiom_report,
-                             FiniteAlgebra, derivations, koszul_check,
-                             standard_algebra, NonInvolutiveElement,
-                             ArityMismatch)
+                             koszul_check, standard_algebra,
+                             NonInvolutiveElement, ArityMismatch)
+from pforge.ncalg import AlgebraSC, derivations
 from conftest import rng_for
 
 
@@ -74,14 +74,18 @@ def test_dmu_rejects_non_involutive():
 def test_standard_algebras_are_valid():
     for name in ("Q", "QxQ", "truncated3", "dual_pair"):
         A = standard_algebra(name)
-        assert isinstance(A, FiniteAlgebra)
+        assert isinstance(A, AlgebraSC)
+        # the oracle's algebras are commutative and unital
+        assert A.unit is not None
+        assert all(A.mult[i][j] == A.mult[j][i]
+                   for i in range(A.dim) for j in range(A.dim))
 
 
 def test_derivation_dimensions():
-    assert len(derivations(standard_algebra("Q"))) == 0
-    assert len(derivations(standard_algebra("QxQ"))) == 0
-    assert len(derivations(standard_algebra("truncated3"))) == 2
-    assert len(derivations(standard_algebra("dual_pair"))) == 4
+    assert len(derivations(standard_algebra("Q"))["basis"]) == 0
+    assert len(derivations(standard_algebra("QxQ"))["basis"]) == 0
+    assert len(derivations(standard_algebra("truncated3"))["basis"]) == 2
+    assert len(derivations(standard_algebra("dual_pair"))["basis"]) == 4
 
 
 KOSZUL_GOLD = {
