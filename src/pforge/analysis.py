@@ -13,7 +13,7 @@ from itertools import combinations, product
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, vf_bracket, jacobiator,
-                       GradeMismatch, all_index_tuples)
+                       GradeMismatch, all_index_tuples, add_term)
 from .forms import Form, d_poly, pbracket_of
 
 
@@ -81,13 +81,14 @@ def sharp(p, a):
     if a.grade == 0:
         return Multivector.from_poly(a.as_poly())
     fields = [hamiltonian(p, Poly.var(n, i)) for i in range(n)]
-    out = Multivector.zero(n, a.grade)
+    terms = {}
     for idx, c in a.terms.items():
         piece = Multivector.from_poly(c)
         for i in idx:
             piece = wedge(piece, fields[i])
-        out = out + piece
-    return out
+        for pidx, pc in piece.terms.items():
+            add_term(terms, pidx, 1, pc)
+    return Multivector(n, a.grade, terms)
 
 
 def hamiltonian(p, f):

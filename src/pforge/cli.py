@@ -2,7 +2,8 @@
 
 One job per invocation: parse inputs, call the library, print a
 deterministic report.  Exit codes: 0 success, 1 malformed input,
-2 violated mathematical precondition (with a machine-readable kind).
+2 violated mathematical precondition (with a machine-readable kind),
+3 internal error (a failed self-check of the library).
 """
 
 import argparse
@@ -430,6 +431,9 @@ def main(argv=None):
     except tuple(e for e, _ in _PRECONDITION_KINDS) as exc:
         kind = next(k for e, k in _PRECONDITION_KINDS if isinstance(exc, e))
         return _error(args, kind, exc, 2)
+    except AssertionError as exc:
+        # a self-check of the library failed: a bug, not a bad input
+        return _error(args, "internal-error", exc, 3)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Differential forms with polynomial coefficients.
 
-Same sparse basis-indexed storage as multivectors, covariant side:
-a grade-k form maps strictly increasing tuples (i1 < ... < ik), standing
-for dx_{i1}^...^dx_{ik}, to polynomial coefficients.
+The sparse basis-indexed storage of multivectors (`multivec.Graded`),
+covariant side: a grade-k form maps strictly increasing tuples
+(i1 < ... < ik), standing for dx_{i1}^...^dx_{ik}, to polynomial
+coefficients.
 
 Pairing is the determinant convention <dx_I, d_J> = delta_{IJ} on
 increasing tuples, with no factorial factors; the interior product is
@@ -11,135 +12,32 @@ boundary is the operator formula delta = i_p d - d i_p; the coordinate
 expansion on a0*da1^...^dak is kept as an independent cross-check.
 """
 
-from .ratpoly import Poly, DimensionMismatch
-from .multivec import (Multivector, sort_sign, all_index_tuples,
-                       GradeMismatch, wedge as mv_wedge, jacobiator)
+from .ratpoly import Poly
+from .multivec import (Graded, add_term, sort_sign, GradeMismatch, wedge,
+                       jacobiator)
 
 
 class NonInvolutive(ValueError):
     """Bivector fails [p,p]=0 where involutivity is required."""
 
 
-class Form:
-    __slots__ = ("n", "grade", "terms")
-
-    def __init__(self, n, grade, terms=None):
-        self.n = n
-        self.grade = grade
-        clean = {}
-        if grade > n:
-            terms = None
-        if terms:
-            for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if len(idx) != grade:
-                    raise GradeMismatch(
-                        "tuple %r has wrong length for grade %d" % (idx, grade))
-                if list(idx) != sorted(set(idx)):
-                    raise ValueError("index tuple %r not strictly increasing" % (idx,))
-                if any(i >= n for i in idx):
-                    raise IndexError("index out of range in %r" % (idx,))
-                if not isinstance(coeff, Poly):
-                    coeff = Poly.const(n, coeff)
-                if not coeff.is_zero():
-                    clean[idx] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n, grade):
-        return cls(n, grade)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p.n, 0, {(): p})
-
-    @classmethod
-    def basis(cls, n, indices, coeff=1):
-        c = coeff if isinstance(coeff, Poly) else Poly.const(n, coeff)
-        return cls(n, len(indices), {tuple(indices): c})
-
-    def as_poly(self):
-        if self.grade != 0:
-            raise GradeMismatch("not a grade-0 form")
-        return self.terms.get((), Poly.zero(self.n))
-
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, idx):
-        return self.terms.get(tuple(idx), Poly.zero(self.n))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch("ambient dimensions differ")
-
-    def __add__(self, other):
-        self._check(other)
-        if self.grade != other.grade:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise GradeMismatch("cannot add grades %d and %d"
-                                % (self.grade, other.grade))
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, Poly.zero(self.n)) + c
-        return Form(self.n, self.grade, terms)
-
-    def __neg__(self):
-        return Form(self.n, self.grade, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, p):
-        if not isinstance(p, Poly):
-            p = Poly.const(self.n, p)
-        return Form(self.n, self.grade, {i: c * p for i, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (self.n == other.n and self.terms == other.terms
-                and (self.grade == other.grade or self.is_zero() and other.is_zero()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "Form(n=%d, grade=%d, 0)" % (self.n, self.grade)
-        bits = ["(%s)*%s" % (c, "dx" + "^dx".join(map(str, i)) if i else "1")
-                for i, c in sorted(self.terms.items())]
-        return "Form(%s)" % " + ".join(bits)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+class Form(Graded):
+    """Differential form: idx stands for dx_{i1}^...^dx_{ik}."""
+    __slots__ = ()
+    _symbol = "dx"
 
 
-def form_wedge(a, b):
-    a._check(b)
-    if a.grade == 0:
-        return b.scale(a.as_poly())
-    if b.grade == 0:
-        return a.scale(b.as_poly())
-    out = Form.zero(a.n, a.grade + b.grade)
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            sign, idx = sort_sign(ia + ib)
-            if sign:
-                out = out + Form.basis(a.n, idx, ca * cb * sign)
-    return out
+form_wedge = wedge
 
 
 def form_d(a):
     """Exterior derivative; d(f dx_I) = sum_i (df/dx_i) dx_i ^ dx_I."""
-    out = Form.zero(a.n, a.grade + 1)
+    terms = {}
     for idx, c in a.terms.items():
         for i in range(a.n):
-            dc = c.diff(i)
-            if dc.is_zero():
-                continue
-            sign, nidx = sort_sign((i,) + idx)
-            if sign:
-                out = out + Form.basis(a.n, nidx, dc * sign)
-    return out
+            if i not in idx:
+                add_term(terms, (i,) + idx, 1, c.diff(i))
+    return Form(a.n, a.grade + 1, terms)
 
 
 def d_poly(p):
@@ -154,18 +52,13 @@ def interior(u, a):
         raise GradeMismatch("interior product needs |u| <= |form|")
     if u.grade == 0:
         return a.scale(u.as_poly())
-    n = a.n
-    out = Form.zero(n, a.grade - u.grade)
+    terms = {}
     for iu, cu in u.terms.items():
-        for rest in all_index_tuples(n, a.grade - u.grade):
-            sign, idx = sort_sign(iu + rest)
-            if not sign:
-                continue
-            ca = a.terms.get(idx)
-            if ca is None:
-                continue
-            out = out + Form.basis(n, rest, cu * ca * sign)
-    return out
+        for ia, ca in a.terms.items():
+            rest = tuple(i for i in ia if i not in iu)
+            if len(rest) == len(ia) - len(iu):
+                add_term(terms, rest, sort_sign(iu + rest)[0], cu, ca)
+    return Form(a.n, a.grade - u.grade, terms)
 
 
 def pair(a, u):
@@ -286,5 +179,5 @@ def schouten_identity_residual(omega, u, v):
     lhs = pair(omega, schouten(u, v))
     t1 = d_int_paired(v, omega, u) * ((-1) ** ((m + 1) * k))
     t2 = d_int_paired(u, omega, v) * ((-1) ** m)
-    t3 = pair(form_d(omega), mv_wedge(u, v))
+    t3 = pair(form_d(omega), wedge(u, v))
     return lhs - (t1 + t2 - t3)

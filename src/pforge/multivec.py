@@ -4,7 +4,8 @@ Storage is basis-indexed and sparse: a grade-k multivector over n
 variables maps strictly increasing index tuples (i1 < ... < ik) to
 polynomial coefficients, the tuple standing for the wedge of the
 coordinate derivations along those indices.  A grade-0 multivector
-wraps a single polynomial under the empty tuple.
+wraps a single polynomial under the empty tuple.  `Graded` holds this
+storage for multivectors and for forms (`forms.Form`) alike.
 
 Sign conventions (normative for the whole package)
 --------------------------------------------------
@@ -23,7 +24,6 @@ Sign conventions (normative for the whole package)
   Hamiltonian field X_f.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .ratpoly import Poly, DimensionMismatch
@@ -43,8 +43,33 @@ def sort_sign(idx):
     return (-1) ** inv, tuple(sorted(idx))
 
 
-class Multivector:
+def add_term(terms, idx, sign, *factors):
+    """Add sign times the product of the Poly factors, on the basis
+    element of the index tuple idx, into a {increasing tuple: Poly}
+    dict.  idx may be unsorted: its sorting sign is folded in, and an
+    idx with a repeated index adds nothing (the product is not formed).
+    Graded operators accumulate here and build their result once."""
+    s, key = sort_sign(idx)
+    if not s:
+        return
+    coeff = factors[0]
+    for f in factors[1:]:
+        coeff = coeff * f
+    if s * sign < 0:
+        coeff = -coeff
+    old = terms.get(key)
+    terms[key] = coeff if old is None else old + coeff
+
+
+class Graded:
+    """Sparse {increasing index tuple: Poly} element of one grade.
+
+    The one container behind multivectors and forms: every method builds
+    `type(self)`, and the subclasses differ only in the index symbol
+    their repr prints.
+    """
     __slots__ = ("n", "grade", "terms")
+    _symbol = "d"
 
     def __init__(self, n, grade, terms=None):
         self.n = n
@@ -85,7 +110,7 @@ class Multivector:
 
     def as_poly(self):
         if self.grade != 0:
-            raise GradeMismatch("not a grade-0 multivector")
+            raise GradeMismatch("not a grade-0 %s" % type(self).__name__)
         return self.terms.get((), Poly.zero(self.n))
 
     def is_zero(self):
@@ -110,11 +135,11 @@ class Multivector:
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             terms[idx] = terms.get(idx, Poly.zero(self.n)) + c
-        return Multivector(self.n, self.grade, terms)
+        return type(self)(self.n, self.grade, terms)
 
     def __neg__(self):
-        return Multivector(self.n, self.grade,
-                           {i: -c for i, c in self.terms.items()})
+        return type(self)(self.n, self.grade,
+                          {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,38 +147,45 @@ class Multivector:
     def scale(self, p):
         if not isinstance(p, Poly):
             p = Poly.const(self.n, p)
-        return Multivector(self.n, self.grade,
-                           {i: c * p for i, c in self.terms.items()})
+        return type(self)(self.n, self.grade,
+                          {i: c * p for i, c in self.terms.items()})
 
     def __eq__(self, other):
         return (self.n == other.n and self.terms == other.terms
                 and (self.grade == other.grade or self.is_zero() and other.is_zero()))
 
     def __repr__(self):
+        name = type(self).__name__
         if not self.terms:
-            return "Multivector(n=%d, grade=%d, 0)" % (self.n, self.grade)
-        bits = ["(%s)*%s" % (c, "d" + "^d".join(map(str, i)) if i else "1")
+            return "%s(n=%d, grade=%d, 0)" % (name, self.n, self.grade)
+        sym = self._symbol
+        bits = ["(%s)*%s" % (c, sym + ("^" + sym).join(map(str, i))
+                             if i else "1")
                 for i, c in sorted(self.terms.items())]
-        return "Multivector(%s)" % " + ".join(bits)
+        return "%s(%s)" % (name, " + ".join(bits))
 
     def sorted_terms(self):
         return sorted(self.terms.items())
 
 
+class Multivector(Graded):
+    """Multivector field: idx stands for d_{i1}^...^d_{ik}."""
+    __slots__ = ()
+
+
 def wedge(u, v):
-    """Exterior product; graded-commutative signed merge on basis tuples."""
+    """Exterior product; graded-commutative signed merge on basis tuples.
+    Serves multivectors and forms alike (the result has u's type)."""
     u._check(v)
     if u.grade == 0:
         return v.scale(u.as_poly())
     if v.grade == 0:
         return u.scale(v.as_poly())
-    out = Multivector.zero(u.n, u.grade + v.grade)
+    terms = {}
     for iu, cu in u.terms.items():
         for iv, cv in v.terms.items():
-            sign, idx = sort_sign(iu + iv)
-            if sign:
-                out = out + Multivector.basis(u.n, idx, cu * cv * sign)
-    return out
+            add_term(terms, iu + iv, 1, cu, cv)
+    return type(u)(u.n, u.grade + v.grade, terms)
 
 
 def vf_bracket(x, y):
@@ -173,81 +205,36 @@ def vf_bracket(x, y):
     return Multivector(n, 1, terms)
 
 
-def _factors(idx, coeff, n):
-    """Split a basis term coeff * d_{i1}^...^d_{ik} into simple vector
-    field factors, the coefficient attached to the first one."""
-    out = []
-    for pos, i in enumerate(idx):
-        c = coeff if pos == 0 else Poly.const(n, 1)
-        out.append((i, c))
-    return out
-
-
-def _simple_bracket(a, b, n):
-    """[f*d_i, g*d_j] for simple fields, as a grade-1 multivector."""
-    (i, f), (j, g) = a, b
-    terms = {}
-    cj = f * g.diff(i)
-    if not cj.is_zero():
-        terms[(j,)] = cj
-    ci = -(g * f.diff(j))
-    if not ci.is_zero():
-        terms[(i,)] = terms.get((i,), Poly.zero(n)) + ci
-    return Multivector(n, 1, {k: v for k, v in terms.items() if not v.is_zero()})
-
-
-def _wedge_simple(fields, n):
-    """Wedge of simple fields (index, coeff) into a basis multivector."""
-    if not fields:
-        return Multivector.from_poly(Poly.const(n, 1))
-    coeff = Poly.const(n, 1)
-    indices = []
-    for i, c in fields:
-        coeff = coeff * c
-        indices.append(i)
-    sign, idx = sort_sign(indices)
-    if not sign:
-        return Multivector.zero(n, len(indices))
-    return Multivector.basis(n, idx, coeff * sign)
-
-
 def schouten(u, v):
-    """Graded (Schouten) bracket of multivectors; grade |u|+|v|-1."""
+    """Graded (Schouten) bracket of multivectors; grade |u|+|v|-1.
+
+    The double sum of the module docstring runs over the simple factors
+    of basis terms u = f d_I and v = g d_J, with f and g carried by the
+    first factor of each.  Every other factor is a bare d_i, and
+    [d_i, d_j] = 0, so only the pairs (a, 0) and (0, b) survive.  With
+    [d_i, g d_j] = g_i d_j and [f d_i, d_j] = -f_j d_i, moving the new
+    d_j into place, they fold into two sums (0-based a, b; m = |I|):
+
+        [f d_I, g d_J] = sum_a (-1)^a f dg/dx_{I_a} d_{I-I_a} ^ d_J
+                       + sum_b (-1)^(m+b) g df/dx_{J_b} d_I ^ d_{J-J_b}
+
+    For |v| = 0 the first sum is the rule for [u, g]; for |u| = 0 the
+    second is [g, u] = [u, g].
+    """
     u._check(v)
-    n = u.n
-    m, k = u.grade, v.grade
-    if m == 0 and k == 0:
+    n, m = u.n, u.grade
+    if m == 0 and v.grade == 0:
         return Multivector.zero(n, 0)
-    if m == 0:
-        return schouten(v, u)
-    result_grade = m + k - 1
-    out = Multivector.zero(n, result_grade)
-    for iu, cu in u.terms.items():
-        uf = _factors(iu, cu, n)
-        if k == 0:
-            g = v.as_poly()
-            for a in range(m):
-                di, ca = uf[a]
-                rest = uf[:a] + uf[a + 1:]
-                lead = ca * g.diff(di) * ((-1) ** a)
-                piece = _wedge_simple(rest, n).scale(lead)
-                out = out + piece
-            continue
-        for iv, cv in v.terms.items():
-            vf = _factors(iv, cv, n)
-            for a in range(m):
-                for b in range(k):
-                    br = _simple_bracket(uf[a], vf[b], n)
-                    if br.is_zero():
-                        continue
-                    sign = (-1) ** (m + (a + 1) + (b + 1) - 1)
-                    rest = _wedge_simple(uf[:a] + uf[a + 1:] +
-                                         vf[:b] + vf[b + 1:], n)
-                    piece = wedge(br, rest)
-                    if sign < 0:
-                        piece = -piece
-                    out = out + piece
-    return out
+    terms = {}
+    for iu, f in u.terms.items():
+        for iv, g in v.terms.items():
+            for a, i in enumerate(iu):
+                add_term(terms, iu[:a] + iu[a + 1:] + iv, (-1) ** a,
+                         f, g.diff(i))
+            for b, j in enumerate(iv):
+                add_term(terms, iu + iv[:b] + iv[b + 1:], (-1) ** (m + b),
+                         g, f.diff(j))
+    return Multivector(n, m + v.grade - 1, terms)
 
 
 def lichnerowicz_dp(p, u):

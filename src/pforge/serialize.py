@@ -60,24 +60,25 @@ def _check_header(obj):
     return n, grade
 
 
-def multivector_from_json(obj):
+def _graded_from_json(obj, cls):
     n, grade = _check_header(obj)
-    if obj.get("kind", "multivector") != "multivector":
-        raise InputError("expected a multivector, got %r" % obj.get("kind"))
+    kind = obj.get("kind", "multivector")
+    if cls is Form and kind != "form":
+        raise InputError('forms require "kind": "form"')
+    if cls is Multivector and kind != "multivector":
+        raise InputError("expected a multivector, got %r" % kind)
     try:
-        return Multivector(n, grade, _terms_from_json(obj, n, grade))
+        return cls(n, grade, _terms_from_json(obj, n, grade))
     except (GradeMismatch, IndexError, ValueError) as exc:
         raise InputError(str(exc))
+
+
+def multivector_from_json(obj):
+    return _graded_from_json(obj, Multivector)
 
 
 def form_from_json(obj):
-    n, grade = _check_header(obj)
-    if obj.get("kind") != "form":
-        raise InputError('forms require "kind": "form"')
-    try:
-        return Form(n, grade, _terms_from_json(obj, n, grade))
-    except (GradeMismatch, IndexError, ValueError) as exc:
-        raise InputError(str(exc))
+    return _graded_from_json(obj, Form)
 
 
 def multivector_to_json(u):
@@ -87,10 +88,7 @@ def multivector_to_json(u):
 
 
 def form_to_json(a):
-    out = {"kind": "form", "n": a.n, "grade": a.grade,
-           "terms": [{"idx": list(idx), "coeff": str(c)}
-                     for idx, c in a.sorted_terms()]}
-    return out
+    return dict({"kind": "form"}, **multivector_to_json(a))
 
 
 def fraction_from_json(x):

@@ -20,7 +20,7 @@ from math import factorial
 
 from . import linalg
 from .ratpoly import Poly
-from .multivec import all_index_tuples, sort_sign, GradeMismatch
+from .multivec import all_index_tuples, sort_sign, add_term, GradeMismatch
 from .forms import Form, form_wedge
 
 
@@ -66,15 +66,11 @@ class SymplecticContext:
         if inv is None:
             raise DegenerateBivector("bivector matrix is singular")
         self.omat = inv
-        omega = Form.zero(self.n, 2)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if inv[i][j] != 0:
-                    omega = omega + Form.basis(self.n, (i, j), inv[i][j])
-        self.omega = omega
+        self.omega = Form(self.n, 2, {(i, j): inv[i][j] for i in range(self.n)
+                                      for j in range(i + 1, self.n)})
         vol = Form.from_poly(Poly.const(self.n, 1))
         for _ in range(self.m):
-            vol = form_wedge(vol, omega)
+            vol = form_wedge(vol, self.omega)
         self.vol = vol.scale(Fraction(1, factorial(self.m)))
         if self.vol.is_zero():
             raise DegenerateBivector("volume form vanished")
@@ -127,28 +123,31 @@ class SymplecticContext:
         if not 0 <= k <= self.n:
             raise GradeMismatch("grade out of range")
         src, dst, cols = self._star_matrix(k)
-        out = Form.zero(self.n, self.n - k)
+        terms = {}
         pos = {idx: i for i, idx in enumerate(src)}
         for idx, c in a.terms.items():
             col = cols[pos[idx]]
             for j, gamma in enumerate(dst):
                 if col[j]:
-                    out = out + Form.basis(self.n, gamma, c * col[j])
-        return out
+                    add_term(terms, gamma, 1, c, col[j])
+        return Form(self.n, self.n - k, terms)
 
 
 def _det(m):
-    k = len(m)
-    if k == 0:
-        return Fraction(1)
-    from itertools import permutations
-    total = Fraction(0)
-    for perm in permutations(range(k)):
-        prod = Fraction(sort_sign(perm)[0])
-        for r, c in enumerate(perm):
-            prod *= m[r][c]
-        total += prod
-    return total
+    """Determinant by exact Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def make_context(p):

@@ -156,3 +156,17 @@ def test_misshapen_subspace_is_an_input_error(args):
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
     assert "Traceback" not in r.stderr
+
+
+def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
+    import pforge.cli as cli
+
+    def broken(alg):
+        raise AssertionError("Der(A) not closed under commutator")
+
+    monkeypatch.setattr(cli, "derivations", broken)
+    code = cli.main(["ncalg", "der", "--algebra", json.dumps(_ALG2)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "kind": "internal-error",
+        "message": "Der(A) not closed under commutator"}}

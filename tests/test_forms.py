@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from pforge.ratpoly import parse_poly
+import pytest
+
+from pforge.ratpoly import Poly, parse_poly, DimensionMismatch
+from pforge.multivec import Multivector, all_index_tuples, wedge
 from pforge.forms import (Form, form_wedge, form_d, d_poly, interior, pair,
                           delta, delta_coordinate, form_bracket,
                           form_bracket_karasev, lie_derivative,
@@ -125,3 +128,23 @@ def test_schouten_identity_residual_zero():
         w = random_form(n, m + k - 1, rng, max_degree=1)
         assert schouten_identity_residual(w, u, v).is_zero()
         count += 1
+
+
+def test_coefficient_over_wrong_n_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        Form(3, 1, {(0,): Poly.const(4, 1)})
+
+
+def test_interior_is_adjoint_to_wedge():
+    # the defining relation (i_u a)(y) = a(u ^ y) on every basis y
+    rng = rng_for(17)
+    n = 4
+    for _ in range(20):
+        j = rng.randint(1, 3)
+        k = rng.randint(j, 4)
+        u = random_multivector(n, j, rng, max_degree=1)
+        a = random_form(n, k, rng, max_degree=1)
+        ia = interior(u, a)
+        for idx in all_index_tuples(n, k - j):
+            y = Multivector.basis(n, idx)
+            assert pair(ia, y) == pair(a, wedge(u, y))

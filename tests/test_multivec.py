@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from pforge.ratpoly import Poly, parse_poly
 from pforge.multivec import (Multivector, wedge, vf_bracket, schouten,
-                             lichnerowicz_dp, jacobiator,
+                             lichnerowicz_dp, jacobiator, sort_sign,
                              evaluate_on_functions, GradeMismatch)
 from conftest import bivector, random_multivector, rng_for
 
@@ -85,3 +86,71 @@ def test_evaluate_on_functions_is_poisson_bracket():
 def test_grade_mismatch():
     with pytest.raises(GradeMismatch):
         Multivector(2, 1, {(0, 1): Poly.const(2, Fraction(1))})
+
+
+# -- reference oracle: the full double sum over simple factors ---------
+#
+# The route `schouten` used before it kept only the (a, 0) and (0, b)
+# pairs: split each basis term into simple fields, the coefficient on
+# the first one, and bracket every pair of factors.
+
+def _factors(idx, coeff, n):
+    return [(i, coeff if pos == 0 else Poly.const(n, 1))
+            for pos, i in enumerate(idx)]
+
+
+def _simple_bracket(a, b, n):
+    """[f*d_i, g*d_j] = f g_i d_j - g f_j d_i as a grade-1 multivector."""
+    (i, f), (j, g) = a, b
+    return (Multivector.basis(n, (j,), f * g.diff(i))
+            - Multivector.basis(n, (i,), g * f.diff(j)))
+
+
+def _wedge_simple(fields, n):
+    coeff = Poly.const(n, 1)
+    for _, c in fields:
+        coeff = coeff * c
+    sign, idx = sort_sign([i for i, _ in fields])
+    if not sign:
+        return Multivector.zero(n, len(fields))
+    return Multivector.basis(n, idx, coeff * sign)
+
+
+def double_sum_schouten(u, v):
+    n, m, k = u.n, u.grade, v.grade
+    if m == 0 and k == 0:
+        return Multivector.zero(n, 0)
+    if m == 0:
+        return double_sum_schouten(v, u)
+    out = Multivector.zero(n, m + k - 1)
+    for iu, cu in u.terms.items():
+        uf = _factors(iu, cu, n)
+        if k == 0:
+            g = v.as_poly()
+            for a in range(m):
+                di, ca = uf[a]
+                lead = ca * g.diff(di) * ((-1) ** a)
+                out = out + _wedge_simple(uf[:a] + uf[a + 1:], n).scale(lead)
+            continue
+        for iv, cv in v.terms.items():
+            vf = _factors(iv, cv, n)
+            for a, b in product(range(m), range(k)):
+                piece = wedge(_simple_bracket(uf[a], vf[b], n),
+                              _wedge_simple(uf[:a] + uf[a + 1:]
+                                            + vf[:b] + vf[b + 1:], n))
+                out = out + piece.scale((-1) ** (m + a + b + 1))
+    return out
+
+
+def test_schouten_matches_double_sum_oracle():
+    rng = rng_for(11)
+    pairs = 0
+    for n, m, k, _ in product(range(3, 6), range(4), range(4), range(5)):
+        u = random_multivector(n, m, rng, max_degree=2)
+        v = random_multivector(n, k, rng, max_degree=2)
+        want = double_sum_schouten(u, v)
+        got = schouten(u, v)
+        assert got == want and got.grade == want.grade, (u, v)
+        pairs += 1
+    assert pairs == 240
+

@@ -4,8 +4,9 @@ import pytest
 
 from pforge.ratpoly import parse_poly
 from pforge.forms import Form, form_wedge, form_d, delta
+from pforge.multivec import sort_sign
 from pforge.symplectic import (make_context, DegenerateBivector, OddDimension,
-                               NotConstantCoefficient)
+                               NotConstantCoefficient, _det)
 from conftest import bivector, random_form, rng_for
 
 R2 = bivector(2, {(0, 1): "1"})
@@ -82,3 +83,47 @@ def test_odd_dimension_rejected():
 def test_non_constant_rejected():
     with pytest.raises(NotConstantCoefficient):
         make_context(bivector(2, {(0, 1): "x0"}))
+
+
+def permutation_det(m):
+    """Reference oracle: the Leibniz expansion over all k! permutations."""
+    from itertools import permutations
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        prod = Fraction(sort_sign(perm)[0])
+        for r, c in enumerate(perm):
+            prod *= m[r][c]
+        total += prod
+    return total
+
+
+def test_det_matches_permutation_expansion():
+    rng = rng_for(25)
+    checked = 0
+    for k in range(7):
+        for _ in range(30):
+            m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  if rng.random() < 0.6 else Fraction(0)
+                  for _ in range(k)] for _ in range(k)]
+            if k >= 2 and rng.random() < 0.3:
+                # a dependent row: the determinant must come out zero
+                r, s = rng.sample(range(k), 2)
+                m[r] = [2 * x for x in m[s]]
+            got = _det(m)
+            assert got == permutation_det(m), m
+            checked += 1
+    assert checked == 210
+    # a pivot swap flips the sign; integer entries stay exact
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert isinstance(_det([[0, 1], [1, 0]]), Fraction)
+
+
+def test_star_round_trips_on_q8_five_forms():
+    p = bivector(8, {(0, 1): "1", (2, 3): "2", (4, 5): "-1/2",
+                     (6, 7): "3", (0, 5): "1", (3, 6): "-1"})
+    ctx = make_context(p)
+    rng = rng_for(24)
+    a = random_form(8, 5, rng, max_degree=1)
+    assert a.grade == 5 and not a.is_zero()
+    assert ctx.star(a).grade == 3
+    assert ctx.star(ctx.star(a)) == a
