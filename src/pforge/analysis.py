@@ -14,58 +14,7 @@ from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, vf_bracket, jacobiator,
                        GradeMismatch, all_index_tuples, add_term)
-from .forms import Form, d_poly, pbracket_of
-
-
-class BadLieAlgebra(ValueError):
-    """Structure constants violate antisymmetry or Jacobi."""
-
-
-class LieAlgebraSC:
-    """Lie algebra by structure constants: [e_i, e_j] = sum_k c[i][j][k] e_k."""
-
-    __slots__ = ("dim", "c")
-
-    def __init__(self, dim, c):
-        self.dim = dim
-        self.c = [[[Fraction(x) for x in c[i][j]] for j in range(dim)]
-                  for i in range(dim)]
-        self._validate()
-
-    def _validate(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if len(self.c[i][j]) != d:
-                    raise BadLieAlgebra("structure vector length")
-                if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
-                    raise BadLieAlgebra(
-                        "not antisymmetric at (%d,%d)" % (i, j))
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    acc = [Fraction(0)] * d
-                    for (a, b, c3) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t in range(d):
-                            coef = self.c[a][b][t]
-                            if coef:
-                                acc = [u + coef * v for u, v
-                                       in zip(acc, self.c[t][c3])]
-                    if any(acc):
-                        raise BadLieAlgebra(
-                            "Jacobi fails at (%d,%d,%d)" % (i, j, k))
-
-    def bracket(self, u, v):
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if v[j]:
-                    c = u[i] * v[j]
-                    out = [a + c * b for a, b in zip(out, self.c[i][j])]
-        return out
+from .forms import Form, d_poly, pbracket_of, _check_pair
 
 
 def sharp(p, a):
@@ -76,7 +25,7 @@ def sharp(p, a):
     """
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector")
-    p._check(a)
+    _check_pair(a, p)
     n = p.n
     if a.grade == 0:
         return Multivector.from_poly(a.as_poly())
@@ -202,29 +151,16 @@ def casimir_basis(p, max_degree):
     mons = []
     for deg in range(max_degree + 1):
         mons.extend(monomials(n, deg))
-    # linear map f -> coefficients of X_f over (field index, monomial)
-    rows_index = {}
-    cols = []
-    for e in mons:
+    # linear map f -> coefficients of X_f, one row per (field index,
+    # monomial)
+    rows = {}
+    for j, e in enumerate(mons):
         x = hamiltonian(p, Poly(n, {e: Fraction(1)}))
-        col = {}
         for idx, c in x.terms.items():
             for ee, v in c.terms.items():
-                key = (idx, ee)
-                if key not in rows_index:
-                    rows_index[key] = len(rows_index)
-                col[rows_index[key]] = v
-        cols.append(col)
-    nrows = len(rows_index)
-    if nrows == 0:
-        mat = []
-    else:
-        mat = [[Fraction(0)] * len(mons) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                mat[i][j] = v
+                rows.setdefault((idx, ee), {})[j] = v
     basis = []
-    for v in linalg.nullspace(mat, ncols=len(mons)):
+    for v in linalg.nullspace(list(rows.values()), ncols=len(mons)):
         basis.append(Poly(n, {e: c for e, c in zip(mons, v) if c}))
     return basis
 
@@ -294,33 +230,19 @@ def _membership(target, gens, degree_bound):
     mons = []
     for deg in range(degree_bound + 1):
         mons.extend(monomials(n, deg))
-    cols = []
-    row_index = {}
-    for gk in gens:
-        for e in mons:
-            prod = Poly(n, {e: Fraction(1)}) * gk
-            col = {}
-            for ee, v in prod.terms.items():
-                if ee not in row_index:
-                    row_index[ee] = len(row_index)
-                col[row_index[ee]] = v
-            cols.append(col)
-    for ee in target.terms:
-        if ee not in row_index:
-            row_index[ee] = len(row_index)
-    nrows = len(row_index)
-    mat = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            mat[i][j] = v
-    rhs = [Fraction(0)] * nrows
-    for ee, v in target.terms.items():
-        rhs[row_index[ee]] = v
-    sol = linalg.solve(mat, rhs)
+    per = len(mons)
+    # one row per monomial: the coefficients it gets from each h_k g_k
+    rows = {ee: {} for ee in target.terms}
+    for k, gk in enumerate(gens):
+        for m, e in enumerate(mons):
+            for ee, v in (Poly(n, {e: Fraction(1)}) * gk).terms.items():
+                rows.setdefault(ee, {})[k * per + m] = v
+    sol = linalg.solve(list(rows.values()),
+                       [target.terms.get(ee, 0) for ee in rows],
+                       ncols=len(gens) * per)
     if sol is None:
         return None
     mults = []
-    per = len(mons)
     for k in range(len(gens)):
         seg = sol[k * per:(k + 1) * per]
         mults.append(Poly(n, {e: c for e, c in zip(mons, seg) if c}))

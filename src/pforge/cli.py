@@ -21,12 +21,12 @@ from .symplectic import (make_context, DegenerateBivector, OddDimension,
 from .homology import (poisson_cohomology_dims, canonical_homology_dims,
                        NonHomogeneous, LICHNEROWICZ, CANONICAL)
 from .analysis import (rank_at, integrability_at, is_casimir, casimir_basis,
-                       momentum_cocycle, ideal_check, BadLieAlgebra)
+                       momentum_cocycle, ideal_check)
 from .superalg import (super_axiom_report, koszul_check, standard_algebra,
                        NonInvolutiveElement)
 from .ncalg import (validate_algebra, derivations, submanifold_check,
                     quotient_check, bott_quotient, bott_forms, bott_integral,
-                    BadAlgebra, NotAnIdeal, NotASubalgebra)
+                    BadAlgebra, BadLieAlgebra, NotAnIdeal, NotASubalgebra)
 
 _PRECONDITION_KINDS = [
     (DegenerateBivector, "degenerate-bivector"),

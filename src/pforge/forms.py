@@ -13,8 +13,8 @@ expansion on a0*da1^...^dak is kept as an independent cross-check.
 """
 
 from .ratpoly import Poly
-from .multivec import (Graded, add_term, sort_sign, GradeMismatch, wedge,
-                       jacobiator)
+from .multivec import (Graded, Multivector, add_term, sort_sign,
+                       GradeMismatch, wedge, jacobiator)
 
 
 class NonInvolutive(ValueError):
@@ -28,6 +28,14 @@ class Form(Graded):
 
 
 form_wedge = wedge
+
+
+def _check_pair(a, u):
+    """Raise unless a is a form and u a multivector over the same n."""
+    if not isinstance(a, Form):
+        raise TypeError("%s operand where a Form is needed"
+                        % type(a).__name__)
+    a._check(u, Multivector)
 
 
 def form_d(a):
@@ -47,7 +55,7 @@ def d_poly(p):
 
 def interior(u, a):
     """Interior product (i_u a)(y) = a(u ^ y); grade |a| - |u|."""
-    u._check(a)
+    _check_pair(a, u)
     if u.grade > a.grade:
         raise GradeMismatch("interior product needs |u| <= |form|")
     if u.grade == 0:
@@ -63,7 +71,7 @@ def interior(u, a):
 
 def pair(a, u):
     """Total contraction of a grade-k form with a grade-k multivector."""
-    a._check(u)
+    _check_pair(a, u)
     if a.grade != u.grade:
         raise GradeMismatch("pairing needs equal grades")
     total = Poly.zero(a.n)
@@ -85,7 +93,7 @@ def delta(p, a, require_involutive=False):
     """Koszul-Brylinski boundary delta = i_p d - d i_p; grade -1."""
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
-    p._check(a)
+    _check_pair(a, p)
     if require_involutive and not jacobiator(p).is_zero():
         raise NonInvolutive("bivector is not involutive; delta^2 = 0 fails")
     if a.grade == 0:

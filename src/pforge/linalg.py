@@ -1,22 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Rank goes through one sparse fraction-free engine: rows are scaled to
-primitive integer vectors and eliminated with Markowitz pivoting, so
-mostly-zero block matrices cost in proportion to their nonzeros and
-intermediate entries stay integers with no common factor.  `rref`,
-`nullspace` and `solve` work on dense lists of lists of Fraction, and
-`Subspace` keeps one span's echelon form for repeated membership,
-coordinate and quotient queries; the point of all of it is exactness
-and determinism.
+One sparse exact engine does every elimination.  Rows are sequences or
+sparse {column: value} dicts of ints or Fractions, and only nonzero
+entries are read.  Each row is scaled to a primitive integer vector and
+a column -> rows index finds the rows each pivot must clear, so a
+mostly-zero matrix costs in proportion to its nonzeros and entries stay
+integers with no common factor.  Two pivot rules share the loop: `rank`
+takes Markowitz pivots and drops each used pivot row; `rref` takes the
+leftmost live column and also clears it from the earlier pivot rows,
+which leaves the unique reduced row echelon form.  `nullspace`,
+`solve`, `row_space_basis`, `intersect`, `invert` and `Subspace` (one
+span reduced once, for repeated membership, coordinate and quotient
+queries) read their answers off that form as dense lists of Fraction.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
-
-def _lcm(a, b):
-    return a // gcd(a, b) * b
+_ZERO = Fraction(0)
 
 
 def _divide_content(vec):
@@ -27,18 +29,19 @@ def _divide_content(vec):
             vec[c] //= g
 
 
+def _entries(row):
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _primitive_rows(rows):
     """Nonzero rows as {column: int} dicts with coprime entries, keyed
     by position, and the column -> row ids index over them."""
     live, where = {}, {}
     for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        vec = {c: x for c, x in items if x}
+        vec = {c: x for c, x in _entries(row) if x}
         if not vec:
             continue
-        den = 1
-        for x in vec.values():
-            den = _lcm(den, x.denominator)
+        den = lcm(*(x.denominator for x in vec.values()))
         for c, x in vec.items():
             vec[c] = x.numerator * (den // x.denominator)
         _divide_content(vec)
@@ -62,25 +65,38 @@ def _markowitz_pivot(live, where):
     return best
 
 
-def rank(rows):
-    """Exact rank by sparse fraction-free elimination.
+def _leftmost_pivot(live, where):
+    """(row id, column): the leftmost column of a live row, on its
+    shortest live row (the first of those on a tie)."""
+    c = min(min(vec) for vec in live.values())
+    return min((i for i in where[c] if i in live),
+               key=lambda i: (len(live[i]), i)), c
 
-    Each row is a sequence or a sparse {column: value} dict of ints or
-    Fractions; only nonzero entries are read and the input is not
-    modified.  Each step eliminates the pivot's column from every other
-    row as a*row - b*pivot, with gcd(a, b) divided out first, and keeps
-    the updated row primitive so entries stay small.
+
+def _eliminate(rows, reduced):
+    """The one elimination loop: (pivot column, pivot row) pairs in
+    pivot order, rows as primitive {column: int} dicts.
+
+    Each step clears the pivot's column from every other indexed row as
+    a*row - b*pivot, with gcd(a, b) divided out first, and keeps the
+    updated row primitive.  Unless `reduced`, pivots follow Markowitz
+    and each pivot row leaves the index.  If `reduced`, pivots go
+    leftmost first and pivot rows stay indexed, so each later step
+    clears its column from the earlier pivot rows too.
     """
     live, where = _primitive_rows(rows)
-    r = 0
+    vecs = dict(live)
+    pick = _leftmost_pivot if reduced else _markowitz_pivot
+    pivots = []
     while live:
-        i, c = _markowitz_pivot(live, where)
+        i, c = pick(live, where)
         prow = live.pop(i)
-        for k in prow:
+        pivots.append((c, prow))
+        for k in (c,) if reduced else prow:
             where[k].discard(i)
         pv = prow[c]
-        for j in list(where.pop(c)):
-            row = live[j]
+        for j in where.pop(c):
+            row = vecs[j]
             g = gcd(pv, row[c])
             s, t = pv // g, row[c] // g
             if s != 1:
@@ -99,72 +115,74 @@ def rank(rows):
             if row:
                 _divide_content(row)
             else:
-                del live[j]
-        r += 1
-    return r
+                del live[j], vecs[j]
+    return pivots
 
 
-def rref(mat):
-    """Reduced row echelon form over Fraction.
+def rank(rows):
+    """Exact rank by elimination with Markowitz pivots, which keep the
+    fill-in small; the input is not modified."""
+    return len(_eliminate(rows, False))
 
-    Returns (rref_matrix, pivot_columns).  The input is not modified.
+
+def _reduce(rows):
+    """The nonzero rows of the reduced row echelon form, as (pivot
+    column, {column: Fraction}) pairs by increasing pivot column."""
+    return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
+            for c, row in _eliminate(rows, True)]
+
+
+def _width(rows, ncols):
+    """ncols, or else the length of the first row, a sequence."""
+    if ncols is None:
+        if rows and isinstance(rows[0], dict):
+            raise TypeError("rows given as dicts need ncols")
+        ncols = len(rows[0]) if rows else 0
+    return ncols
+
+
+def _dense(row, lo, hi):
+    """Entries lo..hi-1 of a {column: Fraction} row, as a list."""
+    return [row.get(k, _ZERO) for k in range(lo, hi)]
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form: (rows, pivot columns).
+
+    As many dense Fraction rows as given, the nonzero ones first.
+    `ncols` is needed only for dict rows; the input is not modified.
     """
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    n = _width(rows, ncols)
+    red = _reduce(rows)
+    out = [_dense(row, 0, n) for _, row in red]
+    out += [[_ZERO] * n for _ in range(len(rows) - len(red))]
+    return out, [c for c, _ in red]
 
 
-def nullspace(mat, ncols=None):
-    """Basis of the right kernel, as a list of Fraction vectors."""
-    if not mat:
-        return [unit_vector(i, ncols) for i in range(ncols)] if ncols else []
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def nullspace(rows, ncols=None):
+    """Basis of the right kernel, one Fraction vector per non-pivot
+    column; `ncols` is needed only for dict rows."""
+    n = _width(rows, ncols)
+    red = _reduce(rows)
+    pivots = {c for c, _ in red}
+    basis = {f: unit_vector(f, n) for f in range(n) if f not in pivots}
+    for c, row in red:
+        for k, v in row.items():
+            if k != c:
+                basis[k][c] = -v
+    return list(basis.values())
 
 
-def solve(mat, rhs):
-    """One solution of mat * x = rhs, or None if inconsistent."""
-    if not mat:
-        return [] if all(b == 0 for b in rhs) else None
-    cols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+def solve(rows, rhs, ncols=None):
+    """One solution of rows * x = rhs, or None if inconsistent; `ncols`
+    is needed only for dict rows."""
+    n = _width(rows, ncols)
+    x = [_ZERO] * n
+    for c, row in _reduce([{**dict(_entries(row)), n: b}
+                           for row, b in zip(rows, rhs)]):
+        if c == n:
+            return None
+        x[c] = row.get(n, _ZERO)
     return x
 
 
@@ -174,13 +192,11 @@ def unit_vector(i, n):
     return v
 
 
-def row_space_basis(rows):
-    """Independent subset-free basis (rref rows) of the span of `rows`."""
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return []
-    red, pivots = rref(rows)
-    return [red[i] for i in range(len(pivots))]
+def row_space_basis(rows, ncols=None):
+    """The reduced row echelon basis of the span of `rows`; `ncols` is
+    needed only for dict rows."""
+    n = _width(rows, ncols)
+    return [_dense(row, 0, n) for _, row in _reduce(rows)]
 
 
 def subspace_equal(rows_a, rows_b):
@@ -188,24 +204,25 @@ def subspace_equal(rows_a, rows_b):
     return row_space_basis(rows_a) == row_space_basis(rows_b)
 
 
-def intersect(rows_a, rows_b):
-    """Basis of the intersection of two row-span subspaces of Q^n."""
-    a = row_space_basis(rows_a)
-    b = row_space_basis(rows_b)
-    if not a or not b:
-        return []
-    n = len(a[0])
-    # Zassenhaus: kernel of [A; B] stacked as columns trick via solving
-    # x in span(a) and x in span(b): coefficients (u, v) with u*A = v*B.
-    mat = []
-    for c in range(n):
-        mat.append([a[i][c] for i in range(len(a))] +
-                   [-b[j][c] for j in range(len(b))])
-    combined = []
-    for k in nullspace(mat):
-        vec = [sum(k[i] * a[i][c] for i in range(len(a))) for c in range(n)]
-        combined.append(vec)
-    return row_space_basis(combined)
+def intersect(rows_a, rows_b, ncols=None):
+    """Reduced echelon basis of the intersection of two row spans in
+    Q^n; `ncols` is needed only for dict rows.
+
+    Zassenhaus: in the span of the rows (a, a) and (b, 0), the vectors
+    (0, y) are those with y in both spans, and the reduced echelon rows
+    with a pivot past n are a reduced echelon basis of them."""
+    n = _width(rows_a or rows_b, ncols)
+    red = _reduce([{**dict(_entries(row)),
+                    **{n + c: x for c, x in _entries(row)}} for row in rows_a]
+                  + list(rows_b))
+    return [_dense(row, n, 2 * n) for c, row in red if c >= n]
+
+
+def _fits(row, n):
+    """A sequence of length n, or a dict with columns in range(n)."""
+    if isinstance(row, dict):
+        return all(0 <= c < n for c in row)
+    return len(row) == n
 
 
 class Subspace:
@@ -221,25 +238,27 @@ class Subspace:
     """
 
     def __init__(self, rows, n):
-        if any(len(row) != n for row in rows):
+        if not all(_fits(row, n) for row in rows):
             raise ValueError("subspace rows must have length %d" % n)
         self.n = n
-        m = len(rows)
-        red, pivots = rref([list(row) + unit_vector(i, m)
-                            for i, row in enumerate(rows)])
-        k = sum(1 for p in pivots if p < n)
-        self._pivots = pivots[:k]
-        self.basis = [row[:n] for row in red[:k]]
-        # echelon row i equals sum_j combos[i][j] * rows[j]
-        self._combos = [row[n:] for row in red[:k]]
-        self._size = m
+        red = [(c, row) for c, row in _reduce(
+            [{**dict(_entries(row)), n + i: 1} for i, row in enumerate(rows)])
+               if c < n]
+        self.basis = [_dense(row, 0, n) for _, row in red]
+        # (pivot, sparse basis row, sparse combination): echelon row i
+        # equals the sum of combination[j] * rows[j]
+        self._rows = [(c, {k: x for k, x in row.items() if k < n},
+                       {k - n: x for k, x in row.items() if k >= n})
+                      for c, row in red]
+        self._size = len(rows)
 
     def contains(self, vec):
         out = list(vec)
-        for p, row in zip(self._pivots, self.basis):
+        for p, row, _ in self._rows:
             f = vec[p]
             if f:
-                out = [a - f * b for a, b in zip(out, row)]
+                for k, x in row.items():
+                    out[k] -= f * x
         return not any(out)
 
     def coords(self, vec):
@@ -247,10 +266,11 @@ class Subspace:
         if not self.contains(vec):
             return None
         out = [Fraction(0)] * self._size
-        for p, combo in zip(self._pivots, self._combos):
+        for p, _, combo in self._rows:
             f = vec[p]
             if f:
-                out = [a + f * b for a, b in zip(out, combo)]
+                for k, x in combo.items():
+                    out[k] += f * x
         return out
 
     @cached_property
@@ -260,8 +280,8 @@ class Subspace:
         basis, then the greedy complement, and the identity block ends
         as the inverse of [basis^T | complement]."""
         k, n = len(self.basis), self.n
-        red, pivots = rref([[b[r] for b in self.basis] + unit_vector(r, n)
-                            for r in range(n)])
+        red, pivots = rref([{**{j: b[r] for j, b in enumerate(self.basis)},
+                             k + r: 1} for r in range(n)], k + n)
         return [p - k for p in pivots[k:]], [row[k:] for row in red[k:]]
 
     @property
@@ -274,9 +294,16 @@ class Subspace:
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+    """Product of dense matrices; zero entries of a are skipped."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [_ZERO] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
@@ -294,9 +321,8 @@ def mat_sub(a, b):
 def invert(mat):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + unit_vector(i, n)
-           for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
+    red, pivots = rref([{**dict(_entries(row)), n + i: 1}
+                        for i, row in enumerate(mat)], 2 * n)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]

@@ -119,7 +119,13 @@ class Graded:
     def coeff(self, idx):
         return self.terms.get(tuple(idx), Poly.zero(self.n))
 
-    def _check(self, other):
+    def _check(self, other, kind=None):
+        """Raise unless other is a `kind` (by default of self's own type)
+        over the same n."""
+        kind = kind or type(self)
+        if not isinstance(other, kind):
+            raise TypeError("%s operand where a %s is needed"
+                            % (type(other).__name__, kind.__name__))
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
 
@@ -151,6 +157,11 @@ class Graded:
                           {i: c * p for i, c in self.terms.items()})
 
     def __eq__(self, other):
+        if not isinstance(other, Graded):
+            return NotImplemented
+        if type(other) is not type(self):
+            raise TypeError("cannot compare a %s with a %s"
+                            % (type(self).__name__, type(other).__name__))
         return (self.n == other.n and self.terms == other.terms
                 and (self.grade == other.grade or self.is_zero() and other.is_zero()))
 

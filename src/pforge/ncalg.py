@@ -1,9 +1,11 @@
-"""Calculus on finite-dimensional associative algebras.
+"""Calculus on finite-dimensional associative and Lie algebras.
 
-Algebras are given by structure constants over Q; subspaces (ideals,
-subalgebras, distributions) by row lists of coordinate vectors.  All
-verdicts are backed by witnesses: a violating triple, a certifying
-basis, or an explicit matrix — never a bare boolean.
+Algebras are given by structure constants over Q (`AlgebraSC`,
+`LieAlgebraSC`, sharing one length check and one bilinear product);
+subspaces (ideals, subalgebras, distributions) by row lists of
+coordinate vectors.  All verdicts are backed by witnesses: a violating
+triple, a certifying basis, or an explicit matrix — never a bare
+boolean.
 
 Quotients are realised concretely: a complement basis of the subspace
 is chosen deterministically, and projection/section matrices translate
@@ -11,6 +13,7 @@ between the ambient algebra and the quotient.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 
@@ -18,6 +21,10 @@ from . import linalg
 class BadAlgebra(ValueError):
     """Structure constants fail a length, associativity, unit or
     commutativity check."""
+
+
+class BadLieAlgebra(ValueError):
+    """Structure constants fail a length, antisymmetry or Jacobi check."""
 
 
 class NotAnIdeal(ValueError):
@@ -32,6 +39,31 @@ class NotASplitting(ValueError):
     pass
 
 
+def _table(dim, table, error):
+    """table[i][j] as Fraction vectors, each checked to have length dim."""
+    out = [[[Fraction(x) for x in table[i][j]] for j in range(dim)]
+           for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if len(out[i][j]) != dim:
+                raise error("structure constant vector (%d,%d) has length %d, "
+                            "not %d" % (i, j, len(out[i][j]), dim))
+    return out
+
+
+def _bilinear(table, u, v):
+    """The product of u and v by the structure constants table."""
+    d = len(table)
+    out = [Fraction(0)] * d
+    vs = [(j, v[j]) for j in range(d) if v[j]]
+    for i in range(d):
+        if u[i]:
+            for j, y in vs:
+                c = u[i] * y
+                out = [a + c * b for a, b in zip(out, table[i][j])]
+    return out
+
+
 class AlgebraSC:
     """Associative algebra on Q^dim; mult[i][j] = coordinates of e_i e_j,
     unit (optional) = coordinates of 1."""
@@ -40,15 +72,8 @@ class AlgebraSC:
 
     def __init__(self, dim, mult, unit=None):
         self.dim = dim
-        self.mult = [[[Fraction(x) for x in mult[i][j]] for j in range(dim)]
-                     for i in range(dim)]
+        self.mult = _table(dim, mult, BadAlgebra)
         self.unit = None if unit is None else [Fraction(x) for x in unit]
-        for i in range(dim):
-            for j in range(dim):
-                if len(self.mult[i][j]) != dim:
-                    raise BadAlgebra(
-                        "structure constant vector (%d,%d) has length %d, "
-                        "not %d" % (i, j, len(self.mult[i][j]), dim))
         if self.unit is not None and len(self.unit) != dim:
             raise BadAlgebra("unit has length %d, not %d"
                              % (len(self.unit), dim))
@@ -63,27 +88,14 @@ class AlgebraSC:
                     raise BadAlgebra("unit axiom fails on basis element %d" % i)
 
     def multiply(self, u, v):
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if v[j]:
-                    c = u[i] * v[j]
-                    out = [a + c * b for a, b in zip(out, self.mult[i][j])]
-        return out
+        return _bilinear(self.mult, u, v)
 
     def associativity_witness(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    ek = linalg.unit_vector(k, d)
-                    ei = linalg.unit_vector(i, d)
-                    if self.multiply(self.mult[i][j], ek) != \
-                            self.multiply(ei, self.mult[j][k]):
-                        return (i, j, k)
+        e = [linalg.unit_vector(i, self.dim) for i in range(self.dim)]
+        for i, j, k in product(range(self.dim), repeat=3):
+            if self.multiply(self.mult[i][j], e[k]) != \
+                    self.multiply(e[i], self.mult[j][k]):
+                return (i, j, k)
         return None
 
     def left_mult(self, u):
@@ -91,23 +103,43 @@ class AlgebraSC:
         cols = [self.multiply(u, linalg.unit_vector(j, d)) for j in range(d)]
         return _from_columns(cols, d)
 
-    def right_mult(self, u):
-        d = self.dim
-        cols = [self.multiply(linalg.unit_vector(j, d), u) for j in range(d)]
-        return _from_columns(cols, d)
+
+class LieAlgebraSC:
+    """Lie algebra by structure constants: [e_i, e_j] = sum_k c[i][j][k] e_k."""
+
+    __slots__ = ("dim", "c")
+
+    def __init__(self, dim, c):
+        self.dim = dim
+        self.c = _table(dim, c, BadLieAlgebra)
+        for i, j in product(range(dim), repeat=2):
+            if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
+                raise BadLieAlgebra("not antisymmetric at (%d,%d)" % (i, j))
+        for i, j, k in product(range(dim), repeat=3):
+            # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+            jac = [Fraction(0)] * dim
+            for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                for s, x in enumerate(self.c[a][b]):
+                    if x:
+                        jac = [y + x * z for y, z in zip(jac, self.c[s][t])]
+            if any(jac):
+                raise BadLieAlgebra("Jacobi fails at (%d,%d,%d)" % (i, j, k))
+
+    def bracket(self, u, v):
+        return _bilinear(self.c, u, v)
 
 
 def center(A):
     """Basis of the center: solutions of e_i z = z e_i for all i."""
-    d = A.dim
-    if d == 0:
-        return []
-    rows = []
-    for i in range(d):
-        diff = linalg.mat_sub(A.left_mult(linalg.unit_vector(i, d)),
-                              A.right_mult(linalg.unit_vector(i, d)))
-        rows.extend(diff)
-    return linalg.nullspace(rows, ncols=d)
+    return linalg.nullspace(_ad_rows(A), ncols=A.dim)
+
+
+def _ad_rows(A):
+    """Rows r = 0..d-1 of the matrix of z -> e_i z - z e_i, for each i
+    in turn, as sparse {k: coefficient of z_k} dicts."""
+    d, m = A.dim, A.mult
+    return [{k: x for k in range(d) if (x := m[i][k][r] - m[k][i][r])}
+            for i in range(d) for r in range(d)]
 
 
 def validate_algebra(A):
@@ -120,28 +152,25 @@ def validate_algebra(A):
 
 def derivations(A):
     """Basis of Der(A) as matrices, plus the inner-derivation sub-basis."""
-    d = A.dim
-    if d == 0:
-        return {"basis": [], "inner": []}
-    left = [A.left_mult(linalg.unit_vector(i, d)) for i in range(d)]
-    right = [A.right_mult(linalg.unit_vector(i, d)) for i in range(d)]
+    d, mult = A.dim, A.mult
     rows = []
     for i in range(d):
         for j in range(d):
-            prod = A.mult[i][j]
-            li, rj = left[i], right[j]
             for r in range(d):
-                # X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0, row r
-                row = [Fraction(0)] * (d * d)
-                for c in range(d):
-                    row[r * d + c] += prod[c]
+                # X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0, row r, over
+                # the unknowns X[r][c] at r * d + c
+                row = {r * d + c: x for c, x in enumerate(mult[i][j]) if x}
                 for r2 in range(d):
-                    row[r2 * d + i] -= rj[r][r2]
-                    row[r2 * d + j] -= li[r][r2]
+                    for k, x in ((r2 * d + i, mult[r2][j][r]),
+                                 (r2 * d + j, mult[i][r2][r])):
+                        if x:
+                            row[k] = row.get(k, 0) - x
                 rows.append(row)
     basis = [_unflatten(v, d) for v in linalg.nullspace(rows, ncols=d * d)]
+    ad = _ad_rows(A)
     inner_rows = linalg.row_space_basis(
-        [_flatten(linalg.mat_sub(l, r)) for l, r in zip(left, right)])
+        [{r * d + k: x for r in range(d) for k, x in ad[i * d + r].items()}
+         for i in range(d)], ncols=d * d)
     # closure of Der(A) under commutator, checked exactly
     span = linalg.Subspace([_flatten(m) for m in basis], d * d)
     for i, a in enumerate(basis):
@@ -495,7 +524,9 @@ def _one_forms(A, der):
 def _new_directions(base, vecs, n):
     """Positions of the vecs not in the span of base and the vecs before
     them: the pivot columns past base of the matrix with these columns."""
-    _, pivots = linalg.rref([[v[r] for v in base + vecs] for r in range(n)])
+    cols = base + vecs
+    _, pivots = linalg.rref([{j: v[r] for j, v in enumerate(cols) if v[r]}
+                             for r in range(n)], len(cols))
     return [p - len(base) for p in pivots if p >= len(base)]
 
 

@@ -131,7 +131,7 @@ def algebra_from_json(obj):
 
 
 def liealg_from_json(obj):
-    from .analysis import LieAlgebraSC
+    from .ncalg import LieAlgebraSC
     if not isinstance(obj, dict) or set(obj) - {"dim", "c"}:
         raise InputError("lie algebra needs dim and c")
     dim = obj.get("dim")

@@ -19,11 +19,12 @@ from pforge.multivec import (Multivector, all_index_tuples, jacobiator,
 from pforge.forms import (Form, form_d, delta, schouten_identity_residual)
 from pforge.symplectic import make_context
 from pforge.homology import (monomials, poisson_cohomology_dims)
-from pforge.analysis import (LieAlgebraSC, sharp, integrability_at,
-                             casimir_basis, momentum_cocycle)
+from pforge.analysis import (sharp, integrability_at, casimir_basis,
+                             momentum_cocycle)
 from pforge.superalg import (random_multimap, supercomm, super_axiom_report,
                              koszul_check, standard_algebra)
-from pforge.ncalg import derivations, submanifold_check, bott_forms
+from pforge.ncalg import (LieAlgebraSC, derivations, submanifold_check,
+                          bott_forms)
 from conftest import (bivector, random_multivector, random_form, random_poly,
                       rng_for)
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from pforge.ratpoly import parse_poly
+from pforge.ratpoly import Poly, parse_poly
 from pforge.forms import d_poly
-from pforge.analysis import (LieAlgebraSC, BadLieAlgebra, sharp, hamiltonian,
-                             pbracket, rank_at, integrability_at, is_casimir,
-                             casimir_basis, momentum_cocycle, ideal_check)
+from pforge.analysis import (sharp, hamiltonian, pbracket, rank_at,
+                             integrability_at, is_casimir, casimir_basis,
+                             momentum_cocycle, ideal_check)
+from pforge.ncalg import LieAlgebraSC, BadLieAlgebra
 from conftest import bivector, random_poly, rng_for
 
 
@@ -135,13 +136,37 @@ def test_momentum_cocycle_coadjoint_so3():
     assert rep["hamiltonian_homomorphism"]
 
 
+def _check_certificates(p, gens, rep):
+    """multipliers is None exactly when {g_i, x_j} = 0, and otherwise
+    sum h_k g_k == {g_i, x_j}."""
+    assert len(rep["certificates"]) == len(gens) * p.n
+    for c in rep["certificates"]:
+        br = pbracket(p, gens[c["generator"]], Poly.var(p.n, c["coordinate"]))
+        if c["multipliers"] is None:
+            assert br.is_zero()
+            continue
+        assert not br.is_zero()
+        total = Poly.zero(p.n)
+        for h, g in zip(c["multipliers"], gens):
+            total = total + h * g
+        assert total == br
+
+
 def test_ideal_check_verdicts():
     so3 = so3_p()
     plane = bivector(2, {(0, 1): "1"})
-    sphere = ideal_check(so3, [parse_poly("x0^2 + x1^2 + x2^2 - 1", 3)], 2)
+    gens = [parse_poly("x0^2 + x1^2 + x2^2 - 1", 3)]
+    sphere = ideal_check(so3, gens, 2)
     assert sphere["verdict"] == "poisson" and sphere["poisson_ideal"]
-    assert all(c["multipliers"] is not None or True
-               for c in sphere["certificates"])
+    _check_certificates(so3, gens, sphere)
+    # {x0, x1} = x1 with g = x1: {g, x0} = -x1 = -1 * g, {g, x1} = 0
+    affine = bivector(2, {(0, 1): "x1"})
+    gens = [parse_poly("x1", 2)]
+    line = ideal_check(affine, gens, 1)
+    assert line["verdict"] == "poisson" and line["poisson_ideal"]
+    _check_certificates(affine, gens, line)
+    assert [c["multipliers"] for c in line["certificates"]] == \
+        [[Poly.const(2, -1)], None]
     axis = ideal_check(plane, [parse_poly("x0", 2)], 2)
     assert axis["verdict"] == "refuted" and axis["poisson_ideal"] is False
     assert axis["failures"][0]["witness_point"] == [Fraction(0), Fraction(0)]

@@ -148,3 +148,37 @@ def test_interior_is_adjoint_to_wedge():
         for idx in all_index_tuples(n, k - j):
             y = Multivector.basis(n, idx)
             assert pair(ia, y) == pair(a, wedge(u, y))
+
+
+_U, _A = Multivector.basis(2, (0,)), Form.basis(2, (1,))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: x + y, lambda x, y: x - y, wedge, lambda x, y: x == y],
+    ids=["add", "sub", "wedge", "eq"])
+def test_mixed_kinds_are_rejected(op):
+    with pytest.raises(TypeError):
+        op(_U, _A)
+    with pytest.raises(TypeError):
+        op(_A, _U)
+
+
+def test_interior_needs_a_multivector_and_a_form():
+    top = Form.basis(2, (0, 1))
+    assert interior(_U, top) == Form.basis(2, (1,))
+    for u, a in ((Form.basis(2, (0,)), top),
+                 (_U, Multivector.basis(2, (0, 1))), (top, _U)):
+        with pytest.raises(TypeError):
+            interior(u, a)
+
+
+def test_pair_needs_a_form_and_a_multivector():
+    assert pair(Form.basis(2, (0,)), _U) == Poly.const(2, 1)
+    for a, u in ((_U, Form.basis(2, (0,))), (_A, _A), (_U, _U)):
+        with pytest.raises(TypeError):
+            pair(a, u)
+
+
+def test_equality_with_a_non_container_is_false():
+    assert (Multivector.zero(2, 1) == 0) is False
+    assert Form.zero(2, 0) != "0"

@@ -110,6 +110,171 @@ def test_rank_matches_bareiss_on_blocks(name, request):
                     == linalg.rank(m), (kind, k, w)
 
 
+def dense_rref(mat):
+    """Reference reduced row echelon form: dense Fraction Gauss-Jordan,
+    column by column, with every row kept."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv if x else x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def oracle_nullspace(mat, ncols):
+    red, pivots = dense_rref(mat)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_solve(mat, rhs, ncols):
+    red, pivots = dense_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def oracle_invert(mat):
+    n = len(mat)
+    red, pivots = dense_rref([list(row) + linalg.unit_vector(i, n)
+                              for i, row in enumerate(mat)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def oracle_subspace(rows, n):
+    """(basis, pivots, combos, complement indices, quotient matrix) of
+    span(rows), from dense eliminations of [rows | I] and [basis^T | I]."""
+    m = len(rows)
+    red, pivots = dense_rref([list(row) + linalg.unit_vector(i, m)
+                              for i, row in enumerate(rows)])
+    k = sum(1 for p in pivots if p < n)
+    basis = [row[:n] for row in red[:k]]
+    red2, piv2 = dense_rref([[b[r] for b in basis] + linalg.unit_vector(r, n)
+                             for r in range(n)])
+    return (basis, pivots[:k], [row[n:] for row in red[:k]],
+            [p - k for p in piv2[k:]], [row[k:] for row in red2[k:]])
+
+
+def oracle_intersect(rows_a, rows_b):
+    def basis(rows):
+        red, pivots = dense_rref(rows)
+        return red[:len(pivots)]
+    a, b = basis(rows_a), basis(rows_b)
+    if not a or not b:
+        return []
+    n = len(a[0])
+    mat = [[a[i][c] for i in range(len(a))] + [-b[j][c] for j in range(len(b))]
+           for c in range(n)]
+    return basis([[sum(k[i] * a[i][c] for i in range(len(a)))
+                   for c in range(n)]
+                  for k in oracle_nullspace(mat, len(a) + len(b))])
+
+
+def _dot(row, v):
+    return sum((a * b for a, b in zip(row, v)), Fraction(0))
+
+
+def _compare_with_oracle(m, rng):
+    """rref, nullspace, solve, Subspace, intersect and invert of m, given
+    as lists and as dicts, against the dense oracle."""
+    n = len(m[0]) if m else 0
+    snapshot = [list(row) for row in m]
+    dicts = _as_dicts(m)
+    want = dense_rref(m)
+    assert linalg.rref(m) == want == linalg.rref(dicts, n), m
+    kernel = oracle_nullspace(m, n)
+    assert linalg.nullspace(m) == kernel == linalg.nullspace(dicts, n), m
+    x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    for rhs in ([_dot(row, x0) for row in m],
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m]):
+        sol = oracle_solve(m, rhs, n)
+        assert linalg.solve(m, rhs) == sol == linalg.solve(dicts, rhs, n)
+    basis, pivots, combos, comp, quot = oracle_subspace(m, n)
+    probes = [[sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+               for j in range(n)]
+              for coeffs in ([Fraction(rng.randint(-2, 2)) for _ in m]
+                             for _ in range(2))]
+    probes += [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+               for _ in range(2)]
+    answers = []
+    for v in probes:
+        member = len(dense_rref(basis + [v])[1]) == len(basis)
+        coords = None
+        if member:
+            coords = [Fraction(0)] * len(m)
+            for p, combo in zip(pivots, combos):
+                coords = [a + v[p] * b for a, b in zip(coords, combo)]
+        answers.append((v, member, coords, [_dot(row, v) for row in quot]))
+    assert linalg.intersect(m, probes) == oracle_intersect(m, probes) == \
+        linalg.intersect(dicts, _as_dicts(probes), n)
+    for S in (linalg.Subspace(m, n), linalg.Subspace(dicts, n)):
+        assert S.basis == basis == linalg.row_space_basis(m)
+        assert S.complement == [linalg.unit_vector(i, n) for i in comp]
+        for v, member, coords, image in answers:
+            assert S.contains(v) == member
+            assert S.coords(v) == coords
+            assert S.project(v) == image
+    k = min(len(m), n)
+    square = [row[:k] for row in m[:k]]
+    assert linalg.invert(square) == oracle_invert(square) == \
+        linalg.invert(_as_dicts(square))
+    assert m == snapshot
+
+
+def test_elimination_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(6060)
+    shapes = [[], [[]], [[], []], [[Fraction(0)] * 4],
+              [[Fraction(0)], [Fraction(3)]]]
+    for m in shapes + [_random_matrix(rng) for _ in range(320)]:
+        _compare_with_oracle(m, rng)
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+def test_elimination_matches_dense_oracle_on_blocks(name, request):
+    p = request.getfixturevalue(name)
+    rng = random.Random(name)
+    for kind in (LICHNEROWICZ, CANONICAL):
+        for k in range(4):
+            for w in range(-k, 5):
+                blk = block_matrix(p, kind, k, w)
+                m = blk.matrix
+                mt = [[row[j] for row in m] for j in range(len(blk.basis))]
+                _compare_with_oracle(m, rng)
+                _compare_with_oracle(mt, rng)
+                assert linalg.rref(blk.columns, len(blk.target_basis)) == \
+                    dense_rref(mt)
+
+
 def test_rref_pivots():
     r, pivots = linalg.rref(F([[2, 4, 0], [1, 2, 1]]))
     assert pivots == [0, 2]

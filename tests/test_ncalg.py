@@ -9,8 +9,7 @@ from pforge.ncalg import (AlgebraSC, BadAlgebra, NotAnIdeal, NotASubalgebra,
                           quotient_algebra, ideal_derivations,
                           submanifold_check, quotient_check,
                           splitting_curvature, bott_quotient, bott_forms,
-                          bott_integral)
-from pforge.analysis import LieAlgebraSC
+                          bott_integral, LieAlgebraSC)
 
 
 def F(rows):
