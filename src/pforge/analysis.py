@@ -30,14 +30,14 @@ def sharp(p, a):
     if a.grade == 0:
         return Multivector.from_poly(a.as_poly())
     fields = [hamiltonian(p, Poly.var(n, i)) for i in range(n)]
-    terms = {}
+    acc = {}
     for idx, c in a.terms.items():
         piece = Multivector.from_poly(c)
         for i in idx:
             piece = wedge(piece, fields[i])
         for pidx, pc in piece.terms.items():
-            add_term(terms, pidx, 1, pc)
-    return Multivector(n, a.grade, terms)
+            add_term(acc, pidx, 1, pc)
+    return Multivector.build(n, a.grade, acc)
 
 
 def hamiltonian(p, f):
@@ -155,7 +155,7 @@ def casimir_basis(p, max_degree):
     # monomial)
     rows = {}
     for j, e in enumerate(mons):
-        x = hamiltonian(p, Poly(n, {e: Fraction(1)}))
+        x = hamiltonian(p, Poly(n, {e: 1}))
         for idx, c in x.terms.items():
             for ee, v in c.terms.items():
                 rows.setdefault((idx, ee), {})[j] = v
@@ -235,7 +235,7 @@ def _membership(target, gens, degree_bound):
     rows = {ee: {} for ee in target.terms}
     for k, gk in enumerate(gens):
         for m, e in enumerate(mons):
-            for ee, v in (Poly(n, {e: Fraction(1)}) * gk).terms.items():
+            for ee, v in (Poly(n, {e: 1}) * gk).terms.items():
                 rows.setdefault(ee, {})[k * per + m] = v
     sol = linalg.solve(list(rows.values()),
                        [target.terms.get(ee, 0) for ee in rows],

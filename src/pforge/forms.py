@@ -40,12 +40,12 @@ def _check_pair(a, u):
 
 def form_d(a):
     """Exterior derivative; d(f dx_I) = sum_i (df/dx_i) dx_i ^ dx_I."""
-    terms = {}
+    acc = {}
     for idx, c in a.terms.items():
         for i in range(a.n):
             if i not in idx:
-                add_term(terms, (i,) + idx, 1, c.diff(i))
-    return Form(a.n, a.grade + 1, terms)
+                add_term(acc, (i,) + idx, 1, c.diff(i))
+    return Form.build(a.n, a.grade + 1, acc)
 
 
 def d_poly(p):
@@ -60,13 +60,13 @@ def interior(u, a):
         raise GradeMismatch("interior product needs |u| <= |form|")
     if u.grade == 0:
         return a.scale(u.as_poly())
-    terms = {}
+    acc = {}
     for iu, cu in u.terms.items():
         for ia, ca in a.terms.items():
             rest = tuple(i for i in ia if i not in iu)
             if len(rest) == len(ia) - len(iu):
-                add_term(terms, rest, sort_sign(iu + rest)[0], cu, ca)
-    return Form(a.n, a.grade - u.grade, terms)
+                add_term(acc, rest, sort_sign(iu + rest)[0], cu, ca)
+    return Form.build(a.n, a.grade - u.grade, acc)
 
 
 def pair(a, u):

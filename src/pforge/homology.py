@@ -114,7 +114,7 @@ class WeightBlock:
 
 
 def _element_from(n, complex_kind, idx, expts):
-    coeff = Poly(n, {expts: Fraction(1)})
+    coeff = Poly(n, {expts: 1})
     if complex_kind == LICHNEROWICZ:
         return Multivector(n, len(idx), {idx: coeff})
     return Form(n, len(idx), {idx: coeff})

@@ -25,8 +25,9 @@ Sign conventions (normative for the whole package)
 """
 
 from itertools import combinations
+from operator import add
 
-from .ratpoly import Poly, DimensionMismatch
+from .ratpoly import Poly, DimensionMismatch, _poly
 
 
 class GradeMismatch(ValueError):
@@ -43,22 +44,35 @@ def sort_sign(idx):
     return (-1) ** inv, tuple(sorted(idx))
 
 
-def add_term(terms, idx, sign, *factors):
-    """Add sign times the product of the Poly factors, on the basis
-    element of the index tuple idx, into a {increasing tuple: Poly}
-    dict.  idx may be unsorted: its sorting sign is folded in, and an
-    idx with a repeated index adds nothing (the product is not formed).
-    Graded operators accumulate here and build their result once."""
+def add_term(acc, idx, scale, f, g=None):
+    """Add scale * f * g (scale * f when g is None) on the basis element
+    of the index tuple idx; f and g are Polys, scale a nonzero exact
+    number.
+
+    acc maps increasing tuples to {exponent tuple: coefficient}
+    accumulators; the products are multiplied straight into them, and
+    no Poly is formed per term.  Zeros stay in the accumulators until
+    `Graded.build` drops them and builds each coefficient Poly once.
+    idx may be unsorted: its sorting sign is folded in, and an idx with
+    a repeated index adds nothing."""
     s, key = sort_sign(idx)
     if not s:
         return
-    coeff = factors[0]
-    for f in factors[1:]:
-        coeff = coeff * f
-    if s * sign < 0:
-        coeff = -coeff
-    old = terms.get(key)
-    terms[key] = coeff if old is None else old + coeff
+    k = s * scale
+    a = f.terms if k == 1 else {e: k * c for e, c in f.terms.items()}
+    out = acc.get(key)
+    if out is None:
+        out = acc[key] = {}
+    get = out.get
+    if g is None:
+        for e, c in a.items():
+            out[e] = get(e, 0) + c
+        return
+    b = g.terms
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
 
 
 class Graded:
@@ -94,6 +108,27 @@ class Graded:
                 if not coeff.is_zero():
                     clean[idx] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n, grade, terms):
+        """Unchecked constructor from an {increasing tuple: Poly} dict
+        of valid keys; zero coefficients are dropped."""
+        g = object.__new__(cls)
+        g.n = n
+        g.grade = grade
+        g.terms = {i: c for i, c in terms.items() if c.terms}
+        return g
+
+    @classmethod
+    def build(cls, n, grade, acc):
+        """The element whose coefficients are the accumulators that
+        `add_term` filled: zeros dropped, each Poly built once."""
+        polys = {}
+        for idx, terms in acc.items():
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                polys[idx] = _poly(n, terms)
+        return cls._trusted(n, grade, polys)
 
     @classmethod
     def zero(cls, n, grade):
@@ -140,12 +175,13 @@ class Graded:
                                 % (self.grade, other.grade))
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, Poly.zero(self.n)) + c
-        return type(self)(self.n, self.grade, terms)
+            old = terms.get(idx)
+            terms[idx] = c if old is None else old + c
+        return self._trusted(self.n, self.grade, terms)
 
     def __neg__(self):
-        return type(self)(self.n, self.grade,
-                          {i: -c for i, c in self.terms.items()})
+        return self._trusted(self.n, self.grade,
+                             {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -153,8 +189,8 @@ class Graded:
     def scale(self, p):
         if not isinstance(p, Poly):
             p = Poly.const(self.n, p)
-        return type(self)(self.n, self.grade,
-                          {i: c * p for i, c in self.terms.items()})
+        return self._trusted(self.n, self.grade,
+                             {i: c * p for i, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Graded):
@@ -192,11 +228,11 @@ def wedge(u, v):
         return v.scale(u.as_poly())
     if v.grade == 0:
         return u.scale(v.as_poly())
-    terms = {}
+    acc = {}
     for iu, cu in u.terms.items():
         for iv, cv in v.terms.items():
-            add_term(terms, iu + iv, 1, cu, cv)
-    return type(u)(u.n, u.grade + v.grade, terms)
+            add_term(acc, iu + iv, 1, cu, cv)
+    return type(u).build(u.n, u.grade + v.grade, acc)
 
 
 def vf_bracket(x, y):
@@ -236,16 +272,24 @@ def schouten(u, v):
     n, m = u.n, u.grade
     if m == 0 and v.grade == 0:
         return Multivector.zero(n, 0)
-    terms = {}
+    acc = {}
+    du, dv = {}, {}     # partial derivatives, each taken once
     for iu, f in u.terms.items():
         for iv, g in v.terms.items():
             for a, i in enumerate(iu):
-                add_term(terms, iu[:a] + iu[a + 1:] + iv, (-1) ** a,
-                         f, g.diff(i))
+                gi = dv.get((iv, i))
+                if gi is None:
+                    gi = dv[iv, i] = g.diff(i)
+                if gi.terms:
+                    add_term(acc, iu[:a] + iu[a + 1:] + iv, (-1) ** a, f, gi)
             for b, j in enumerate(iv):
-                add_term(terms, iu + iv[:b] + iv[b + 1:], (-1) ** (m + b),
-                         g, f.diff(j))
-    return Multivector(n, m + v.grade - 1, terms)
+                fj = du.get((iu, j))
+                if fj is None:
+                    fj = du[iu, j] = f.diff(j)
+                if fj.terms:
+                    add_term(acc, iu + iv[:b] + iv[b + 1:], (-1) ** (m + b),
+                             g, fj)
+    return Multivector.build(n, m + v.grade - 1, acc)
 
 
 def lichnerowicz_dp(p, u):

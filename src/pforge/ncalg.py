@@ -13,7 +13,7 @@ between the ambient algebra and the quotient.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from . import linalg
 
@@ -115,7 +115,11 @@ class LieAlgebraSC:
         for i, j in product(range(dim), repeat=2):
             if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
                 raise BadLieAlgebra("not antisymmetric at (%d,%d)" % (i, j))
-        for i, j, k in product(range(dim), repeat=3):
+        # With antisymmetry in place the Jacobiator is totally
+        # antisymmetric and vanishes on a repeated index, so the sorted
+        # triples decide it, and the first failing triple in
+        # lexicographic order is a sorted one.
+        for i, j, k in combinations(range(dim), 3):
             # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
             jac = [Fraction(0)] * dim
             for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):

@@ -1,14 +1,25 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in n variables x0..x{n-1} is a map from exponent tuples to
-nonzero Fraction coefficients.  All operations are pure; instances are
-treated as immutable once built.  Canonical term order everywhere is
-graded lexicographic, which makes printing (and therefore CLI output)
-deterministic.
+nonzero coefficients.  Coefficients are exact and come in two types
+only: an integral value is a Python `int`, any other a
+`fractions.Fraction`.  The public constructor and `parse_poly` store
+every integral input as an `int` and reject every other type, floats
+included, so `int` arithmetic stays `int`; a result that touches a
+non-integral value stays a `Fraction`.
+
+Every internal result (sums, products, scalar multiples, derivatives)
+goes through the trusted `_poly`, which takes a finished dict:
+arithmetic accumulates into one local dict, drops its zeros once and
+builds the result without re-checking or copying a coefficient.
+Instances are treated as immutable once built.  Canonical term order
+everywhere is graded lexicographic, which makes printing (and therefore
+CLI output) deterministic.
 """
 
 import re
 from fractions import Fraction
+from operator import add, neg
 
 
 class DimensionMismatch(ValueError):
@@ -20,7 +31,43 @@ class PolyParseError(ValueError):
 
 
 def _grlex_key(expts):
-    return (sum(expts), tuple(-e for e in expts))
+    return (sum(expts), tuple(map(neg, expts)))
+
+
+def _exact(c):
+    """c as a stored coefficient: an `int` when integral, else a
+    `Fraction`; TypeError for any other type (floats included)."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+
+
+def _poly(n, terms):
+    """Trusted constructor: terms is a finished {exponent tuple: nonzero
+    int or Fraction} dict, which the result takes over."""
+    p = object.__new__(Poly)
+    p.n = n
+    p.terms = terms
+    return p
+
+
+def _product(a, b):
+    """Terms of the product of two term dicts, zeros dropped."""
+    if len(b) == 1:
+        (e2, c2), = b.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 class Poly:
@@ -31,24 +78,27 @@ class Poly:
         clean = {}
         if terms:
             for expts, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
                 if len(expts) != n:
                     raise DimensionMismatch(
                         "monomial %r has wrong length for n=%d" % (expts, n))
-                clean[tuple(expts)] = c
+                if not all(type(k) is int and k >= 0 for k in expts):
+                    raise ValueError("monomial %r needs nonnegative int "
+                                     "exponents" % (expts,))
+                c = _exact(coeff)
+                if c:
+                    clean[tuple(expts)] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n):
-        return cls(n)
+        return _poly(n, {})
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: Fraction(c)})
+        c = _exact(c)
+        return _poly(n, {(0,) * n: c} if c else {})
 
     @classmethod
     def var(cls, n, i, power=1):
@@ -56,7 +106,7 @@ class Poly:
             raise IndexError("variable index %d out of range for n=%d" % (i, n))
         e = [0] * n
         e[i] = power
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls(n, {tuple(e): 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -67,7 +117,7 @@ class Poly:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.n, Fraction(0))
+        return self.terms.get((0,) * self.n, 0)
 
     def degree(self):
         """Total degree; None for the zero polynomial."""
@@ -86,39 +136,56 @@ class Poly:
             raise DimensionMismatch(
                 "variable counts differ: %d vs %d" % (self.n, other.n))
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a Poly over self's n, or None when it is not an
+        exact value."""
+        if isinstance(other, Poly):
+            self._check(other)
+            return other
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        self._check(other)
+            return Poly.const(self.n, other)
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.n, terms)
+            c = terms.get(e, 0) + c
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return _poly(self.n, terms)
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.n, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.n, terms)
+        if isinstance(other, Poly):
+            self._check(other)
+            return _poly(self.n, _product(self.terms, other.terms))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        k = _exact(other)
+        if not k:
+            return _poly(self.n, {})
+        return _poly(self.n, {e: c * k for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.n, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
@@ -132,12 +199,10 @@ class Poly:
             raise IndexError("variable index %d out of range for n=%d" % (i, self.n))
         terms = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = terms.get(tuple(ne), Fraction(0)) + c * e[i]
-        return Poly(self.n, terms)
+            k = e[i]
+            if k:
+                terms[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _poly(self.n, terms)
 
     def eval(self, point):
         """Exact evaluation at a rational point."""
@@ -206,14 +271,22 @@ def parse_poly(text, n):
     # split into signed terms, keeping the signs
     chunks = re.split(r"(?=[+-])", s)
     chunks = [c for c in chunks if c]
-    result = Poly.zero(n)
+    terms = {}
     offset = 0
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and not m.group("factors")):
             raise PolyParseError(
                 "malformed term %r at offset %d" % (chunk, offset))
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        text = m.group("coeff") or "1"
+        if "/" in text:
+            num, den = text.split("/")
+            if not int(den):
+                raise PolyParseError(
+                    "zero denominator in %r at offset %d" % (chunk, offset))
+            coeff = Fraction(int(num), int(den))
+        else:
+            coeff = int(text)
         if m.group("sign") == "-":
             coeff = -coeff
         expts = [0] * n
@@ -229,6 +302,7 @@ def parse_poly(text, n):
         if leftover:
             raise PolyParseError(
                 "malformed factor %r at offset %d" % (leftover, offset))
-        result = result + Poly(n, {tuple(expts): coeff})
+        key = tuple(expts)
+        terms[key] = terms.get(key, 0) + coeff
         offset += len(chunk)
-    return result
+    return Poly(n, terms)

@@ -123,14 +123,14 @@ class SymplecticContext:
         if not 0 <= k <= self.n:
             raise GradeMismatch("grade out of range")
         src, dst, cols = self._star_matrix(k)
-        terms = {}
+        acc = {}
         pos = {idx: i for i, idx in enumerate(src)}
         for idx, c in a.terms.items():
             col = cols[pos[idx]]
             for j, gamma in enumerate(dst):
                 if col[j]:
-                    add_term(terms, gamma, 1, c, col[j])
-        return Form(self.n, self.n - k, terms)
+                    add_term(acc, gamma, col[j], c)
+        return Form.build(self.n, self.n - k, acc)
 
 
 def _det(m):

@@ -44,6 +44,15 @@ def test_star_degenerate_exit_2():
     assert json.loads(r.stdout)["error"]["kind"] == "degenerate-bivector"
 
 
+def test_zero_denominator_is_an_input_error():
+    bad = json.dumps({"n": 2, "grade": 2,
+                      "terms": [{"idx": [0, 1], "coeff": "1/0*x0"}]})
+    r = run("check", "-i", bad)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
+    assert "Traceback" not in r.stderr
+
+
 def test_usage_error_exit_1():
     r = run("no-such-command")
     assert r.returncode == 1

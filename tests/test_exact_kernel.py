@@ -1,0 +1,145 @@
+"""The integer-first kernel against the Fraction-only reference.
+
+Operands are seeded and mix integral and non-integral coefficients, so
+int-with-int, int-with-Fraction and Fraction-with-Fraction products all
+occur, as do sums that cancel and products such as (1/2)*2 that come
+out integral.  Every result must equal the reference value and keep the
+coefficient invariant: each stored coefficient is a nonzero `int` or
+`Fraction`, never a float, a bool or a zero.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import fraction_reference as ref
+from conftest import rng_for
+from pforge.ratpoly import Poly
+from pforge.multivec import Multivector, wedge, schouten, all_index_tuples
+from pforge.forms import Form, form_d, interior, delta
+
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+          Fraction(-5, 2), Fraction(4), Fraction(-6, 3)]
+
+
+def mixed_poly(n, rng, max_degree=2, terms=3):
+    acc = {}
+    for _ in range(terms):
+        e = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            e[rng.randrange(n)] += 1
+        acc[tuple(e)] = acc.get(tuple(e), 0) + rng.choice(COEFFS)
+    return Poly(n, acc)
+
+
+def mixed_graded(cls, n, grade, rng, max_degree=2):
+    terms = {}
+    for idx in all_index_tuples(n, grade):
+        if rng.random() < 0.75:
+            terms[idx] = mixed_poly(n, rng, max_degree)
+    return cls(n, grade, terms)
+
+
+def assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction) and c != 0, (p, c)
+
+
+def assert_graded_exact(u):
+    for c in u.terms.values():
+        assert c.terms, u
+        assert_exact(c)
+
+
+def assert_same(u, want):
+    """u (Graded) holds the values of the reference result want."""
+    assert_graded_exact(u)
+    assert ref.graded_values(u.terms) == ref.graded_values(want)
+
+
+def test_constructor_stores_integral_values_as_int():
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2),
+                 (0, 0): 3, (2, 0): True, (0, 2): Fraction(0)})
+    assert {e: type(c) for e, c in p.terms.items()} == {
+        (1, 0): int, (0, 1): Fraction, (0, 0): int, (2, 0): int}
+    assert_exact(p)
+    assert_exact(Poly.const(3, Fraction(6, 3)))
+    assert Poly.const(3, 0).is_zero()
+
+
+def test_ring_operations_match_the_reference():
+    rng = rng_for(71)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p, q = mixed_poly(n, rng), mixed_poly(n, rng)
+        rp, rq = ref.from_poly(p), ref.from_poly(q)
+        k = rng.choice(COEFFS + [0])
+        cases = [(p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq),
+                 (-p, -rp), (p * k, rp * k), (k * p, rp * k),
+                 (p + k, rp + ref.FracPoly(n, {(0,) * n: k})),
+                 (p - k, rp - ref.FracPoly(n, {(0,) * n: k}))]
+        cases += [(p.diff(i), rp.diff(i)) for i in range(n)]
+        for got, want in cases:
+            assert_exact(got)
+            assert ref.values(got.terms) == ref.values(want.terms)
+
+
+def test_cancellation_and_integral_products():
+    rng = rng_for(72)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        p, q = mixed_poly(n, rng), mixed_poly(n, rng)
+        for zero in (p - p, p + (-p), p * q - q * p, (p + q) - q - p,
+                     p * 0, p * Fraction(0)):
+            assert zero.is_zero() and zero.terms == {}
+    half, two = Poly(2, {(1, 0): Fraction(1, 2)}), Poly(2, {(0, 1): 2})
+    prod = half * two
+    assert prod == Poly(2, {(1, 1): 1}) and prod.terms == {(1, 1): 1}
+    assert_exact(prod)
+    thirds = Poly(1, {(1,): Fraction(1, 3)}) + Poly(1, {(1,): Fraction(2, 3)})
+    assert thirds == Poly.var(1, 0)
+    assert_exact(thirds)
+    ints = Poly(2, {(1, 0): 3, (0, 1): -2}) * Poly(2, {(1, 0): 5, (0, 0): 7})
+    assert all(type(c) is int for c in ints.terms.values())
+
+
+def test_graded_operators_match_the_reference():
+    rng = rng_for(73)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m, k = rng.randint(0, n), rng.randint(0, n)
+        u = mixed_graded(Multivector, n, m, rng)
+        v = mixed_graded(Multivector, n, k, rng)
+        ru, rv = ref.from_graded(u), ref.from_graded(v)
+        assert_same(wedge(u, v), ref.wedge(n, ru, rv))
+        if m + k >= 1:
+            assert_same(schouten(u, v), ref.schouten(n, m, ru, rv))
+        a = mixed_graded(Form, n, rng.randint(0, n), rng)
+        ra = ref.from_graded(a)
+        assert_same(form_d(a), ref.form_d(n, ra))
+        if m <= a.grade:
+            assert_same(interior(u, a), ref.interior(n, ru, ra))
+        p = mixed_graded(Multivector, n, 2, rng)
+        assert_same(delta(p, a), ref.delta(n, ref.from_graded(p), ra, a.grade))
+
+
+def test_graded_operators_cancel_to_zero():
+    rng = rng_for(74)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        u = mixed_graded(Multivector, n, rng.randint(1, n), rng)
+        a = mixed_graded(Form, n, rng.randint(0, n - 1), rng)
+        for zero in (u - u, form_d(form_d(a)),
+                     schouten(u, u) - schouten(u, u),
+                     wedge(u, u) if u.grade % 2 else u + (-u)):
+            assert zero.is_zero() and zero.terms == {}
+
+
+@pytest.mark.parametrize("grade", [1, 2, 3])
+def test_scaling_by_fractions_keeps_the_invariant(grade):
+    rng = rng_for(75 + grade)
+    u = mixed_graded(Form, 4, grade, rng)
+    for s in (Fraction(1, 2), Fraction(2), 3, -1, Fraction(-4, 6)):
+        got = u.scale(s)
+        assert_same(got, {i: c * s for i, c in ref.from_graded(u).items()})
+    assert u.scale(0).is_zero()

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +11,7 @@ from pforge.ncalg import (AlgebraSC, BadAlgebra, NotAnIdeal, NotASubalgebra,
                           quotient_algebra, ideal_derivations,
                           submanifold_check, quotient_check,
                           splitting_curvature, bott_quotient, bott_forms,
-                          bott_integral, LieAlgebraSC)
+                          bott_integral, LieAlgebraSC, BadLieAlgebra)
 
 
 def F(rows):
@@ -269,3 +271,71 @@ def test_bott_integral_zero_ideal():
     tddt = _op(3, {1: [(1, 1)], 2: [(2, 2)]})
     rep = bott_integral(A, [tddt, t2ddt], [])
     assert rep["integral"]
+
+
+def _full_jacobi_verdict(dim, c):
+    """The message of the check over all d^3 ordered triples, run after
+    the antisymmetry check, as LieAlgebraSC once did; None if it passes."""
+    for i, j in product(range(dim), repeat=2):
+        if any(a + b for a, b in zip(c[i][j], c[j][i])):
+            return "not antisymmetric at (%d,%d)" % (i, j)
+    for i, j, k in product(range(dim), repeat=3):
+        jac = [Fraction(0)] * dim
+        for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+            for s, x in enumerate(c[a][b]):
+                if x:
+                    jac = [y + x * z for y, z in zip(jac, c[s][t])]
+        if any(jac):
+            return "Jacobi fails at (%d,%d,%d)" % (i, j, k)
+    return None
+
+
+def _verdict(dim, c):
+    try:
+        LieAlgebraSC(dim, c)
+    except BadLieAlgebra as exc:
+        return str(exc)
+    return None
+
+
+def _random_table(rng, dim):
+    """Antisymmetric table: a direct sum of so(3), sl(2), Heisenberg and
+    abelian summands, with a few seeded antisymmetric perturbations
+    (none on some tables) and rarely one asymmetric entry."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+
+    def put(i, j, k, x):
+        c[i][j][k] += x
+        c[j][i][k] -= x
+    at = 0
+    while dim - at >= 3 and rng.random() < 0.8:
+        kind = rng.choice(["so3", "sl2", "heis"])
+        a, b, d = at, at + 1, at + 2
+        if kind == "so3":
+            put(a, b, d, 1), put(b, d, a, 1), put(d, a, b, 1)
+        elif kind == "sl2":
+            put(a, b, b, 2), put(a, d, d, -2), put(b, d, a, 1)
+        else:
+            put(a, b, d, 1)
+        at += 3
+    for _ in range(rng.choice([0, 0, 1, 2, 4]) if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        put(i, j, rng.randrange(dim),
+            rng.choice([1, -1, Fraction(1, 2), Fraction(-3, 2)]))
+    if rng.random() < 0.1:
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        c[i][j][k] += 1
+    return c
+
+
+def test_jacobi_check_on_sorted_triples_matches_the_full_check():
+    rng = random.Random(91)
+    verdicts = []
+    for _ in range(300):
+        dim = rng.randint(1, 7)
+        c = _random_table(rng, dim)
+        want = _full_jacobi_verdict(dim, c)
+        assert _verdict(dim, c) == want
+        verdicts.append(want)
+    kinds = {v.split(" at ")[0] if v else None for v in verdicts}
+    assert kinds == {None, "not antisymmetric", "Jacobi fails"}

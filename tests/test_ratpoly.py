@@ -48,3 +48,69 @@ def test_parse_errors():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         parse_poly("x0", 1) + parse_poly("x0", 2)
+
+
+def test_parse_of_thousands_of_terms_round_trips():
+    # 14^3 = 2744 terms with non-integral coefficients; parse is linear
+    terms = {(a, b, c): Fraction((a + 2 * b + 3 * c) % 11 - 5, 1 + a % 4)
+             for a in range(14) for b in range(14) for c in range(14)}
+    p = Poly(3, terms)
+    assert len(p.terms) == len([c for c in terms.values() if c])
+    text = str(p)
+    q = parse_poly(text, 3)
+    assert q == p and str(q) == text
+
+
+def test_parse_sums_repeated_monomials():
+    p = parse_poly("1/2*x0 + 1/2*x0 - x1 + x1 + 3", 2)
+    assert p.terms == {(1, 0): 1, (0, 0): 3}
+    assert type(p.terms[(1, 0)]) is int
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(PolyParseError):
+        parse_poly("1/0*x0", 2)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.5, 2.0, "1/2", None, 1j])
+def test_non_exact_coefficients_are_rejected(coeff):
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): coeff})
+    with pytest.raises(TypeError):
+        Poly.const(2, coeff)
+
+
+def test_monomial_length_is_checked_before_zero_is_dropped():
+    with pytest.raises(DimensionMismatch):
+        Poly(2, {(0, 0, 0): 0})
+    with pytest.raises(DimensionMismatch):
+        Poly(2, {(1,): Fraction(0)})
+
+
+def test_foreign_operands():
+    p = Poly.var(2, 0)
+    assert (Poly(2) == "x") is False
+    assert (p == 1.5) is False and p != "x0"
+    assert Poly.const(2, 3) == 3 and Poly.const(2, Fraction(1, 2)) == Fraction(1, 2)
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            p + bad
+        with pytest.raises(TypeError):
+            p - bad
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
+
+
+@pytest.mark.parametrize("expts", [(2.5,), (-1,), (True,), ("1",)])
+def test_exponents_must_be_nonnegative_ints(expts):
+    with pytest.raises(ValueError):
+        Poly(1, {expts: 1})
+
+
+def test_var_power_must_be_a_nonnegative_int():
+    assert Poly.var(2, 1, 3) == parse_poly("x1^3", 2)
+    for power in (-1, 0.5):
+        with pytest.raises(ValueError):
+            Poly.var(2, 1, power)
