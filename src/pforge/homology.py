@@ -12,7 +12,7 @@ kernel/rank counts on the block matrices; nothing is ever estimated.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from operator import add
 
 from . import linalg
 from .ratpoly import Poly
@@ -79,11 +79,8 @@ def block_basis(n, complex_kind, grade, weight):
         raise ValueError("unknown complex %r" % (complex_kind,))
     if deg < 0 or grade < 0 or grade > n:
         return []
-    basis = []
-    for idx in all_index_tuples(n, grade):
-        for e in monomials(n, deg):
-            basis.append((idx, e))
-    return basis
+    mons = monomials(n, deg)
+    return [(idx, e) for idx in all_index_tuples(n, grade) for e in mons]
 
 
 class WeightBlock:
@@ -113,33 +110,54 @@ class WeightBlock:
         return m
 
 
-def _element_from(n, complex_kind, idx, expts):
-    coeff = Poly(n, {expts: 1})
+def _leibniz_tables(p, complex_kind, grade):
+    """The differential D of the complex on one grade, as tables that
+    fix its value on every polynomial coefficient.
+
+    D is first order in the coefficient, D(f u) = f D(u) +
+    sum_j (df/dx_j) (D(x_j u) - x_j D(u)), so for each index tuple I of
+    the grade it is enough to know T0 = D(e_I) and, for each variable j,
+    T_j = D(x_j e_I) - x_j D(e_I).  Maps I to (T0, [T_0, ..., T_{n-1}]),
+    each a sparse {(target index tuple, exponent tuple): value} dict.
+    """
+    n = p.n
     if complex_kind == LICHNEROWICZ:
-        return Multivector(n, len(idx), {idx: coeff})
-    return Form(n, len(idx), {idx: coeff})
+        op, kind = lichnerowicz_dp, Multivector
+    else:
+        op, kind = delta, Form
+
+    def image(idx, e):
+        y = op(p, kind(n, grade, {idx: Poly(n, {e: 1})}))
+        return {(t, f): v for t, c in y.terms.items()
+                for f, v in c.terms.items()}
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    tables = {}
+    for idx in all_index_tuples(n, grade):
+        t0 = image(idx, (0,) * n)
+        firsts = []
+        for j, unit in enumerate(units):
+            tj = image(idx, unit)
+            for (t, f), v in t0.items():
+                key = (t, tuple(map(add, f, unit)))
+                x = tj.get(key, 0) - v
+                if x:
+                    tj[key] = x
+                else:
+                    del tj[key]
+            firsts.append(tj)
+        tables[idx] = t0, firsts
+    return tables
 
 
-def _decompose(obj, pos, grade, weight, complex_kind):
-    """Sparse column {target row: value}; asserts the image lands in
-    the block whose basis positions `pos` gives."""
-    col = {}
-    for idx, c in obj.terms.items():
-        for e, v in c.terms.items():
-            key = (idx, e)
-            if key not in pos:
-                raise AssertionError(
-                    "differential left the expected (grade, weight) block "
-                    "at %r (%s, k=%d, w=%d)" % (key, complex_kind, grade, weight))
-            col[pos[key]] = v
-    return col
-
-
-def block_matrix(p, complex_kind, grade, weight):
+def block_matrix(p, complex_kind, grade, weight, _tables=None):
     """Exact differential on block (grade, weight), as sparse columns.
 
     Columns are indexed by the source block basis, their entries by the
-    target basis.  The Jacobi identity is not checked here.
+    target basis.  The column of x^e e_I is read off the Leibniz tables
+    of the grade (`_leibniz_tables`): T0 with its exponents shifted by e,
+    plus e_j T_j shifted by e - 1_j for every j with e_j > 0.  `_tables`
+    is a {grade: tables} dict that keeps them across the blocks of one
+    p and complex.  The Jacobi identity is not checked here.
     """
     d = _bivector_degree(p)
     n = p.n
@@ -150,26 +168,48 @@ def block_matrix(p, complex_kind, grade, weight):
         tgrade = grade - 1
     tweight = weight + d - 2
     target = block_basis(n, complex_kind, tgrade, tweight)
+    if not basis:
+        return WeightBlock(grade, weight, basis, target, [])
+    if _tables is None:
+        _tables = {}
+    tables = _tables.get(grade)
+    if tables is None:
+        tables = _tables[grade] = _leibniz_tables(p, complex_kind, grade)
     pos = {key: i for i, key in enumerate(target)}
     cols = []
     for idx, e in basis:
-        x = _element_from(n, complex_kind, idx, e)
-        if complex_kind == LICHNEROWICZ:
-            y = lichnerowicz_dp(p, x)
-        else:
-            y = delta(p, x)
-        cols.append(_decompose(y, pos, grade, weight, complex_kind))
+        t0, firsts = tables[idx]
+        parts = [(t0, e, 1)]
+        parts += [(firsts[j], e[:j] + (ej - 1,) + e[j + 1:], ej)
+                  for j, ej in enumerate(e) if ej]
+        col, stray = {}, {}
+        for table, shift, m in parts:
+            for (t, f), v in table.items():
+                key = t, tuple(map(add, f, shift))
+                i = pos.get(key)
+                if i is None:
+                    stray[key] = stray.get(key, 0) + m * v
+                else:
+                    col[i] = col.get(i, 0) + m * v
+        for key, v in stray.items():
+            if v:
+                raise AssertionError(
+                    "differential left the expected (grade, weight) block "
+                    "at %r (%s, k=%d, w=%d)" % (key, complex_kind, grade,
+                                                weight))
+        cols.append({i: v for i, v in col.items() if v})
     return WeightBlock(grade, weight, basis, target, cols)
 
 
 def _ranked_blocks(p, complex_kind):
     """(grade, weight) -> (block dimension, rank of the differential),
     assembling and ranking each block once."""
-    memo = {}
+    memo, tables = {}, {}
 
     def dim_rank(grade, weight):
         if (grade, weight) not in memo:
-            blk = block_matrix(p, complex_kind, grade, weight)
+            blk = block_matrix(p, complex_kind, grade, weight,
+                               _tables=tables)
             memo[grade, weight] = len(blk.basis), linalg.rank(blk.columns)
         return memo[grade, weight]
     return dim_rank

@@ -6,12 +6,13 @@ entries are read.  Each row is scaled to a primitive integer vector and
 a column -> rows index finds the rows each pivot must clear, so a
 mostly-zero matrix costs in proportion to its nonzeros and entries stay
 integers with no common factor.  Two pivot rules share the loop: `rank`
-takes Markowitz pivots and drops each used pivot row; `rref` takes the
-leftmost live column and also clears it from the earlier pivot rows,
-which leaves the unique reduced row echelon form.  `nullspace`,
-`solve`, `row_space_basis`, `intersect`, `invert` and `Subspace` (one
-span reduced once, for repeated membership, coordinate and quotient
-queries) read their answers off that form as dense lists of Fraction.
+takes Markowitz pivots and drops each used pivot row, one connected
+component of the rows at a time; `rref` takes the leftmost live column
+and also clears it from the earlier pivot rows, which leaves the unique
+reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`,
+`intersect`, `invert` and `Subspace` (one span reduced once, for
+repeated membership, coordinate and quotient queries) read their answers
+off that form as dense lists of Fraction.
 """
 
 from fractions import Fraction
@@ -73,9 +74,33 @@ def _leftmost_pivot(live, where):
                key=lambda i: (len(live[i]), i)), c
 
 
-def _eliminate(rows, reduced):
-    """The one elimination loop: (pivot column, pivot row) pairs in
-    pivot order, rows as primitive {column: int} dicts.
+def _components(live, where):
+    """The connected components of the graph joining rows that share a
+    column, as (row ids, columns) pairs."""
+    seen_rows, seen_cols = set(), set()
+    for start in live:
+        if start in seen_rows:
+            continue
+        seen_rows.add(start)
+        ids, cols, todo = [start], [], [start]
+        while todo:
+            for c in live[todo.pop()]:
+                if c not in seen_cols:
+                    seen_cols.add(c)
+                    cols.append(c)
+                    for j in where[c]:
+                        if j not in seen_rows:
+                            seen_rows.add(j)
+                            ids.append(j)
+                            todo.append(j)
+        yield ids, cols
+
+
+def _eliminate(live, where, reduced):
+    """The one elimination loop over the primitive rows and column index
+    that `_primitive_rows` gives, which it consumes: (pivot column,
+    pivot row) pairs in pivot order, rows as primitive {column: int}
+    dicts.
 
     Each step clears the pivot's column from every other indexed row as
     a*row - b*pivot, with gcd(a, b) divided out first, and keeps the
@@ -84,7 +109,6 @@ def _eliminate(rows, reduced):
     leftmost first and pivot rows stay indexed, so each later step
     clears its column from the earlier pivot rows too.
     """
-    live, where = _primitive_rows(rows)
     vecs = dict(live)
     pick = _leftmost_pivot if reduced else _markowitz_pivot
     pivots = []
@@ -120,16 +144,23 @@ def _eliminate(rows, reduced):
 
 
 def rank(rows):
-    """Exact rank by elimination with Markowitz pivots, which keep the
-    fill-in small; the input is not modified."""
-    return len(_eliminate(rows, False))
+    """Exact rank; the input is not modified.
+
+    The rows split into the connected components of their row-column
+    graph, and each component is eliminated on its own with Markowitz
+    pivots, which keep the fill-in small: a pivot search then scans one
+    component's rows, not the whole matrix's.  The ranks add up."""
+    live, where = _primitive_rows(rows)
+    return sum(len(_eliminate({i: live[i] for i in ids},
+                              {c: where[c] for c in cols}, False))
+               for ids, cols in _components(live, where))
 
 
 def _reduce(rows):
     """The nonzero rows of the reduced row echelon form, as (pivot
     column, {column: Fraction}) pairs by increasing pivot column."""
     return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
-            for c, row in _eliminate(rows, True)]
+            for c, row in _eliminate(*_primitive_rows(rows), True)]
 
 
 def _width(rows, ncols):

@@ -189,6 +189,10 @@ class Poly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
+        # a constant (or zero) Poly equals its value, so hashes like it
+        c = self.constant_term()
+        if len(self.terms) == bool(c):
+            return hash(c)
         return hash((self.n, frozenset(self.terms.items())))
 
     # -- calculus -----------------------------------------------------

@@ -5,8 +5,10 @@ from pforge.homology import (structure_degree, check_structure, monomials,
                              block_basis, block_matrix,
                              poisson_cohomology_dims, canonical_homology_dims,
                              NonHomogeneous, LICHNEROWICZ, CANONICAL)
-from pforge.forms import NonInvolutive
-from conftest import bivector
+from pforge.forms import Form, NonInvolutive, delta
+from pforge.multivec import Multivector, lichnerowicz_dp
+from pforge.ratpoly import Poly
+from conftest import bivector, rng_for
 
 
 def rows_by_key(rows):
@@ -50,6 +52,88 @@ def test_block_composite_is_zero():
     assert all(all(x == 0 for x in row) for row in comp)
 
 
+def _element_from(n, complex_kind, idx, expts):
+    coeff = Poly(n, {expts: 1})
+    if complex_kind == LICHNEROWICZ:
+        return Multivector(n, len(idx), {idx: coeff})
+    return Form(n, len(idx), {idx: coeff})
+
+
+def _decompose(obj, pos, grade, weight, complex_kind):
+    """Sparse column {target row: value}; asserts the image lands in
+    the block whose basis positions `pos` gives."""
+    col = {}
+    for idx, c in obj.terms.items():
+        for e, v in c.terms.items():
+            key = (idx, e)
+            if key not in pos:
+                raise AssertionError(
+                    "differential left the expected (grade, weight) block "
+                    "at %r (%s, k=%d, w=%d)" % (key, complex_kind, grade, weight))
+            col[pos[key]] = v
+    return col
+
+
+def oracle_columns(p, complex_kind, grade, weight):
+    """Block (grade, weight) by the per-column route: one whole
+    `lichnerowicz_dp` or `delta` on each one-term basis element."""
+    n = p.n
+    if complex_kind == LICHNEROWICZ:
+        op, tgrade = lichnerowicz_dp, grade + 1
+    else:
+        op, tgrade = delta, grade - 1
+    target = block_basis(n, complex_kind, tgrade,
+                         weight + structure_degree(p) - 2)
+    pos = {key: i for i, key in enumerate(target)}
+    return [_decompose(op(p, _element_from(n, complex_kind, idx, e)), pos,
+                       grade, weight, complex_kind)
+            for idx, e in block_basis(n, complex_kind, grade, weight)]
+
+
+def jacobian_structure(phi):
+    """{x_i, x_j} = eps_ijk dphi/dx_k on Q^3: Poisson for every phi."""
+    return Multivector(3, 2, {(0, 1): phi.diff(2), (1, 2): phi.diff(0),
+                              (0, 2): -phi.diff(1)})
+
+
+def seeded_phi(seed, degree):
+    rng = rng_for(seed)
+    return Poly(3, {e: rng.randint(-3, 3) for e in monomials(3, degree)})
+
+
+STRUCTURES = {
+    "so3": (3, {(0, 1): "x2", (1, 2): "x0", (0, 2): "-x1"}),
+    "sl2": (3, {(0, 1): "2*x1", (0, 2): "-2*x2", (1, 2): "x0"}),
+    "symplectic-q4": (4, {(0, 1): "1", (2, 3): "1", (0, 2): "2"}),
+    "so3+sl2": (6, {(0, 1): "x2", (1, 2): "x0", (0, 2): "-x1",
+                    (3, 4): "2*x4", (3, 5): "-2*x5", (4, 5): "x3"}),
+}
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "jacobian-cubic",
+                                  "jacobian-quartic", "zero",
+                                  "symplectic-q4", "so3+sl2"])
+def test_leibniz_columns_match_the_per_column_route(name):
+    if name.startswith("jacobian"):
+        degree = 3 if name.endswith("cubic") else 4
+        p = jacobian_structure(seeded_phi(degree, degree))
+    elif name == "zero":
+        p = Multivector(3, 2)
+    else:
+        p = bivector(*STRUCTURES[name])
+    check_structure(p)
+    max_grade = 2 if name == "so3+sl2" else p.n
+    for kind in (LICHNEROWICZ, CANONICAL):
+        tables = {}
+        for k in range(max_grade + 1):
+            for w in range(-k, 7):
+                want = oracle_columns(p, kind, k, w)
+                for blk in (block_matrix(p, kind, k, w),
+                            block_matrix(p, kind, k, w, _tables=tables)):
+                    assert blk.columns == want, (name, kind, k, w)
+                    assert blk.basis == block_basis(p.n, kind, k, w)
+
+
 def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
                                                             monkeypatch):
     jacobiators, blocks = [], []
@@ -59,9 +143,9 @@ def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
         jacobiators.append(p)
         return real_jacobiator(p)
 
-    def counted_block(p, kind, grade, weight):
+    def counted_block(p, kind, grade, weight, **private):
         blocks.append((grade, weight))
-        return real_block(p, kind, grade, weight)
+        return real_block(p, kind, grade, weight, **private)
 
     monkeypatch.setattr(homology, "jacobiator", counted_jacobiator)
     monkeypatch.setattr(homology, "block_matrix", counted_block)

@@ -5,7 +5,10 @@ from math import gcd
 import pytest
 
 from pforge import linalg
-from pforge.homology import block_matrix, LICHNEROWICZ, CANONICAL
+from pforge.homology import (block_matrix, poisson_cohomology_dims,
+                             LICHNEROWICZ, CANONICAL)
+from conftest import bivector
+from test_homology import _lie_poisson_h
 
 
 def F(rows):
@@ -96,6 +99,69 @@ def test_rank_matches_bareiss_on_random_matrices():
         assert linalg.rank(m) == want, m
         assert linalg.rank(_as_dicts(m)) == want, m
         assert m == snapshot
+
+
+def _hidden_block_diagonal(rng):
+    """Random blocks on the diagonal, with zero rows and zero columns,
+    under a random row and column permutation; returns the matrix, its
+    width and the blocks."""
+    blocks = [_random_matrix(rng) for _ in range(rng.randint(0, 6))]
+    height = sum(len(b) for b in blocks) + rng.randint(0, 3)
+    width = sum(len(b[0]) for b in blocks) + rng.randint(0, 3)
+    m = [[Fraction(0)] * width for _ in range(height)]
+    r = c = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[r + i][c:c + len(row)] = row
+        r, c = r + len(b), c + len(b[0])
+    rng.shuffle(m)
+    perm = list(range(width))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in m], width, blocks
+
+
+def test_rank_splits_hidden_block_diagonal_matrices():
+    rng = random.Random(8088)
+    for m, width in [([], 0), ([[]], 0), ([[], [], []], 0),
+                     ([[Fraction(0)] * 3] * 2, 3)]:
+        assert linalg.rank(m) == linalg.rank(_as_dicts(m)) == 0
+    for _ in range(300):
+        m, width, blocks = _hidden_block_diagonal(rng)
+        want = sum(bareiss_rank(b) for b in blocks)
+        assert bareiss_rank(m) == want
+        snapshot = [list(row) for row in m]
+        assert linalg.rank(m) == linalg.rank(_as_dicts(m)) == want, m
+        assert m == snapshot
+        live, where = linalg._primitive_rows(m)
+        parts = list(linalg._components(live, where))
+        assert sorted(i for ids, _ in parts for i in ids) == sorted(live)
+        assert sorted(c for _, cols in parts for c in cols) == sorted(where)
+        assert len(parts) >= sum(1 for b in blocks if any(map(any, b)))
+
+
+def _so3_copies(copies):
+    """so(3)^copies on Q^(3 copies), one so(3) per block of variables."""
+    table = {}
+    for k in range(copies):
+        a, b, c = 3 * k, 3 * k + 1, 3 * k + 2
+        table.update({(a, b): "x%d" % c, (b, c): "x%d" % a,
+                      (a, c): "-x%d" % b})
+    return bivector(3 * copies, table)
+
+
+@pytest.mark.parametrize("copies, max_grade, max_weight, h_g", [
+    (2, 3, 2, {0: 1, 3: 2, 6: 1}),
+    (3, 2, 1, {0: 1, 3: 3, 6: 3, 9: 1}),
+], ids=["so3^2", "so3^3"])
+def test_rank_gates_match_lie_algebra_cohomology(copies, max_grade,
+                                                 max_weight, h_g):
+    # H of the Lie-Poisson structure of so(3)^copies is H(g) (x) Cas(g),
+    # with H(so(3)^copies) the tensor power of H(so(3)) = (1, 0, 0, 1)
+    rows = poisson_cohomology_dims(_so3_copies(copies), max_grade,
+                                   max_weight)
+    for r in rows:
+        assert r["dim_H"] == _lie_poisson_h(h_g, (2,) * copies, r["grade"],
+                                            r["weight"]), r
 
 
 @pytest.mark.parametrize("name", ["so3", "sl2"])

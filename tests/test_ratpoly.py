@@ -34,6 +34,20 @@ def test_diff_and_eval():
     assert p.eval([Fraction(1), Fraction(2)]) == Fraction(6)
 
 
+def test_hash_agrees_with_equality():
+    # a constant Poly equals its value, so it must hash like it
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        c = Poly.const(2, value)
+        assert c == value
+        assert value in {c} and c in {value}
+        assert {c: "poly"}[value] == "poly" and {value: "num"}[c] == "num"
+    for text in ("0", "2", "x0", "x0*x1 + 1", "1/2*x1^2 - 3"):
+        a, b = parse_poly(text, 2), parse_poly(text, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a in {b} and {a: text}[b] == text
+    assert parse_poly("x0 + 1", 2) not in {1, parse_poly("x0", 2)}
+
+
 def test_homogeneous_flag():
     assert parse_poly("x0^2 + x1^2", 2).is_homogeneous()
     assert not parse_poly("x0^2 + x1", 2).is_homogeneous()
