@@ -1,15 +1,20 @@
-"""Golden CLI output: SHA-256 of stdout for fixed jobs on Q^6.
+"""Golden CLI output: SHA-256 of stdout for fixed jobs.
 
-The digests were recorded from the Fraction-only polynomial kernel.
-Every input carries non-integral coefficients, so these jobs pin the
-printed form of the exact arithmetic byte for byte, whatever the
-kernel stores internally.
+The polynomial jobs on Q^6 were recorded from the Fraction-only
+polynomial kernel, and the finite-algebra jobs (`ncalg`, `oracle`,
+`integrable`, `ideal`) from the Fraction-only finite-algebra layer.
+Every polynomial input and half of the algebras carry non-integral
+coefficients, so these jobs pin the printed form of the exact
+arithmetic byte for byte, whatever the kernel stores internally: an
+entry of a list prints as a string, and a count as a number, whether it
+is held as an int or as a Fraction.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -94,6 +99,137 @@ JOBS = {
                           " - 5/2*x4^2 - 5/2*x5^2"],
                          "a57e491b3df3c0b36c42cc6edaea620f3c52ffb60b06d82ee9c2b4a781b1ffb5"),
 }
+
+
+
+def truncated(a, b, scale=None):
+    """Q[x]/x^a (x) Q[y]/y^b on the basis scale[(i, j)] * x^i y^j, as
+    (algebra JSON, basis names)."""
+    names = [(i, j) for i in range(a) for j in range(b)]
+    scale = scale or {}
+    s = [Fraction(scale.get(x, 1)) for x in names]
+    mult = []
+    for u, (i, j) in enumerate(names):
+        row = []
+        for v, (k, l) in enumerate(names):
+            vec = ["0"] * len(names)
+            if i + k < a and j + l < b:
+                w = names.index((i + k, j + l))
+                vec[w] = str(s[u] * s[v] / s[w])
+            row.append(vec)
+        mult.append(row)
+    unit = [str(int(x == (0, 0))) for x in names]
+    return {"dim": len(names), "mult": mult, "unit": unit}, names
+
+
+def lie(dim, brackets):
+    """Lie algebra JSON from {(i, j): {k: "c"}} for i < j."""
+    c = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), out in brackets.items():
+        for k, x in out.items():
+            c[i][j][k] = x
+            c[j][i][k] = str(-Fraction(x))
+    return {"dim": dim, "c": c}
+
+
+def rows(names, keep):
+    return [[int(y == x) for y in names] for x in names if keep(x)]
+
+
+def euler(names):
+    """The Euler derivations x d/dx and y d/dy as diagonal matrices."""
+    return [[[names[c][t] if r == c else 0 for c in range(len(names))]
+             for r in range(len(names))] for t in (0, 1)]
+
+
+# basis 1, t, 2t^2 of Q[t]/t^3: t * t = 1/2 (2t^2)
+T3_HALF, _ = truncated(3, 1, {(2, 0): 2})
+# basis x^i y^j with xy scaled by 2: x * y = 1/2 (2xy)
+X2Y2_HALF, X2Y2 = truncated(2, 2, {(1, 1): 2})
+X2Y3_HALF, X2Y3 = truncated(2, 3, {(1, 1): 2, (0, 2): -3, (1, 2): "1/2"})
+M2 = {"dim": 4, "unit": [1, 0, 0, 1], "mult": [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4],
+    [[0] * 4, [0] * 4, [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4],
+    [[0] * 4, [0] * 4, [0, 0, 1, 0], [0, 0, 0, 1]]]}
+# gl(2) on E11, E12, E21, E22
+GL2 = lie(4, {(0, 1): {1: "1"}, (0, 2): {2: "-1"},
+              (1, 2): {0: "1", 3: "-1"}, (1, 3): {1: "1"},
+              (2, 3): {2: "-1"}})
+# sl(2) on 2h, e, f: [2h, e] = 4e, [2h, f] = -4f, [e, f] = 1/2 (2h)
+SL2_HALF = lie(3, {(0, 1): {1: "4"}, (0, 2): {2: "-4"},
+                   (1, 2): {0: "1/2"}})
+
+
+def ncalg(command, *args):
+    return ["ncalg", command] + [a if isinstance(a, str) else dumps(a)
+                                 for a in args]
+
+
+FINITE_JOBS = {
+    "der-m2": (ncalg("der", "--algebra", M2),
+               "5a3ff7a02a3f979997977bc46e59a90dfe21a2868f70ba81c01c5da4b2921765"),
+    "der-t3-half": (ncalg("der", "--algebra", T3_HALF),
+                    "68f4a6372c78115471fff48f242fee315f2a3f7d10e8368a609008643c00706a"),
+    "der-x2y3-half-text": (ncalg("der", "--format", "text",
+                                 "--algebra", X2Y3_HALF),
+                           "ca27a9602e311a88313b5cc285fa0ad57c81a7706a8a5881c298c56b994ea83d"),
+    "submanifold-x2y2": (ncalg("submanifold", "--algebra", X2Y2_HALF,
+                               "--ideal", rows(X2Y2, lambda x: x[1] >= 1)),
+                         "07c75c780e80476fa4ff25e57f77a18780734b92510ef6f114ec810027fd176d"),
+    "submanifold-x2y3": (ncalg("submanifold", "--algebra", X2Y3_HALF,
+                               "--ideal", rows(X2Y3, lambda x: x[1] >= 1)),
+                         "a64972194946abf5e0b6479e7d1cf06546998c6428b51da625a8810cb36ce092"),
+    "quotient-x2y3": (ncalg("quotient", "--algebra", X2Y3_HALF,
+                            "--sub", rows(X2Y3, lambda x: x[1] == 0)),
+                      "1f21b2339e6a6e6ddfbb37569112440b8bb79873730aa8d9278830699437bfab"),
+    "quotient-m2": (ncalg("quotient", "--algebra", M2,
+                          "--sub", [[1, 0, 0, 0], [0, 0, 0, 1]]),
+                    "33c8a84f62cb2fb63b412720523f20e558d14ab762846523894db4a65915ca33"),
+    "bott-quotient-gl2": (ncalg("bott-quotient", "--liealg", GL2, "--sub",
+                                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+                          "65ff9ac5e3514544689958e30fd594e23430c0dfd2b51727148f0a7ddf0c37bf"),
+    "bott-quotient-sl2": (ncalg("bott-quotient", "--liealg", SL2_HALF,
+                                "--sub", [[1, 0, 0], [0, 1, 0]]),
+                          "bde2b996b98dc3fb2a97774b362eb85fbe10721a8ed097a9622cd30b33d8c954"),
+    "bott-forms-gl2": (ncalg("bott-forms", "--liealg", GL2, "--sub",
+                             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+                       "881d7ea4862b2697c3bdd035094aaf500470aa1dac0667ebe4380ea5e4d7c441"),
+    "bott-forms-sl2": (ncalg("bott-forms", "--liealg", SL2_HALF,
+                             "--sub", [[2, 0, 0], [0, 1, 0]]),
+                       "e7293b89272b4e5f3cb60f5acd374ecb3cc51cef85877dcf5a7d75a39230cc3f"),
+    "bott-integral-x2y2": (ncalg("bott-integral", "--algebra", X2Y2_HALF,
+                                 "--dist", euler(X2Y2),
+                                 "--ideal", rows(X2Y2, lambda x: x[1] >= 1)),
+                           "7b0bf2fc6e877d703701b4fe6344d700448804a400a23463d1fb0b0113b5c165"),
+    "bott-integral-x2y3-text": (ncalg("bott-integral", "--format", "text",
+                                      "--algebra", X2Y3_HALF,
+                                      "--dist", euler(X2Y3), "--ideal",
+                                      rows(X2Y3, lambda x: x[1] >= 1)),
+                                "3554fba1b8a6ece395a5766972f16c6b15935ea9f8cfb1812a73b505c0f1221a"),
+    "koszul-named": (["oracle", "koszul", "--algebra", "Q[t]/t^3"],
+                     "35e9418f128d4cca9027ef635a49dc9bff9b30cff9e86621b89e4963b759c629"),
+    "koszul-t3-half": (["oracle", "koszul", "--algebra", dumps(T3_HALF)],
+                       "35e9418f128d4cca9027ef635a49dc9bff9b30cff9e86621b89e4963b759c629"),
+    "koszul-x2y2-half": (["oracle", "koszul", "--algebra", dumps(X2Y2_HALF)],
+                         "a9d97288b35d12d68d766171d87cc1ec06846cd5800fde6fe765c7986afae2b0"),
+    "super": (["oracle", "super", "--dim", "3", "--trials", "4",
+               "--seed", "7"],
+              "0a92c0a22a7f7ef565233790df9ec3275355c6ce7604074628e70fb148d4ad93"),
+    "integrable": (["integrable", "-i", dumps(LP),
+                    "--point", "1/2,-1,3,0,2/3,1"],
+                   "d6f9aa8f22f563e2801a5cba4158745c2b1eee00944ee1d1567ff9d6509d80da"),
+    "ideal-witness": (["ideal", "-i", dumps(LP), "--gens",
+                       dumps(["x0", "x3*x4 - 1/2*x5"]), "--degree", "1"],
+                      "f688fba14e51c3f783294b68b681f41b29a5dcb78dbf1d64905a7e42323f5659"),
+    "ideal-certificate": (["ideal", "-i", dumps(LP), "--gens",
+                           dumps(["x0", "x1", "2*x2 - 1/3*x3"]),
+                           "--degree", "1"],
+                          "f2d5a664164b560ace5977c0a1774271a812ef28dd2f041fc3675f4c7e443f0c"),
+    "rank": (["rank", "-i", dumps(LP), "--point", "1/2,-1,3,0,2/3,1"],
+             "4a68b8610a7b7aa67593afe59e41a14c392d0652b3dffa59c948d87ed9da0f73"),
+}
+JOBS.update(FINITE_JOBS)
 
 
 @pytest.mark.parametrize("name", list(JOBS))
