@@ -12,14 +12,32 @@ and also clears it from the earlier pivot rows, which leaves the unique
 reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`,
 `intersect`, `invert` and `Subspace` (one span reduced once, for
 repeated membership, coordinate and quotient queries) read their answers
-off that form as dense lists of Fraction.
+off that form as dense lists.
+
+Every entry of an answer is exact and in one normal form (`exact`): an
+`int` when it is integral, else a `Fraction` whose denominator is not 1.
+Integral data stays in `int` arithmetic throughout, and a `Fraction` is
+built only where a division leaves the integers.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
+
+def exact(x):
+    """x in normal form: an int when integral, else a Fraction.  Any
+    value that `Fraction` takes is accepted; a bool becomes an int."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_vector(v):
+    """The entries of v in normal form, as a list."""
+    return [x if type(x) is int else exact(x) for x in v]
 
 
 def _divide_content(vec):
@@ -156,10 +174,17 @@ def rank(rows):
                for ids, cols in _components(live, where))
 
 
+def _quotient(v, pivot):
+    """v / pivot for ints, in normal form."""
+    q, r = divmod(v, pivot)
+    return Fraction(v, pivot) if r else q
+
+
 def _reduce(rows):
     """The nonzero rows of the reduced row echelon form, as (pivot
-    column, {column: Fraction}) pairs by increasing pivot column."""
-    return [(c, {k: Fraction(v, row[c]) for k, v in row.items()})
+    column, {column: entry}) pairs by increasing pivot column, entries
+    in normal form."""
+    return [(c, {k: _quotient(v, row[c]) for k, v in row.items()})
             for c, row in _eliminate(*_primitive_rows(rows), True)]
 
 
@@ -173,26 +198,26 @@ def _width(rows, ncols):
 
 
 def _dense(row, lo, hi):
-    """Entries lo..hi-1 of a {column: Fraction} row, as a list."""
-    return [row.get(k, _ZERO) for k in range(lo, hi)]
+    """Entries lo..hi-1 of a sparse row, as a list."""
+    return [row.get(k, 0) for k in range(lo, hi)]
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form: (rows, pivot columns).
 
-    As many dense Fraction rows as given, the nonzero ones first.
+    As many dense rows as given, the nonzero ones first.
     `ncols` is needed only for dict rows; the input is not modified.
     """
     n = _width(rows, ncols)
     red = _reduce(rows)
     out = [_dense(row, 0, n) for _, row in red]
-    out += [[_ZERO] * n for _ in range(len(rows) - len(red))]
+    out += [[0] * n for _ in range(len(rows) - len(red))]
     return out, [c for c, _ in red]
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel, one Fraction vector per non-pivot
-    column; `ncols` is needed only for dict rows."""
+    """Basis of the right kernel, one vector per non-pivot column;
+    `ncols` is needed only for dict rows."""
     n = _width(rows, ncols)
     red = _reduce(rows)
     pivots = {c for c, _ in red}
@@ -208,18 +233,18 @@ def solve(rows, rhs, ncols=None):
     """One solution of rows * x = rhs, or None if inconsistent; `ncols`
     is needed only for dict rows."""
     n = _width(rows, ncols)
-    x = [_ZERO] * n
+    x = [0] * n
     for c, row in _reduce([{**dict(_entries(row)), n: b}
                            for row, b in zip(rows, rhs)]):
         if c == n:
             return None
-        x[c] = row.get(n, _ZERO)
+        x[c] = row.get(n, 0)
     return x
 
 
 def unit_vector(i, n):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
+    v = [0] * n
+    v[i] = 1
     return v
 
 
@@ -296,13 +321,13 @@ class Subspace:
         """Coefficients c with sum c_j rows[j] == vec, or None outside."""
         if not self.contains(vec):
             return None
-        out = [Fraction(0)] * self._size
+        out = [0] * self._size
         for p, _, combo in self._rows:
             f = vec[p]
             if f:
                 for k, x in combo.items():
                     out[k] += f * x
-        return out
+        return exact_vector(out)
 
     @cached_property
     def _splitting(self):
@@ -325,20 +350,24 @@ class Subspace:
 
 
 def mat_mul(a, b):
-    """Product of dense matrices; zero entries of a are skipped."""
+    """Product of dense matrices; zero entries of a and b are skipped."""
     cols = len(b[0]) if b else 0
+    sparse = [[(k, y) for k, y in enumerate(brow) if y] for brow in b]
     out = []
     for row in a:
-        acc = [_ZERO] * cols
-        for x, brow in zip(row, b):
+        acc = [0] * cols
+        for x, brow in zip(row, sparse):
             if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(acc)
+                for k, y in brow:
+                    acc[k] += x * y
+        out.append(exact_vector(acc))
     return out
 
 
 def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    """a v; only the nonzero entries of v are read."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    return exact_vector(sum(row[k] * x for k, x in nz) for row in a)
 
 
 def identity(n):
@@ -346,7 +375,8 @@ def identity(n):
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [exact_vector(x - y for x, y in zip(ra, rb))
+            for ra, rb in zip(a, b)]
 
 
 def invert(mat):

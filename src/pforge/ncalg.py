@@ -12,7 +12,6 @@ is chosen deterministically, and projection/section matrices translate
 between the ambient algebra and the quotient.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
@@ -40,8 +39,9 @@ class NotASplitting(ValueError):
 
 
 def _table(dim, table, error):
-    """table[i][j] as Fraction vectors, each checked to have length dim."""
-    out = [[[Fraction(x) for x in table[i][j]] for j in range(dim)]
+    """table[i][j] as vectors in normal form (`linalg.exact`), each
+    checked to have length dim."""
+    out = [[linalg.exact_vector(table[i][j]) for j in range(dim)]
            for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -51,16 +51,24 @@ def _table(dim, table, error):
     return out
 
 
-def _bilinear(table, u, v):
-    """The product of u and v by the structure constants table."""
-    d = len(table)
-    out = [Fraction(0)] * d
-    vs = [(j, v[j]) for j in range(d) if v[j]]
-    for i in range(d):
-        if u[i]:
+def _sparse(table):
+    """The nonzero structure constants of table[i][j], as (k, constant)
+    pairs."""
+    return [[[(k, x) for k, x in enumerate(vec) if x] for vec in row]
+            for row in table]
+
+
+def _bilinear(sparse, u, v):
+    """The product of u and v by the structure constants that `_sparse`
+    gives, before `linalg.exact_vector`."""
+    out = [0] * len(sparse)
+    vs = [(j, y) for j, y in enumerate(v) if y]
+    for x, row in zip(u, sparse):
+        if x:
             for j, y in vs:
-                c = u[i] * y
-                out = [a + c * b for a, b in zip(out, table[i][j])]
+                c = x * y
+                for k, b in row[j]:
+                    out[k] += c * b
     return out
 
 
@@ -68,12 +76,13 @@ class AlgebraSC:
     """Associative algebra on Q^dim; mult[i][j] = coordinates of e_i e_j,
     unit (optional) = coordinates of 1."""
 
-    __slots__ = ("dim", "mult", "unit")
+    __slots__ = ("dim", "mult", "unit", "_sparse")
 
     def __init__(self, dim, mult, unit=None):
         self.dim = dim
         self.mult = _table(dim, mult, BadAlgebra)
-        self.unit = None if unit is None else [Fraction(x) for x in unit]
+        self._sparse = _sparse(self.mult)
+        self.unit = None if unit is None else linalg.exact_vector(unit)
         if self.unit is not None and len(self.unit) != dim:
             raise BadAlgebra("unit has length %d, not %d"
                              % (len(self.unit), dim))
@@ -88,13 +97,13 @@ class AlgebraSC:
                     raise BadAlgebra("unit axiom fails on basis element %d" % i)
 
     def multiply(self, u, v):
-        return _bilinear(self.mult, u, v)
+        return linalg.exact_vector(_bilinear(self._sparse, u, v))
 
     def associativity_witness(self):
         e = [linalg.unit_vector(i, self.dim) for i in range(self.dim)]
+        m, sc = self.mult, self._sparse
         for i, j, k in product(range(self.dim), repeat=3):
-            if self.multiply(self.mult[i][j], e[k]) != \
-                    self.multiply(e[i], self.mult[j][k]):
+            if _bilinear(sc, m[i][j], e[k]) != _bilinear(sc, e[i], m[j][k]):
                 return (i, j, k)
         return None
 
@@ -107,11 +116,12 @@ class AlgebraSC:
 class LieAlgebraSC:
     """Lie algebra by structure constants: [e_i, e_j] = sum_k c[i][j][k] e_k."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_sparse")
 
     def __init__(self, dim, c):
         self.dim = dim
         self.c = _table(dim, c, BadLieAlgebra)
+        self._sparse = _sparse(self.c)
         for i, j in product(range(dim), repeat=2):
             if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
                 raise BadLieAlgebra("not antisymmetric at (%d,%d)" % (i, j))
@@ -121,16 +131,16 @@ class LieAlgebraSC:
         # lexicographic order is a sorted one.
         for i, j, k in combinations(range(dim), 3):
             # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-            jac = [Fraction(0)] * dim
+            jac = [0] * dim
             for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
-                for s, x in enumerate(self.c[a][b]):
-                    if x:
-                        jac = [y + x * z for y, z in zip(jac, self.c[s][t])]
+                for s, x in self._sparse[a][b]:
+                    for r, z in self._sparse[s][t]:
+                        jac[r] += x * z
             if any(jac):
                 raise BadLieAlgebra("Jacobi fails at (%d,%d,%d)" % (i, j, k))
 
     def bracket(self, u, v):
-        return _bilinear(self.c, u, v)
+        return linalg.exact_vector(_bilinear(self._sparse, u, v))
 
 
 def center(A):
@@ -203,11 +213,13 @@ def _commutator(a, b):
 
 def _combination(coeffs, vecs):
     """sum of c * v over coeffs and the equally long vectors vecs."""
-    out = [Fraction(0)] * len(vecs[0])
+    out = [0] * len(vecs[0])
     for c, v in zip(coeffs, vecs):
         if c:
-            out = [a + c * x for a, x in zip(out, v)]
-    return out
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return linalg.exact_vector(out)
 
 
 def _span(rows, n):
@@ -545,6 +557,7 @@ def bott_integral(A, D_ops, I_rows):
     D/D_I, with representative independence verified.
     """
     d = A.dim
+    D_ops = [[linalg.exact_vector(row) for row in X] for X in D_ops]
     der = derivations(A)["basis"]
     k = len(der)
     der_span = linalg.Subspace([_flatten(m) for m in der], d * d)

@@ -12,8 +12,10 @@ coefficient), so parse/print round-trips are exact and byte-stable.
 """
 
 import json
+import re
 from fractions import Fraction
 
+from .linalg import exact
 from .ratpoly import Poly, parse_poly, PolyParseError
 from .multivec import Multivector, GradeMismatch, sort_sign
 from .forms import Form
@@ -91,11 +93,22 @@ def form_to_json(a):
     return dict({"kind": "form"}, **multivector_to_json(a))
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def fraction_from_json(x):
+    """A JSON number or numeric string as an exact value: an int when
+    integral, else a Fraction.  Exactly the text that `Fraction` takes
+    is accepted; plain ASCII digits skip it, since `int` alone would also
+    take forms such as "1_0" that `Fraction` rejects on some Pythons."""
     try:
-        return Fraction(str(x))
+        text = str(x)
+        if _INTEGER.fullmatch(text):
+            return int(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError("bad rational number %r" % (x,))
+    return exact(value)
 
 
 def matrix_from_json(rows, what="matrix"):
@@ -170,13 +183,16 @@ def dump(obj):
 
 
 def str_fractions(x):
-    """Recursively stringify Fractions for JSON output."""
+    """Recursively stringify exact numbers for JSON output.
+
+    A Fraction prints as a string, and so does an int that is an entry
+    of a list or tuple: a coordinate, whether it is held as an int or as
+    a Fraction.  An int that is a dict value (a dim, a rank, a count)
+    stays a number, and so does a bool."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, list):
-        return [str_fractions(v) for v in x]
-    if isinstance(x, tuple):
-        return [str_fractions(v) for v in x]
+    if isinstance(x, (list, tuple)):
+        return [str(v) if type(v) is int else str_fractions(v) for v in x]
     if isinstance(x, dict):
         return {str(k): str_fractions(v) for k, v in x.items()}
     if isinstance(x, Poly):

@@ -18,7 +18,6 @@ check that [mu, .] restricted to the A-multilinear, A-valued maps that
 kill A equals minus the Koszul differential.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -40,7 +39,7 @@ class NonInvolutiveElement(ValueError):
 
 
 def _zero_vec(dim):
-    return [Fraction(0)] * dim
+    return [0] * dim
 
 
 class MultiMap:
@@ -59,7 +58,7 @@ class MultiMap:
                     raise ArityMismatch("tuple %r for arity %d" % (idx, arity))
                 if list(idx) != sorted(set(idx)):
                     raise ValueError("indices %r not strictly increasing" % (idx,))
-                vec = [Fraction(x) for x in vec]
+                vec = linalg.exact_vector(vec)
                 if len(vec) != dim:
                     raise SpaceMismatch("value has wrong length")
                 if any(vec):
@@ -72,7 +71,7 @@ class MultiMap:
 
     @classmethod
     def vector(cls, coords):
-        coords = [Fraction(x) for x in coords]
+        coords = linalg.exact_vector(coords)
         return cls(len(coords), 0, {(): coords})
 
     def is_zero(self):
@@ -94,9 +93,10 @@ class MultiMap:
         out = _zero_vec(self.dim)
         for i, c in enumerate(v):
             if c:
-                w = self.value((i,) + tuple(rest))
-                out = [a + c * b for a, b in zip(out, w)]
-        return out
+                for k, b in enumerate(self.value((i,) + tuple(rest))):
+                    if b:
+                        out[k] += c * b
+        return linalg.exact_vector(out)
 
     def __add__(self, other):
         if self.dim != other.dim:
@@ -117,7 +117,7 @@ class MultiMap:
         return MultiMap(self.dim, self.arity, table)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = linalg.exact(c)
         return MultiMap(self.dim, self.arity,
                         {k: [c * x for x in v] for k, v in self.table.items()})
 
@@ -161,8 +161,9 @@ def comp_product(alpha, beta):
             v = beta.value(inner)
             if not any(v):
                 continue
-            w = alpha.eval_first(v, rest)
-            acc = [a + sgn * b for a, b in zip(acc, w)]
+            for k, b in enumerate(alpha.eval_first(v, rest)):
+                if b:
+                    acc[k] += sgn * b
         if any(acc):
             table[idx] = acc
     return MultiMap(dim, out_arity, table)
@@ -193,7 +194,7 @@ def dmu(mu, alpha):
 def random_multimap(dim, arity, rng, bound=3):
     table = {}
     for idx in combinations(range(dim), arity):
-        vec = [Fraction(rng.randint(-bound, bound)) for _ in range(dim)]
+        vec = [rng.randint(-bound, bound) for _ in range(dim)]
         table[idx] = vec
     return MultiMap(dim, arity, table)
 
@@ -302,7 +303,7 @@ def _form_basis(space, n):
         la = A.left_mult(linalg.unit_vector(a, A.dim))
         for key in keys:
             # omega(a . X_{k0}, rest) - a * omega(key) = 0
-            block = [[Fraction(0)] * nunk for _ in range(A.dim)]
+            block = [[0] * nunk for _ in range(A.dim)]
             av = space.module_action(a, key[0])
             for t in range(d):
                 if av[t]:
@@ -329,8 +330,7 @@ def _embed(space, table, n):
     """Lift an A-valued derivation form into a MultiMap on V."""
     full = {}
     for key, vec in table.items():
-        full[key] = (_zero_vec(space.d_der)
-                     + [Fraction(x) for x in vec])
+        full[key] = _zero_vec(space.d_der) + list(vec)
     return MultiMap(space.dim, n, full)
 
 

@@ -77,3 +77,26 @@ def random_form(n, grade, rng, max_degree=2):
 
 def rng_for(seed):
     return random.Random(seed)
+
+
+def assert_normal_form(x, path="result"):
+    """Every number in x is in linalg's normal form: an int, never a
+    bool, when it is integral, else a Fraction.  Walks lists, tuples,
+    dicts and the public fields of result objects; a bool is allowed
+    as a dict value (a verdict), and None and strings anywhere."""
+    from pforge.ncalg import AlgebraSC, LieAlgebraSC, ConnectionTable
+    from pforge.superalg import MultiMap
+    if isinstance(x, (AlgebraSC, LieAlgebraSC, ConnectionTable, MultiMap)):
+        for name in x.__slots__:
+            if not name.startswith("_"):
+                assert_normal_form(getattr(x, name), "%s.%s" % (path, name))
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            if not isinstance(v, bool):
+                assert_normal_form(v, "%s[%r]" % (path, k))
+    elif isinstance(x, (list, tuple)):
+        for i, v in enumerate(x):
+            assert_normal_form(v, "%s[%d]" % (path, i))
+    elif x is not None and not isinstance(x, str):
+        assert type(x) is int or (type(x) is Fraction
+                                  and x.denominator != 1), (path, x)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -165,6 +167,25 @@ def test_misshapen_subspace_is_an_input_error(args):
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
     assert "Traceback" not in r.stderr
+
+
+def test_reused_parser_matches_fresh_processes():
+    # one process builds its parser once; a usage error, a valid job and
+    # other subcommands after it print what fresh processes print
+    import pforge.cli as cli
+    jobs = [("no-such-command",), ("check", "-i", SO3),
+            ("ncalg", "der", "--algebra", json.dumps(_ALG2)),
+            ("check", "--jobs", "2", "-i", SO3),
+            ("rank", "--format", "text", "-i", PLANE, "--point", "1/2,3"),
+            ("oracle", "super", "--dim", "2", "--trials", "2",
+             "--seed", "3")]
+    for argv in jobs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        fresh = run(*argv)
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):

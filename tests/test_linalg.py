@@ -7,7 +7,7 @@ import pytest
 from pforge import linalg
 from pforge.homology import (block_matrix, poisson_cohomology_dims,
                              LICHNEROWICZ, CANONICAL)
-from conftest import bivector
+from conftest import assert_normal_form, bivector
 from test_homology import _lie_poisson_h
 
 
@@ -272,7 +272,8 @@ def _dot(row, v):
 
 def _compare_with_oracle(m, rng):
     """rref, nullspace, solve, Subspace, intersect and invert of m, given
-    as lists and as dicts, against the dense oracle."""
+    as lists and as dicts, against the dense oracle; every answer is in
+    normal form."""
     n = len(m[0]) if m else 0
     snapshot = [list(row) for row in m]
     dicts = _as_dicts(m)
@@ -280,11 +281,13 @@ def _compare_with_oracle(m, rng):
     assert linalg.rref(m) == want == linalg.rref(dicts, n), m
     kernel = oracle_nullspace(m, n)
     assert linalg.nullspace(m) == kernel == linalg.nullspace(dicts, n), m
+    assert_normal_form([linalg.rref(m), linalg.nullspace(dicts, n)])
     x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
     for rhs in ([_dot(row, x0) for row in m],
                 [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m]):
         sol = oracle_solve(m, rhs, n)
         assert linalg.solve(m, rhs) == sol == linalg.solve(dicts, rhs, n)
+        assert_normal_form(linalg.solve(m, rhs))
     basis, pivots, combos, comp, quot = oracle_subspace(m, n)
     probes = [[sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
                for j in range(n)]
@@ -303,17 +306,24 @@ def _compare_with_oracle(m, rng):
         answers.append((v, member, coords, [_dot(row, v) for row in quot]))
     assert linalg.intersect(m, probes) == oracle_intersect(m, probes) == \
         linalg.intersect(dicts, _as_dicts(probes), n)
+    assert_normal_form(linalg.intersect(m, probes))
     for S in (linalg.Subspace(m, n), linalg.Subspace(dicts, n)):
         assert S.basis == basis == linalg.row_space_basis(m)
         assert S.complement == [linalg.unit_vector(i, n) for i in comp]
+        assert_normal_form([S.basis, S.complement])
         for v, member, coords, image in answers:
             assert S.contains(v) == member
             assert S.coords(v) == coords
             assert S.project(v) == image
+            assert_normal_form([S.coords(v), S.project(v)])
     k = min(len(m), n)
     square = [row[:k] for row in m[:k]]
     assert linalg.invert(square) == oracle_invert(square) == \
         linalg.invert(_as_dicts(square))
+    assert_normal_form(linalg.invert(square))
+    assert_normal_form([linalg.mat_mul(m, linalg.identity(n)),
+                        linalg.mat_vec(m, probes[0]),
+                        linalg.mat_sub(m, snapshot)])
     assert m == snapshot
 
 

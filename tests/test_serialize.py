@@ -97,3 +97,30 @@ def test_algebra_parsers():
     g = serialize.liealg_from_json(
         {"dim": 1, "c": [[[0]]]})
     assert g.dim == 1
+
+
+def _fraction_only(x):
+    """The Fraction-only parser: Fraction(str(x)), or None for the
+    bad-input error."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@pytest.mark.parametrize("x", [
+    "1_0", " 3 ", "+1", "١", "2/1", "1.0", "--1", True, None, False,
+    "-0", "007", "1e2", "0x10", "٣/٤", "3/-4", "1/0", "", "-",
+    7, -12, 2.5, "12345678901234567890", "1" * 5000, "-1/2", " -6/4 "],
+    ids=lambda x: ascii(x)[:24])
+def test_fraction_from_json_agrees_with_fraction(x):
+    # the int fast path takes ASCII digits only, so every input parses
+    # to the value Fraction gives it on this Python, or fails as it does
+    want = _fraction_only(x)
+    if want is None:
+        with pytest.raises(InputError, match="bad rational number"):
+            serialize.fraction_from_json(x)
+        return
+    got = serialize.fraction_from_json(x)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
