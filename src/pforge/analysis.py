@@ -13,7 +13,8 @@ from itertools import combinations, product
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, vf_bracket, jacobiator,
-                       GradeMismatch, all_index_tuples, add_term)
+                       GradeMismatch, all_index_tuples, _width, _degree,
+                       _pack, _wedge)
 from .forms import Form, d_poly, pbracket_of, _check_pair
 
 
@@ -29,15 +30,17 @@ def sharp(p, a):
     n = p.n
     if a.grade == 0:
         return Multivector.from_poly(a.as_poly())
-    fields = [hamiltonian(p, Poly.var(n, i)) for i in range(n)]
+    # each field S_i has coefficients of p's degree, and a term on dx_I
+    # multiplies its coefficient by |I| of them
+    w = _width(_degree(a) + a.grade * _degree(p))
+    fields = [_pack(hamiltonian(p, Poly.var(n, i)), w) for i in range(n)]
     acc = {}
-    for idx, c in a.terms.items():
-        piece = Multivector.from_poly(c)
-        for i in idx:
-            piece = wedge(piece, fields[i])
-        for pidx, pc in piece.terms.items():
-            add_term(acc, pidx, 1, pc)
-    return Multivector.build(n, a.grade, acc)
+    for idx, c in _pack(a, w).items():
+        piece = {(): c}
+        for i in idx[:-1]:
+            piece = _wedge(piece, fields[i], {})
+        _wedge(piece, fields[idx[-1]], acc)
+    return Multivector.build(n, a.grade, acc, w)
 
 
 def hamiltonian(p, f):

@@ -10,11 +10,18 @@ increasing tuples, with no factorial factors; the interior product is
 (i_u a)(y) = a(u ^ y) against that pairing.  The Koszul-Brylinski
 boundary is the operator formula delta = i_p d - d i_p; the coordinate
 expansion on a0*da1^...^dak is kept as an independent cross-check.
+
+`form_d`, `interior` and `delta` run on packed monomials, as the
+operators of `multivec` do (see its docstring): each packs its operands
+once at the width of its result's degree bound, and `delta` composes
+i_p d and d i_p at one width (deg p + deg a) with no unpacking in
+between.
 """
 
 from .ratpoly import Poly
 from .multivec import (Graded, Multivector, add_term, sort_sign,
-                       GradeMismatch, wedge, jacobiator)
+                       GradeMismatch, wedge, jacobiator, _width, _degree,
+                       _pack, _diff)
 
 
 class NonInvolutive(ValueError):
@@ -40,12 +47,19 @@ def _check_pair(a, u):
 
 def form_d(a):
     """Exterior derivative; d(f dx_I) = sum_i (df/dx_i) dx_i ^ dx_I."""
-    acc = {}
-    for idx, c in a.terms.items():
-        for i in range(a.n):
+    w = _width(_degree(a))
+    return Form.build(a.n, a.grade + 1, _form_d(a.n, _pack(a, w), w, {}), w)
+
+
+def _form_d(n, pa, w, acc, scale=1):
+    """Add scale * d of the packed form pa (width w) into acc."""
+    for idx, c in pa.items():
+        for i in range(n):
             if i not in idx:
-                add_term(acc, (i,) + idx, 1, c.diff(i))
-    return Form.build(a.n, a.grade + 1, acc)
+                ci = _diff(c, i, w)
+                if ci:
+                    add_term(acc, (i,) + idx, scale, ci)
+    return acc
 
 
 def d_poly(p):
@@ -60,13 +74,19 @@ def interior(u, a):
         raise GradeMismatch("interior product needs |u| <= |form|")
     if u.grade == 0:
         return a.scale(u.as_poly())
-    acc = {}
-    for iu, cu in u.terms.items():
-        for ia, ca in a.terms.items():
+    w = _width(_degree(u) + _degree(a))
+    return Form.build(a.n, a.grade - u.grade,
+                      _interior(_pack(u, w), _pack(a, w), {}), w)
+
+
+def _interior(pu, pa, acc):
+    """Add i_u a of packed u and a into acc; returns acc."""
+    for iu, cu in pu.items():
+        for ia, ca in pa.items():
             rest = tuple(i for i in ia if i not in iu)
             if len(rest) == len(ia) - len(iu):
                 add_term(acc, rest, sort_sign(iu + rest)[0], cu, ca)
-    return Form.build(a.n, a.grade - u.grade, acc)
+    return acc
 
 
 def pair(a, u):
@@ -98,7 +118,21 @@ def delta(p, a, require_involutive=False):
         raise NonInvolutive("bivector is not involutive; delta^2 = 0 fails")
     if a.grade == 0:
         return Form.zero(a.n, 0)
-    return _interior_p(p, form_d(a)) - form_d(_interior_p(p, a))
+    w = _width(_degree(p) + _degree(a))
+    return Form.build(a.n, a.grade - 1,
+                      _delta(a.n, _pack(p, w), _pack(a, w), a.grade, w), w)
+
+
+def _delta(n, pp, pa, grade, w):
+    """delta of the packed grade-`grade` form pa, for the packed
+    bivector pp, as a fresh packed accumulator; both terms are composed
+    at width w without unpacking in between."""
+    if grade == 0:
+        return {}
+    acc = _interior(pp, _form_d(n, pa, w, {}), {})
+    if grade >= 2:
+        _form_d(n, _interior(pp, pa, {}), w, acc, -1)
+    return acc
 
 
 def pbracket_of(p, f, g):

@@ -9,16 +9,25 @@ splits both complexes into finite blocks:
 Both differentials shift the weight by d - 2, which is asserted when
 blocks are assembled.  Dimensions of (co)homology come out of exact
 kernel/rank counts on the block matrices; nothing is ever estimated.
+
+Blocks are read off Leibniz tables of the differential, one per
+(complex, grade), built by the packed kernels of `multivec` and `forms`
+on one-term elements.  Table entries, column shifts and the target
+position map all use packed keys: the target index tuple's position
+above the n packed exponents (w bits each), so shifting an entry by a
+monomial is one int add.  w is the bit length of the largest target
+coefficient degree (at least d + 1, the degree a table reaches):
+a dimension table fixes one w for all its blocks, and a standalone
+`block_matrix` uses its own.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import lshift
 
 from . import linalg
-from .ratpoly import Poly
-from .multivec import (Multivector, all_index_tuples, jacobiator,
-                       lichnerowicz_dp, GradeMismatch)
-from .forms import Form, delta, NonInvolutive
+from .multivec import (all_index_tuples, jacobiator, GradeMismatch, _width,
+                       _pack, _schouten)
+from .forms import NonInvolutive, _delta
 
 
 class NonHomogeneous(ValueError):
@@ -69,18 +78,28 @@ def monomials(n, deg):
     return sorted(out)
 
 
+def _source_degree(complex_kind, grade, weight):
+    """Coefficient degree of the basis elements of block (grade, weight)."""
+    if complex_kind == LICHNEROWICZ:
+        return weight + grade
+    if complex_kind == CANONICAL:
+        return weight - grade
+    raise ValueError("unknown complex %r" % (complex_kind,))
+
+
+def _block_parts(n, complex_kind, grade, weight):
+    """The index tuples and the exponent tuples whose products span
+    block (grade, weight), each in canonical order."""
+    deg = _source_degree(complex_kind, grade, weight)
+    if deg < 0 or grade < 0 or grade > n:
+        return [], []
+    return all_index_tuples(n, grade), monomials(n, deg)
+
+
 def block_basis(n, complex_kind, grade, weight):
     """Ordered (index tuple, exponent tuple) pairs spanning block (k, w)."""
-    if complex_kind == LICHNEROWICZ:
-        deg = weight + grade
-    elif complex_kind == CANONICAL:
-        deg = weight - grade
-    else:
-        raise ValueError("unknown complex %r" % (complex_kind,))
-    if deg < 0 or grade < 0 or grade > n:
-        return []
-    mons = monomials(n, deg)
-    return [(idx, e) for idx in all_index_tuples(n, grade) for e in mons]
+    idxs, mons = _block_parts(n, complex_kind, grade, weight)
+    return [(idx, e) for idx in idxs for e in mons]
 
 
 class WeightBlock:
@@ -110,7 +129,24 @@ class WeightBlock:
         return m
 
 
-def _leibniz_tables(p, complex_kind, grade):
+def _table_width(d, top):
+    """Packing width for the tables and blocks of a degree-d bivector
+    whose largest target coefficient degree is top.  Building a table
+    reaches degree d + 1 (D applied to x_j e_I), and every shifted
+    table entry has exactly its block's target degree."""
+    return _width(max(top, d + 1))
+
+
+def _index_keys(n, grade, w):
+    """{index tuple: its position among the grade's tuples, shifted
+    past the n packed exponents}: the high part of a packed key."""
+    if grade < 0:
+        return {}
+    return {idx: i << (w * n)
+            for i, idx in enumerate(all_index_tuples(n, grade))}
+
+
+def _leibniz_tables(p, complex_kind, grade, w):
     """The differential D of the complex on one grade, as tables that
     fix its value on every polynomial coefficient.
 
@@ -118,27 +154,37 @@ def _leibniz_tables(p, complex_kind, grade):
     sum_j (df/dx_j) (D(x_j u) - x_j D(u)), so for each index tuple I of
     the grade it is enough to know T0 = D(e_I) and, for each variable j,
     T_j = D(x_j e_I) - x_j D(e_I).  Maps I to (T0, [T_0, ..., T_{n-1}]),
-    each a sparse {(target index tuple, exponent tuple): value} dict.
+    each a sparse {packed key: value} dict, where a packed key is the
+    target index tuple's `_index_keys` part plus the width-w packed
+    exponent: multiplying an entry by x^e is one int add.  p is packed
+    once, and D runs as the packed kernel on one-term elements.
     """
     n = p.n
+    pp = _pack(p, w)
     if complex_kind == LICHNEROWICZ:
-        op, kind = lichnerowicz_dp, Multivector
-    else:
-        op, kind = delta, Form
+        tgrade = grade + 1
 
-    def image(idx, e):
-        y = op(p, kind(n, grade, {idx: Poly(n, {e: 1})}))
-        return {(t, f): v for t, c in y.terms.items()
-                for f, v in c.terms.items()}
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        def image(idx, mono):
+            return _schouten(2, pp, {idx: {mono: 1}}, w, {})
+    else:
+        tgrade = grade - 1
+
+        def image(idx, mono):
+            return _delta(n, pp, {idx: {mono: 1}}, grade, w)
+    high = _index_keys(n, tgrade, w)
+
+    def flat(acc):
+        return {high[t] + e: v for t, terms in acc.items()
+                for e, v in terms.items() if v}
+    units = [1 << (w * j) for j in range(n)]
     tables = {}
     for idx in all_index_tuples(n, grade):
-        t0 = image(idx, (0,) * n)
+        t0 = flat(image(idx, 0))
         firsts = []
-        for j, unit in enumerate(units):
-            tj = image(idx, unit)
-            for (t, f), v in t0.items():
-                key = (t, tuple(map(add, f, unit)))
+        for unit in units:
+            tj = flat(image(idx, unit))
+            for key, v in t0.items():
+                key += unit
                 x = tj.get(key, 0) - v
                 if x:
                     tj[key] = x
@@ -149,67 +195,99 @@ def _leibniz_tables(p, complex_kind, grade):
     return tables
 
 
-def block_matrix(p, complex_kind, grade, weight, _tables=None):
+def block_matrix(p, complex_kind, grade, weight, _tables=None,
+                 _min_width=None):
     """Exact differential on block (grade, weight), as sparse columns.
 
     Columns are indexed by the source block basis, their entries by the
     target basis.  The column of x^e e_I is read off the Leibniz tables
     of the grade (`_leibniz_tables`): T0 with its exponents shifted by e,
-    plus e_j T_j shifted by e - 1_j for every j with e_j > 0.  `_tables`
-    is a {grade: tables} dict that keeps them across the blocks of one
-    p and complex.  The Jacobi identity is not checked here.
+    plus e_j T_j shifted by e - 1_j for every j with e_j > 0.  Keys,
+    shifts and the target position map are packed at one width, so each
+    shift is one int add.  The width is the block's own (from its target
+    degree), or the larger `_min_width` that a dimension table fixes for
+    all its blocks.  `_tables` is a {(grade, width): tables} dict that keeps
+    the tables across the blocks of one p and complex.  The Jacobi
+    identity is not checked here.
     """
     d = _bivector_degree(p)
     n = p.n
-    basis = block_basis(n, complex_kind, grade, weight)
+    idxs, mons = _block_parts(n, complex_kind, grade, weight)
+    basis = [(idx, e) for idx in idxs for e in mons]
     if complex_kind == LICHNEROWICZ:
         tgrade = grade + 1
     else:
         tgrade = grade - 1
     tweight = weight + d - 2
-    target = block_basis(n, complex_kind, tgrade, tweight)
+    tidxs, tmons = _block_parts(n, complex_kind, tgrade, tweight)
+    target = [(t, e) for t in tidxs for e in tmons]
     if not basis:
         return WeightBlock(grade, weight, basis, target, [])
+    deg = _source_degree(complex_kind, grade, weight)
+    w = max(_table_width(d, deg + d - 1), _min_width or 0)
     if _tables is None:
         _tables = {}
-    tables = _tables.get(grade)
+    tables = _tables.get((grade, w))
     if tables is None:
-        tables = _tables[grade] = _leibniz_tables(p, complex_kind, grade)
-    pos = {key: i for i, key in enumerate(target)}
+        tables = _tables[grade, w] = _leibniz_tables(p, complex_kind,
+                                                     grade, w)
+    shifts = range(0, w * n, w)
+    high = _index_keys(n, tgrade, w)
+    packed = [sum(map(lshift, e, shifts)) for e in tmons]
+    pos = {}
+    for t in tidxs:
+        for pe in packed:
+            pos[high[t] + pe] = len(pos)
+    units = [1 << s for s in shifts]
     cols = []
-    for idx, e in basis:
+    for idx in idxs:
         t0, firsts = tables[idx]
-        parts = [(t0, e, 1)]
-        parts += [(firsts[j], e[:j] + (ej - 1,) + e[j + 1:], ej)
-                  for j, ej in enumerate(e) if ej]
-        col, stray = {}, {}
-        for table, shift, m in parts:
-            for (t, f), v in table.items():
-                key = t, tuple(map(add, f, shift))
-                i = pos.get(key)
-                if i is None:
-                    stray[key] = stray.get(key, 0) + m * v
-                else:
-                    col[i] = col.get(i, 0) + m * v
-        for key, v in stray.items():
-            if v:
-                raise AssertionError(
-                    "differential left the expected (grade, weight) block "
-                    "at %r (%s, k=%d, w=%d)" % (key, complex_kind, grade,
-                                                weight))
-        cols.append({i: v for i, v in col.items() if v})
+        for e in mons:
+            pe = sum(map(lshift, e, shifts))
+            parts = [(t0, pe, 1)]
+            parts += [(firsts[j], pe - units[j], ej)
+                      for j, ej in enumerate(e) if ej]
+            col, stray = {}, {}
+            for table, shift, m in parts:
+                for key, v in table.items():
+                    key += shift
+                    i = pos.get(key)
+                    if i is None:
+                        stray[key] = stray.get(key, 0) + m * v
+                    else:
+                        col[i] = col.get(i, 0) + m * v
+            for key, v in stray.items():
+                if v:
+                    raise AssertionError(
+                        "differential left the expected (grade, weight) "
+                        "block at %r (%s, k=%d, w=%d)"
+                        % (_unpack_key(key, n, tgrade, w), complex_kind,
+                           grade, weight))
+            cols.append({i: v for i, v in col.items() if v})
     return WeightBlock(grade, weight, basis, target, cols)
 
 
-def _ranked_blocks(p, complex_kind):
+def _unpack_key(key, n, grade, w):
+    """(index tuple, exponent tuple) of a packed block key."""
+    tuples = all_index_tuples(n, grade)
+    mask = (1 << w) - 1
+    return (tuples[key >> (w * n)],
+            tuple(key >> s & mask for s in range(0, w * n, w)))
+
+
+def _ranked_blocks(p, complex_kind, d, max_degree):
     """(grade, weight) -> (block dimension, rank of the differential),
-    assembling and ranking each block once."""
+    assembling and ranking each block once.  One packing width, from
+    the largest source coefficient degree max_degree of the dimension
+    table, serves every block, so the tables of each grade are built
+    once."""
     memo, tables = {}, {}
+    w = _table_width(d, max_degree + d - 1)
 
     def dim_rank(grade, weight):
         if (grade, weight) not in memo:
             blk = block_matrix(p, complex_kind, grade, weight,
-                               _tables=tables)
+                               _tables=tables, _min_width=w)
             memo[grade, weight] = len(blk.basis), linalg.rank(blk.columns)
         return memo[grade, weight]
     return dim_rank
@@ -222,8 +300,12 @@ def poisson_cohomology_dims(p, max_grade, max_weight):
     rank_out, dim_H} in canonical order.  Multivector weights run from
     -grade (grade with constant coefficients) up to max_weight.
     """
-    shift = check_structure(p) - 2
-    dim_rank = _ranked_blocks(p, LICHNEROWICZ)
+    d = check_structure(p)
+    shift = d - 2
+    # coefficient degrees reach max_weight + max_grade, and one more in
+    # the rank_in blocks of a constant p
+    dim_rank = _ranked_blocks(p, LICHNEROWICZ, d,
+                              max_weight + max_grade + int(d == 0))
     rows = []
     for k in range(max_grade + 1):
         for w in range(-k, max_weight + 1):
@@ -240,8 +322,11 @@ def canonical_homology_dims(p, max_grade, max_weight):
 
     Form weights start at the grade (constant coefficients).
     """
-    shift = check_structure(p) - 2
-    dim_rank = _ranked_blocks(p, CANONICAL)
+    d = check_structure(p)
+    shift = d - 2
+    # coefficient degrees reach max_weight, and one more in the rank_in
+    # blocks of a constant p
+    dim_rank = _ranked_blocks(p, CANONICAL, d, max_weight + int(d == 0))
     rows = []
     for k in range(max_grade + 1):
         for w in range(k, max_weight + 1):

@@ -22,10 +22,25 @@ Sign conventions (normative for the whole package)
 * Consequences used everywhere else: ([p, f])(g) = {f, g} = p(df, dg),
   the coboundary d_P = [p, .] raises grade by one, and d_P(f) is the
   Hamiltonian field X_f.
+
+Packed monomials (the operators' working form)
+----------------------------------------------
+Inside the graded operators a monomial is one int: exponent e_i sits
+in bits [w*i, w*(i+1)).  A product of monomials is then one int add and
+d/dx_i one shift, one mask and one subtraction.  Each public operator
+picks w once, as the bit length of its result's degree bound (the sum
+of its operands' largest total degrees, `_width`).  No exponent of an
+operand or of the result exceeds that bound, so no field ever carries
+into the next, whatever the degrees; there is no cap and no other
+route.  An operator packs its operands once (`_pack`: {idx: {packed
+monomial: coefficient}}), its kernel (`_wedge`, `_schouten`, and in
+`forms` `_form_d`, `_interior`, `_delta`) multiplies through `add_term`
+into packed accumulators, and `Graded.build` unpacks each output
+monomial once.  `Poly` keeps its exponent-tuple keys throughout.
 """
 
 from itertools import combinations
-from operator import add
+from operator import lshift
 
 from .ratpoly import Poly, DimensionMismatch, _poly
 
@@ -44,34 +59,67 @@ def sort_sign(idx):
     return (-1) ** inv, tuple(sorted(idx))
 
 
+def _width(deg):
+    """Bits per exponent for an operator whose result has total degree
+    at most deg.  No exponent of its operands or result exceeds deg <
+    2**w, so packed exponents never carry into a neighbour."""
+    return max(deg, 1).bit_length()
+
+
+def _degree(u):
+    """Largest total degree among u's coefficients (0 when u is zero)."""
+    return max((max(map(sum, c.terms)) for c in u.terms.values()),
+               default=0)
+
+
+def _pack_poly(p, w):
+    """{packed monomial: coefficient} of a Poly: exponent e_i goes in
+    bits [w*i, w*(i+1)) of one int."""
+    shifts = range(0, w * p.n, w)
+    return {sum(map(lshift, e, shifts)): c for e, c in p.terms.items()}
+
+
+def _pack(u, w):
+    """The packed element {idx: {packed monomial: coefficient}} of u."""
+    return {idx: _pack_poly(c, w) for idx, c in u.terms.items()}
+
+
+def _diff(f, i, w):
+    """d/dx_i of a packed term dict: per monomial one shift and mask to
+    read e_i, one subtraction to lower it."""
+    s = w * i
+    mask, one = (1 << w) - 1, 1 << s
+    return {e - one: k * c for e, c in f.items() if (k := e >> s & mask)}
+
+
 def add_term(acc, idx, scale, f, g=None):
     """Add scale * f * g (scale * f when g is None) on the basis element
-    of the index tuple idx; f and g are Polys, scale a nonzero exact
+    of the index tuple idx; f and g are packed term dicts
+    {packed monomial: coefficient} of one width, scale a nonzero exact
     number.
 
-    acc maps increasing tuples to {exponent tuple: coefficient}
-    accumulators; the products are multiplied straight into them, and
-    no Poly is formed per term.  Zeros stay in the accumulators until
-    `Graded.build` drops them and builds each coefficient Poly once.
-    idx may be unsorted: its sorting sign is folded in, and an idx with
-    a repeated index adds nothing."""
+    acc maps increasing tuples to packed {monomial: coefficient}
+    accumulators; a monomial product is one int add, and no Poly or
+    exponent tuple is formed per term.  Zeros stay in the accumulators
+    until `Graded.build` drops them.  idx may be unsorted: its sorting
+    sign is folded in, and an idx with a repeated index adds nothing."""
     s, key = sort_sign(idx)
     if not s:
         return
     k = s * scale
-    a = f.terms if k == 1 else {e: k * c for e, c in f.terms.items()}
+    if k != 1:
+        f = {e: k * c for e, c in f.items()}
     out = acc.get(key)
     if out is None:
         out = acc[key] = {}
     get = out.get
     if g is None:
-        for e, c in a.items():
+        for e, c in f.items():
             out[e] = get(e, 0) + c
         return
-    b = g.terms
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
 
 
@@ -120,12 +168,16 @@ class Graded:
         return g
 
     @classmethod
-    def build(cls, n, grade, acc):
-        """The element whose coefficients are the accumulators that
-        `add_term` filled: zeros dropped, each Poly built once."""
+    def build(cls, n, grade, acc, w):
+        """The element whose coefficients are the width-w packed
+        accumulators that `add_term` filled: zeros dropped, each
+        monomial unpacked and each Poly built once."""
+        mask = (1 << w) - 1
+        shifts = range(0, w * n, w)
         polys = {}
         for idx, terms in acc.items():
-            terms = {e: c for e, c in terms.items() if c}
+            terms = {tuple([e >> s & mask for s in shifts]): c
+                     for e, c in terms.items() if c}
             if terms:
                 polys[idx] = _poly(n, terms)
         return cls._trusted(n, grade, polys)
@@ -228,11 +280,17 @@ def wedge(u, v):
         return v.scale(u.as_poly())
     if v.grade == 0:
         return u.scale(v.as_poly())
-    acc = {}
-    for iu, cu in u.terms.items():
-        for iv, cv in v.terms.items():
+    w = _width(_degree(u) + _degree(v))
+    return type(u).build(u.n, u.grade + v.grade,
+                         _wedge(_pack(u, w), _pack(v, w), {}), w)
+
+
+def _wedge(pu, pv, acc):
+    """Add the wedge of two packed elements into acc; returns acc."""
+    for iu, cu in pu.items():
+        for iv, cv in pv.items():
             add_term(acc, iu + iv, 1, cu, cv)
-    return type(u).build(u.n, u.grade + v.grade, acc)
+    return acc
 
 
 def vf_bracket(x, y):
@@ -272,24 +330,32 @@ def schouten(u, v):
     n, m = u.n, u.grade
     if m == 0 and v.grade == 0:
         return Multivector.zero(n, 0)
-    acc = {}
+    w = _width(_degree(u) + _degree(v))
+    return Multivector.build(n, m + v.grade - 1,
+                             _schouten(m, _pack(u, w), _pack(v, w), w, {}),
+                             w)
+
+
+def _schouten(m, pu, pv, w, acc):
+    """Add the two sums of `schouten` for packed elements of width w,
+    pu of grade m, into acc; returns acc."""
     du, dv = {}, {}     # partial derivatives, each taken once
-    for iu, f in u.terms.items():
-        for iv, g in v.terms.items():
+    for iu, f in pu.items():
+        for iv, g in pv.items():
             for a, i in enumerate(iu):
                 gi = dv.get((iv, i))
                 if gi is None:
-                    gi = dv[iv, i] = g.diff(i)
-                if gi.terms:
+                    gi = dv[iv, i] = _diff(g, i, w)
+                if gi:
                     add_term(acc, iu[:a] + iu[a + 1:] + iv, (-1) ** a, f, gi)
             for b, j in enumerate(iv):
                 fj = du.get((iu, j))
                 if fj is None:
-                    fj = du[iu, j] = f.diff(j)
-                if fj.terms:
+                    fj = du[iu, j] = _diff(f, j, w)
+                if fj:
                     add_term(acc, iu + iv[:b] + iv[b + 1:], (-1) ** (m + b),
                              g, fj)
-    return Multivector.build(n, m + v.grade - 1, acc)
+    return acc
 
 
 def lichnerowicz_dp(p, u):

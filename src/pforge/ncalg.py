@@ -301,17 +301,20 @@ def _sub_basis(span_rows, residual):
             for c in linalg.nullspace(mat, ncols=len(span_rows))]
 
 
-def ideal_derivations(A, I_rows):
+def ideal_derivations(A, I_rows, _der=None):
     """Der_I(A), Der_I(A)_0 and the restriction matrix r_I.
 
     Der_I preserves the ideal; Der_I_0 maps everything into it.  The
-    kernel of r_I is verified to equal Der_I(A)_0 exactly.
+    kernel of r_I is verified to equal Der_I(A)_0 exactly.  `_der` is
+    the basis of Der(A) when the caller already has it.
     """
     witness = check_ideal(A, I_rows)
     if witness is not None:
         raise NotAnIdeal("not a two-sided ideal, witness %r" % (witness,))
     d = A.dim
-    der = [_flatten(m) for m in derivations(A)["basis"]]
+    if _der is None:
+        _der = derivations(A)["basis"]
+    der = [_flatten(m) for m in _der]
     ideal = linalg.Subspace(I_rows, d)
     der_i = _sub_basis(der, _images(ideal.basis, d, ideal.project))
     der_i0 = _sub_basis(der, _images(linalg.identity(d), d, ideal.project))
@@ -336,10 +339,11 @@ def ideal_derivations(A, I_rows):
             "proj": proj, "section": section}
 
 
-def submanifold_check(A, I_rows):
+def submanifold_check(A, I_rows, _der=None):
     """r_I surjective onto Der(A/I)?  Report with ranks and witnesses,
-    alongside everything `ideal_derivations` returns."""
-    info = ideal_derivations(A, I_rows)
+    alongside everything `ideal_derivations` returns (which takes
+    `_der`)."""
+    info = ideal_derivations(A, I_rows, _der=_der)
     target_dim = len(info["der_quotient"])
     r = linalg.rank(info["r_I"])
     return dict(info, submanifold=r == target_dim, rank_r_I=r,
@@ -578,7 +582,7 @@ def bott_integral(A, D_ops, I_rows):
                 problems.append("D[%d] does not preserve I" % i)
     if problems:
         return {"integral": False, "problems": sorted(set(problems))}
-    info = submanifold_check(A, I_rows)
+    info = submanifold_check(A, I_rows, _der=der)
     if not info["submanifold"]:
         return {"integral": False,
                 "problems": ["A/I is not a submanifold algebra"]}

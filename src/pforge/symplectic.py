@@ -20,7 +20,8 @@ from math import factorial
 
 from . import linalg
 from .ratpoly import Poly
-from .multivec import all_index_tuples, sort_sign, add_term, GradeMismatch
+from .multivec import (all_index_tuples, sort_sign, add_term, GradeMismatch,
+                       _width, _degree, _pack)
 from .forms import Form, form_wedge
 
 
@@ -39,7 +40,7 @@ class OddDimension(ValueError):
 def bivector_matrix(p):
     """Antisymmetric n x n matrix with M[i][j] = {x_i, x_j} for constant p."""
     n = p.n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for (i, j), c in p.terms.items():
         if not c.is_constant():
             raise NotConstantCoefficient(
@@ -80,7 +81,7 @@ class SymplecticContext:
         """Determinant pairing <dx_A, dx_B>_k = det[ p(a_i, b_j) ]."""
         k = len(idx_a)
         if k == 0:
-            return Fraction(1)
+            return 1
         minor = [[self.pmat[ia][jb] for jb in idx_b] for ia in idx_a]
         return _det(minor)
 
@@ -107,7 +108,7 @@ class SymplecticContext:
         src = all_index_tuples(n, k)
         dst = all_index_tuples(n, n - k)
         vc = self.vol.coeff(tuple(range(n))).constant_term()
-        aug = [[Fraction(sort_sign(beta + gamma)[0]) for gamma in dst]
+        aug = [[sort_sign(beta + gamma)[0] for gamma in dst]
                + [self.pairing_basis(alpha, beta) * vc for alpha in src]
                for beta in src]
         red, pivots = linalg.rref(aug)
@@ -123,31 +124,42 @@ class SymplecticContext:
         if not 0 <= k <= self.n:
             raise GradeMismatch("grade out of range")
         src, dst, cols = self._star_matrix(k)
+        w = _width(_degree(a))
         acc = {}
         pos = {idx: i for i, idx in enumerate(src)}
-        for idx, c in a.terms.items():
+        for idx, c in _pack(a, w).items():
             col = cols[pos[idx]]
             for j, gamma in enumerate(dst):
                 if col[j]:
                     add_term(acc, gamma, col[j], c)
-        return Form.build(self.n, self.n - k, acc)
+        return Form.build(self.n, self.n - k, acc, w)
 
 
 def _det(m):
-    """Determinant by exact Fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(len(m)):
-        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
+
+    Each step's division by the previous pivot is exact, so integral
+    entries stay ints all the way (`//`); any other entries divide as
+    Fractions.  The result is an int when integral, else a Fraction."""
+    m = [list(row) for row in m]
+    k = len(m)
+    integral = all(type(x) is int for row in m for x in row)
+    sign, prev = 1, 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
-            m[c], m[piv], det = m[piv], m[c], -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+            m[c], m[piv], sign = m[piv], m[c], -sign
+        top = m[c]
+        pc = top[c]
+        for row in m[c + 1:]:
+            rc = row[c]
+            for j in range(c + 1, k):
+                x = pc * row[j] - rc * top[j]
+                row[j] = x // prev if integral else Fraction(x) / prev
+        prev = pc
+    return linalg.exact(sign * prev)
 
 
 def make_context(p):

@@ -143,3 +143,100 @@ def test_scaling_by_fractions_keeps_the_invariant(grade):
         got = u.scale(s)
         assert_same(got, {i: c * s for i, c in ref.from_graded(u).items()})
     assert u.scale(0).is_zero()
+
+
+# -- packed monomials ---------------------------------------------------
+#
+# The graded operators pack each exponent tuple into one int, w bits per
+# variable, with w the bit length of the result's degree bound.  These
+# cases put exponents on that bound, far past one byte, and on n = 1 and
+# n = 9, where a carry out of one variable would land in the next.
+
+
+def high_poly(n, rng, lo, hi, terms=2):
+    """Terms with a few large exponents and a mixed coefficient."""
+    acc = {}
+    for _ in range(terms):
+        e = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            e[i] = rng.randint(lo, hi)
+        acc[tuple(e)] = acc.get(tuple(e), 0) + rng.choice(COEFFS)
+    return Poly(n, acc)
+
+
+def high_graded(cls, n, grade, rng, lo, hi, every=1):
+    return cls(n, grade, {idx: high_poly(n, rng, lo, hi)
+                          for k, idx in enumerate(all_index_tuples(n, grade))
+                          if k % every == 0})
+
+
+def check_operators(n, u, v, a, p):
+    """Every packed operator on these operands against the reference."""
+    ru, rv, ra, rp = map(ref.from_graded, (u, v, a, p))
+    m, k = u.grade, v.grade
+    assert_same(wedge(u, v), ref.wedge(n, ru, rv))
+    if m + k >= 1:
+        assert_same(schouten(u, v), ref.schouten(n, m, ru, rv))
+    assert_same(form_d(a), ref.form_d(n, ra))
+    if m <= a.grade:
+        assert_same(interior(u, a), ref.interior(n, ru, ra))
+    assert_same(delta(p, a), ref.delta(n, rp, ra, a.grade))
+
+
+def test_width_is_the_bit_length_of_the_degree_bound():
+    from pforge.multivec import _width
+    assert [_width(d) for d in (0, 1, 2, 3, 255, 256, 511, 512)] == \
+        [1, 1, 2, 2, 8, 9, 9, 10]
+
+
+def test_exponent_on_the_width_bound():
+    # x0^128 * x0^128: degree bound 256, so w = 9 and the product's
+    # exponent 256 = 2**8 fills the top bit of its field exactly
+    from pforge.multivec import _width
+    assert _width(128 + 128) == 9
+    for n in (1, 2, 9):
+        x128 = Poly.var(n, 0, 128)
+        u = Multivector(n, 1, {(0,): x128 * Fraction(1, 2)})
+        a = Form(n, 1, {(0,): x128 * 3})
+        got = interior(u, a)
+        assert got.terms == {(): Poly(n, {(256,) + (0,) * (n - 1):
+                                          Fraction(3, 2)})}
+        assert_same(got, ref.interior(n, ref.from_graded(u),
+                                      ref.from_graded(a)))
+        if n > 1:
+            # a carry out of x0's field would turn x0^256 into x1
+            v = Multivector(n, 1, {(n - 1,): Poly.var(n, 0, 128)})
+            w = wedge(u, v)
+            assert w.terms == {(0, n - 1): Poly(
+                n, {(256,) + (0,) * (n - 1): Fraction(1, 2)})}
+            ds = schouten(Multivector(n, 1, {(0,): Poly.var(n, 0, 129)}),
+                          Multivector(n, 0, {(): Poly.var(n, 0, 128)}))
+            assert ds.terms == {(): Poly(n, {(256,) + (0,) * (n - 1): 128})}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_large_exponents_match_the_reference(n):
+    rng = rng_for(76 + n)
+    for _ in range(8):
+        m, k = rng.randint(0, n), rng.randint(0, n)
+        u = high_graded(Multivector, n, m, rng, 256, 700)
+        v = high_graded(Multivector, n, k, rng, 0, 300)
+        a = high_graded(Form, n, rng.randint(0, n), rng, 200, 520)
+        p = high_graded(Multivector, n, 2, rng, 250, 260)
+        check_operators(n, u, v, a, p)
+
+
+def test_nine_variables_match_the_reference():
+    # sparse operands on Q^9: every other basis tuple, low and high
+    # exponents mixed, so neighbouring fields of a packed monomial fill
+    n = 9
+    rng = rng_for(80)
+    for lo, hi in ((0, 3), (120, 140), (250, 300)):
+        for _ in range(3):
+            m, k = rng.randint(0, 2), rng.randint(1, 2)
+            u = high_graded(Multivector, n, m, rng, lo, hi, every=5)
+            v = high_graded(Multivector, n, k, rng, lo, hi, every=7)
+            a = high_graded(Form, n, rng.randint(1, 3), rng, lo, hi,
+                            every=9)
+            p = high_graded(Multivector, n, 2, rng, lo, hi, every=6)
+            check_operators(n, u, v, a, p)

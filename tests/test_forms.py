@@ -65,6 +65,18 @@ def test_delta_squares_to_zero_when_involutive():
         assert delta(so3, delta(so3, a)).is_zero()
 
 
+def test_delta_lowers_the_grade_by_one_even_when_zero():
+    # delta of an exact 1-form vanishes; the zero is a 0-form
+    so3 = bivector(3, {(0, 1): "x2", (1, 2): "x0", (0, 2): "-x1"})
+    rng = rng_for(16)
+    for k in range(1, 4):
+        for a in (random_form(3, k, rng), form_d(random_form(3, k - 1, rng)),
+                  Form.zero(3, k)):
+            assert delta(so3, a).grade == k - 1
+    closed = delta(so3, d_poly(parse_poly("x0^2 + x1*x2", 3)))
+    assert closed.is_zero() and closed.grade == 0
+
+
 def test_delta_anticommutes_with_d():
     # d delta + delta d = 0 holds identically, Jacobi or not
     p = bivector(3, {(0, 1): "1", (0, 2): "-x0"})

@@ -134,6 +134,46 @@ def test_leibniz_columns_match_the_per_column_route(name):
                     assert blk.basis == block_basis(p.n, kind, k, w)
 
 
+def test_so3_blocks_match_the_per_column_route_across_widths():
+    # W = 14 takes the target degree of so(3)'s blocks to 17, so the
+    # packing width of a standalone block grows from 2 to 5 bits; a
+    # table shared across those weights must never be read at a stale
+    # width
+    p = bivector(*STRUCTURES["so3"])
+    for kind, widths in ((LICHNEROWICZ, {2, 3, 4, 5}),
+                         (CANONICAL, {2, 3, 4})):
+        tables = {}
+        for k in range(p.n + 1):
+            for w in range(-k, 15):
+                want = oracle_columns(p, kind, k, w)
+                for blk in (block_matrix(p, kind, k, w),
+                            block_matrix(p, kind, k, w, _tables=tables)):
+                    assert blk.columns == want, (kind, k, w)
+        assert {width for _, width in tables} == widths
+
+
+def test_dims_build_each_grade_table_once_at_one_width(so3, monkeypatch):
+    built = []
+    real = homology._leibniz_tables
+
+    def counted(p, kind, grade, w):
+        built.append((grade, w))
+        return real(p, kind, grade, w)
+    monkeypatch.setattr(homology, "_leibniz_tables", counted)
+    # H(so3) (x) Cas(so3): H(so3) has dims 1, 0, 0, 1 and the Casimirs
+    # are the powers of x0^2 + x1^2 + x2^2
+    rows = poisson_cohomology_dims(so3, 3, 14)
+    for r in rows:
+        assert r["dim_H"] == _lie_poisson_h({0: 1, 3: 1}, (2,),
+                                            r["grade"], r["weight"]), r
+    assert sorted(g for g, _ in built) == [0, 1, 2, 3]
+    assert {w for _, w in built} == {5}
+    del built[:]
+    canonical_homology_dims(so3, 3, 14)
+    assert sorted(g for g, _ in built) == [0, 1, 2, 3]
+    assert len({w for _, w in built}) == 1
+
+
 def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
                                                             monkeypatch):
     jacobiators, blocks = [], []

@@ -273,6 +273,28 @@ def test_bott_integral_zero_ideal():
     assert rep["integral"]
 
 
+def test_bott_integral_computes_der_a_once(monkeypatch):
+    # bott_integral hands its Der(A) basis to submanifold_check, so
+    # Der(A) is solved once; Der(A/I) is solved once more for the quotient
+    from pforge import ncalg
+    calls = []
+    real = ncalg.derivations
+
+    def counted(B):
+        calls.append(B)
+        return real(B)
+    monkeypatch.setattr(ncalg, "derivations", counted)
+    A = truncated3()
+    tddt = _op(3, {1: [(1, 1)], 2: [(2, 2)]})
+    for ideal, ops in ((F([[0, 1, 0], [0, 0, 1]]), [tddt]),
+                       (F([[0, 0, 1]]), [tddt]), ([], [tddt])):
+        del calls[:]
+        rep = bott_integral(A, ops, ideal)
+        assert "matrices" in rep
+        assert sum(B is A for B in calls) == 1
+        assert len(calls) == 2
+
+
 def _full_jacobi_verdict(dim, c):
     """The message of the check over all d^3 ordered triples, run after
     the antisymmetry check, as LieAlgebraSC once did; None if it passes."""

@@ -7,7 +7,7 @@ from pforge.forms import Form, form_wedge, form_d, delta
 from pforge.multivec import sort_sign
 from pforge.symplectic import (make_context, DegenerateBivector, OddDimension,
                                NotConstantCoefficient, _det)
-from conftest import bivector, random_form, rng_for
+from conftest import bivector, random_form, rng_for, assert_normal_form
 
 R2 = bivector(2, {(0, 1): "1"})
 R4 = bivector(4, {(0, 1): "1", (2, 3): "1"})
@@ -100,22 +100,35 @@ def permutation_det(m):
 def test_det_matches_permutation_expansion():
     rng = rng_for(25)
     checked = 0
-    for k in range(7):
-        for _ in range(30):
-            m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                  if rng.random() < 0.6 else Fraction(0)
-                  for _ in range(k)] for _ in range(k)]
-            if k >= 2 and rng.random() < 0.3:
-                # a dependent row: the determinant must come out zero
-                r, s = rng.sample(range(k), 2)
-                m[r] = [2 * x for x in m[s]]
-            got = _det(m)
-            assert got == permutation_det(m), m
-            checked += 1
-    assert checked == 210
-    # a pivot swap flips the sign; integer entries stay exact
+
+    def entry(integral):
+        if rng.random() >= 0.6:
+            return 0 if integral else Fraction(0)
+        if integral:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    # Fraction entries (some of them integral), then int entries, which
+    # Bareiss keeps as ints throughout
+    for integral in (False, True):
+        for k in range(7):
+            for _ in range(30):
+                m = [[entry(integral) for _ in range(k)] for _ in range(k)]
+                if k >= 2 and rng.random() < 0.3:
+                    # a dependent row: the determinant must come out zero
+                    r, s = rng.sample(range(k), 2)
+                    m[r] = [2 * x for x in m[s]]
+                got = _det(m)
+                assert got == permutation_det(m), m
+                assert_normal_form(got)
+                if integral:
+                    assert type(got) is int, (m, got)
+                checked += 1
+    assert checked == 420
+    # a pivot swap flips the sign; integer entries stay exact ints
     assert _det([[0, 1], [1, 0]]) == -1
-    assert isinstance(_det([[0, 1], [1, 0]]), Fraction)
+    assert_normal_form(_det([[0, 1], [1, 0]]))
+    assert_normal_form(_det([[Fraction(1, 2), 1], [1, 4]]))
+    assert _det([[Fraction(1, 2), 1], [1, 4]]) == 1
 
 
 def test_star_round_trips_on_q8_five_forms():
