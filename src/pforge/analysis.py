@@ -8,14 +8,14 @@ carries enough data to re-check it.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
-from .multivec import (Multivector, wedge, vf_bracket, jacobiator,
-                       GradeMismatch, all_index_tuples, _width, _degree,
-                       _pack, _wedge)
-from .forms import Form, d_poly, pbracket_of, _check_pair
+from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
+                       GradeMismatch, _width, _degree, _pack, _wedge)
+from .forms import pbracket_of as pbracket, _check_pair
+from .homology import monomials, LICHNEROWICZ, _leibniz_tables, _column
 
 
 def sharp(p, a):
@@ -44,23 +44,9 @@ def sharp(p, a):
 
 
 def hamiltonian(p, f):
-    """Hamiltonian field X_f with X_f(g) = {f, g}."""
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector")
-    n = p.n
-    terms = {}
-    for (i, j), c in p.terms.items():
-        fi, fj = f.diff(i), f.diff(j)
-        if not fi.is_zero():
-            terms[(j,)] = terms.get((j,), Poly.zero(n)) + c * fi
-        if not fj.is_zero():
-            terms[(i,)] = terms.get((i,), Poly.zero(n)) - c * fj
-    return Multivector(n, 1, terms)
-
-
-def pbracket(p, f, g):
-    """Poisson bracket of the bivector: {f,g} = i_p(df ^ dg)."""
-    return pbracket_of(p, f, g)
+    """Hamiltonian field X_f = [p, f], with X_f(g) = {f, g}
+    (Lichnerowicz 1977)."""
+    return lichnerowicz_dp(p, Multivector.from_poly(f))
 
 
 def bivector_matrix_at(p, point):
@@ -135,7 +121,7 @@ def integrability_at(p, point):
     fields = [hamiltonian(p, Poly.var(n, i)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = vf_bracket(fields[i], fields[j])
+            br = schouten(fields[i], fields[j])
             vec = [br.coeff((t,)).eval(point) for t in range(n)]
             if not image.contains(vec):
                 return False
@@ -148,24 +134,24 @@ def is_casimir(p, f):
 
 
 def casimir_basis(p, max_degree):
-    """Exact basis of Casimir polynomials of total degree <= max_degree."""
-    from .homology import monomials
+    """Exact basis of Casimir polynomials of total degree <= max_degree.
+
+    The Casimirs are the kernel of f -> X_f = [p, f].  The column of
+    each monomial x^e is read off the grade-0 Leibniz table of [p, .]
+    (`homology._column`), and its packed keys are the nullspace rows.
+    p need not be homogeneous."""
+    if p.grade != 2:
+        raise GradeMismatch("p must be a bivector")
     n = p.n
-    mons = []
-    for deg in range(max_degree + 1):
-        mons.extend(monomials(n, deg))
-    # linear map f -> coefficients of X_f, one row per (field index,
-    # monomial)
+    mons = [e for deg in range(max_degree + 1) for e in monomials(n, deg)]
+    w = _width(max_degree + _degree(p))
+    table = _leibniz_tables(p, LICHNEROWICZ, 0, w)[()]
     rows = {}
     for j, e in enumerate(mons):
-        x = hamiltonian(p, Poly(n, {e: 1}))
-        for idx, c in x.terms.items():
-            for ee, v in c.terms.items():
-                rows.setdefault((idx, ee), {})[j] = v
-    basis = []
-    for v in linalg.nullspace(list(rows.values()), ncols=len(mons)):
-        basis.append(Poly(n, {e: c for e, c in zip(mons, v) if c}))
-    return basis
+        for key, v in _column(table, e, w).items():
+            rows.setdefault(key, {})[j] = v
+    return [Poly(n, {e: c for e, c in zip(mons, v) if c})
+            for v in linalg.nullspace(list(rows.values()), ncols=len(mons))]
 
 
 def momentum_cocycle(p, g, lam):
@@ -212,13 +198,10 @@ def momentum_cocycle(p, g, lam):
                      + c_of(g.c[k][i], basis[j]))
                 if not s.is_zero():
                     cyclic_ok = False
-    ham_ok = True
-    for i in range(d):
-        for j in range(d):
-            lhs = vf_bracket(hamiltonian(p, lam[i]), hamiltonian(p, lam[j]))
-            rhs = hamiltonian(p, lam_of(g.c[i][j]))
-            if lhs != rhs:
-                ham_ok = False
+    fields = [hamiltonian(p, f) for f in lam]
+    ham_ok = all(schouten(fields[i], fields[j])
+                 == hamiltonian(p, lam_of(g.c[i][j]))
+                 for i in range(d) for j in range(d))
     return {"table": c, "cyclic_identity": cyclic_ok,
             "hamiltonian_homomorphism": ham_ok}
 
@@ -228,7 +211,6 @@ def _membership(target, gens, degree_bound):
 
     Returns the list of multipliers h_k or None.
     """
-    from .homology import monomials
     n = target.n
     mons = []
     for deg in range(degree_bound + 1):

@@ -215,7 +215,8 @@ def cmd_ideal(args):
 
 def cmd_oracle_super(args):
     seed = args.seed if args.seed is not None else 0
-    rep = super_axiom_report(args.dim, seed, trials=args.trials)
+    rep = super_axiom_report(_nonnegative(args.dim, "--dim"), seed,
+                             trials=_nonnegative(args.trials, "--trials"))
     return _emit(args, rep)
 
 
@@ -245,7 +246,7 @@ def _ncalg_algebra(args):
 
 def _subspace_rows(source, what, dim):
     """Rows of coordinate vectors spanning a subspace of Q^dim."""
-    rows = serialize.rows_from_json(_load_json(source, what), what)
+    rows = serialize.matrix_from_json(_load_json(source, what), what)
     if any(len(row) != dim for row in rows):
         raise InputError("%s rows need %d coordinates each" % (what, dim))
     return rows

@@ -8,8 +8,7 @@ coefficients.
 Pairing is the determinant convention <dx_I, d_J> = delta_{IJ} on
 increasing tuples, with no factorial factors; the interior product is
 (i_u a)(y) = a(u ^ y) against that pairing.  The Koszul-Brylinski
-boundary is the operator formula delta = i_p d - d i_p; the coordinate
-expansion on a0*da1^...^dak is kept as an independent cross-check.
+boundary is the operator formula delta = i_p d - d i_p.
 
 `form_d`, `interior` and `delta` run on packed monomials, as the
 operators of `multivec` do (see its docstring): each packs its operands
@@ -102,13 +101,6 @@ def pair(a, u):
     return total
 
 
-def _interior_p(p, a):
-    """i_p with the grade-0/1 edge cases sent to zero (delta's contract)."""
-    if a.grade < 2:
-        return Form.zero(a.n, max(a.grade - 2, 0))
-    return interior(p, a)
-
-
 def delta(p, a, require_involutive=False):
     """Koszul-Brylinski boundary delta = i_p d - d i_p; grade -1."""
     if p.grade != 2:
@@ -140,36 +132,6 @@ def pbracket_of(p, f, g):
     return pair(form_wedge(d_poly(f), d_poly(g)), p)
 
 
-def delta_coordinate(p, a0, rest):
-    """Coordinate expansion of delta on a0 * d(a1)^...^d(ak).
-
-    Independent of `delta`; used as a cross-check, per the classical
-    two-sum expansion in terms of Poisson brackets of the factors.
-    """
-    n = a0.n
-    k = len(rest)
-    if k == 0:
-        return Form.zero(n, 0)
-    out = Form.zero(n, k - 1)
-    for i in range(1, k + 1):
-        br = pbracket_of(p, a0, rest[i - 1])
-        factors = [d_poly(rest[j - 1]) for j in range(1, k + 1) if j != i]
-        w = Form.from_poly(br * ((-1) ** (i + 1)))
-        for f in factors:
-            w = form_wedge(w, f)
-        out = out + w
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            br = pbracket_of(p, rest[i - 1], rest[j - 1])
-            w = Form.from_poly(a0 * ((-1) ** (i + j)))
-            w = form_wedge(w, d_poly(br))
-            for t in range(1, k + 1):
-                if t != i and t != j:
-                    w = form_wedge(w, d_poly(rest[t - 1]))
-            out = out + w
-    return out
-
-
 def form_bracket(p, a, b):
     """Graded bracket of forms: the failure of delta to be an
     antiderivation of the wedge."""
@@ -177,17 +139,6 @@ def form_bracket(p, a, b):
     db = delta(p, b)
     return (form_wedge(da, b) + form_wedge(a, db).scale((-1) ** a.grade)
             - delta(p, form_wedge(a, b)))
-
-
-def form_bracket_karasev(p, a, b):
-    """Equivalent definition through the bilinear pairing
-    P(a,b) = i_p(a^b) - (i_p a)^b - a^(i_p b); cross-check route."""
-    def P(x, y):
-        return (_interior_p(p, form_wedge(x, y))
-                - form_wedge(_interior_p(p, x), y)
-                - form_wedge(x, _interior_p(p, y)))
-    return (form_d(P(a, b)) - P(form_d(a), b)
-            - P(a, form_d(b)).scale((-1) ** a.grade))
 
 
 def lie_derivative(x, a):
@@ -198,28 +149,3 @@ def lie_derivative(x, a):
     if a.grade == 0:
         return first
     return first + form_d(interior(x, a))
-
-
-def schouten_identity_residual(omega, u, v):
-    """Residual of the invariant bracket identity
-
-        omega([u,v]) = (-1)^((m+1) n) (d i_v omega)(u)
-                       + (-1)^m (d i_u omega)(v) - (d omega)(u ^ v)
-
-    for |omega| = |u| + |v| - 1.  Contract: identically zero.
-    """
-    from .multivec import schouten
-    m, k = u.grade, v.grade
-    if omega.grade != m + k - 1:
-        raise GradeMismatch("need |omega| = |u| + |v| - 1")
-    def d_int_paired(x, w, y):
-        # (d i_x w)(y), zero when |x| exceeds |w|
-        if x.grade > w.grade:
-            return Poly.zero(w.n)
-        return pair(form_d(interior(x, w)), y)
-
-    lhs = pair(omega, schouten(u, v))
-    t1 = d_int_paired(v, omega, u) * ((-1) ** ((m + 1) * k))
-    t2 = d_int_paired(u, omega, v) * ((-1) ** m)
-    t3 = pair(form_d(omega), wedge(u, v))
-    return lhs - (t1 + t2 - t3)

@@ -7,8 +7,10 @@ splits both complexes into finite blocks:
 * form side, boundary delta:           weight = coeff degree + grade.
 
 Both differentials shift the weight by d - 2, which is asserted when
-blocks are assembled.  Dimensions of (co)homology come out of exact
-kernel/rank counts on the block matrices; nothing is ever estimated.
+blocks are assembled.  The two complexes differ only in the grade step
+of their differential (`_STEP`), so one driver serves both.  Dimensions
+of (co)homology come out of exact kernel/rank counts on the block
+matrices; nothing is ever estimated.
 
 Blocks are read off Leibniz tables of the differential, one per
 (complex, grade), built by the packed kernels of `multivec` and `forms`
@@ -21,7 +23,6 @@ a dimension table fixes one w for all its blocks, and a standalone
 `block_matrix` uses its own.
 """
 
-from fractions import Fraction
 from operator import lshift
 
 from . import linalg
@@ -36,6 +37,9 @@ class NonHomogeneous(ValueError):
 
 LICHNEROWICZ = "lichnerowicz"
 CANONICAL = "canonical"
+# the grade step of each complex's differential: [p, .] raises the
+# grade by one, delta lowers it by one
+_STEP = {LICHNEROWICZ: 1, CANONICAL: -1}
 
 
 def structure_degree(p):
@@ -79,12 +83,11 @@ def monomials(n, deg):
 
 
 def _source_degree(complex_kind, grade, weight):
-    """Coefficient degree of the basis elements of block (grade, weight)."""
-    if complex_kind == LICHNEROWICZ:
-        return weight + grade
-    if complex_kind == CANONICAL:
-        return weight - grade
-    raise ValueError("unknown complex %r" % (complex_kind,))
+    """Coefficient degree of the basis elements of block (grade, weight):
+    weight + grade for multivectors, weight - grade for forms."""
+    if complex_kind not in _STEP:
+        raise ValueError("unknown complex %r" % (complex_kind,))
+    return weight + _STEP[complex_kind] * grade
 
 
 def _block_parts(n, complex_kind, grade, weight):
@@ -122,7 +125,7 @@ class WeightBlock:
     def matrix(self):
         """Dense matrix: rows indexed by the target basis, columns by
         the source."""
-        m = [[Fraction(0)] * len(self.basis) for _ in self.target_basis]
+        m = [[0] * len(self.basis) for _ in self.target_basis]
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 m[i][j] = v
@@ -162,16 +165,12 @@ def _leibniz_tables(p, complex_kind, grade, w):
     n = p.n
     pp = _pack(p, w)
     if complex_kind == LICHNEROWICZ:
-        tgrade = grade + 1
-
         def image(idx, mono):
             return _schouten(2, pp, {idx: {mono: 1}}, w, {})
     else:
-        tgrade = grade - 1
-
         def image(idx, mono):
             return _delta(n, pp, {idx: {mono: 1}}, grade, w)
-    high = _index_keys(n, tgrade, w)
+    high = _index_keys(n, grade + _STEP[complex_kind], w)
 
     def flat(acc):
         return {high[t] + e: v for t, terms in acc.items()
@@ -195,16 +194,31 @@ def _leibniz_tables(p, complex_kind, grade, w):
     return tables
 
 
+def _column(table, e, w):
+    """D(x^e e_I) from the table entry (T0, [T_j]) of e_I, as a
+    {packed key: value} dict with its zeros dropped: T0 shifted by e,
+    plus e_j T_j shifted by e - 1_j for every j with e_j > 0."""
+    t0, firsts = table
+    pe = sum(map(lshift, e, range(0, w * len(e), w)))
+    col = {key + pe: v for key, v in t0.items()}
+    for j, ej in enumerate(e):
+        if ej:
+            shift = pe - (1 << (w * j))
+            for key, v in firsts[j].items():
+                key += shift
+                col[key] = col.get(key, 0) + ej * v
+    return {key: v for key, v in col.items() if v}
+
+
 def block_matrix(p, complex_kind, grade, weight, _tables=None,
                  _min_width=None):
     """Exact differential on block (grade, weight), as sparse columns.
 
     Columns are indexed by the source block basis, their entries by the
     target basis.  The column of x^e e_I is read off the Leibniz tables
-    of the grade (`_leibniz_tables`): T0 with its exponents shifted by e,
-    plus e_j T_j shifted by e - 1_j for every j with e_j > 0.  Keys,
-    shifts and the target position map are packed at one width, so each
-    shift is one int add.  The width is the block's own (from its target
+    of the grade (`_leibniz_tables`, `_column`).  Keys, shifts and the
+    target position map are packed at one width, so each shift is one
+    int add.  The width is the block's own (from its target
     degree), or the larger `_min_width` that a dimension table fixes for
     all its blocks.  `_tables` is a {(grade, width): tables} dict that keeps
     the tables across the blocks of one p and complex.  The Jacobi
@@ -214,10 +228,7 @@ def block_matrix(p, complex_kind, grade, weight, _tables=None,
     n = p.n
     idxs, mons = _block_parts(n, complex_kind, grade, weight)
     basis = [(idx, e) for idx in idxs for e in mons]
-    if complex_kind == LICHNEROWICZ:
-        tgrade = grade + 1
-    else:
-        tgrade = grade - 1
+    tgrade = grade + _STEP[complex_kind]
     tweight = weight + d - 2
     tidxs, tmons = _block_parts(n, complex_kind, tgrade, tweight)
     target = [(t, e) for t in tidxs for e in tmons]
@@ -238,32 +249,18 @@ def block_matrix(p, complex_kind, grade, weight, _tables=None,
     for t in tidxs:
         for pe in packed:
             pos[high[t] + pe] = len(pos)
-    units = [1 << s for s in shifts]
     cols = []
     for idx in idxs:
-        t0, firsts = tables[idx]
         for e in mons:
-            pe = sum(map(lshift, e, shifts))
-            parts = [(t0, pe, 1)]
-            parts += [(firsts[j], pe - units[j], ej)
-                      for j, ej in enumerate(e) if ej]
-            col, stray = {}, {}
-            for table, shift, m in parts:
-                for key, v in table.items():
-                    key += shift
-                    i = pos.get(key)
-                    if i is None:
-                        stray[key] = stray.get(key, 0) + m * v
-                    else:
-                        col[i] = col.get(i, 0) + m * v
-            for key, v in stray.items():
-                if v:
-                    raise AssertionError(
-                        "differential left the expected (grade, weight) "
-                        "block at %r (%s, k=%d, w=%d)"
-                        % (_unpack_key(key, n, tgrade, w), complex_kind,
-                           grade, weight))
-            cols.append({i: v for i, v in col.items() if v})
+            col = _column(tables[idx], e, w)
+            try:
+                cols.append({pos[key]: v for key, v in col.items()})
+            except KeyError as exc:
+                raise AssertionError(
+                    "differential left the expected (grade, weight) "
+                    "block at %r (%s, k=%d, w=%d)"
+                    % (_unpack_key(exc.args[0], n, tgrade, w),
+                       complex_kind, grade, weight))
     return WeightBlock(grade, weight, basis, target, cols)
 
 
@@ -275,22 +272,39 @@ def _unpack_key(key, n, grade, w):
             tuple(key >> s & mask for s in range(0, w * n, w)))
 
 
-def _ranked_blocks(p, complex_kind, d, max_degree):
-    """(grade, weight) -> (block dimension, rank of the differential),
-    assembling and ranking each block once.  One packing width, from
-    the largest source coefficient degree max_degree of the dimension
-    table, serves every block, so the tables of each grade are built
-    once."""
+def _dims(p, complex_kind, max_grade, max_weight):
+    """Rows {grade, weight, dim_C, rank_in, rank_out, dim_H} of one
+    complex, in canonical order.  Weights start where the grade's
+    coefficients are constant.  rank_in is the rank of the block one
+    grade step back, at weight w - (d - 2), when that grade exists.
+
+    Each block is assembled and ranked once.  One packing width, from
+    the largest source coefficient degree of the table, serves every
+    block, so the tables of each grade are built once."""
+    d = check_structure(p)
+    step, shift = _STEP[complex_kind], d - 2
+    # source coefficient degrees reach max_weight (plus max_grade for
+    # multivectors), and one more in the rank_in blocks of a constant p
+    top = max_weight + max(step * max_grade, 0) + int(d == 0)
+    w_min = _table_width(d, top + d - 1)
     memo, tables = {}, {}
-    w = _table_width(d, max_degree + d - 1)
 
     def dim_rank(grade, weight):
         if (grade, weight) not in memo:
             blk = block_matrix(p, complex_kind, grade, weight,
-                               _tables=tables, _min_width=w)
+                               _tables=tables, _min_width=w_min)
             memo[grade, weight] = len(blk.basis), linalg.rank(blk.columns)
         return memo[grade, weight]
-    return dim_rank
+
+    rows = []
+    for k in range(max_grade + 1):
+        for w in range(-step * k, max_weight + 1):
+            dim_c, rank_out = dim_rank(k, w)
+            rank_in = dim_rank(k - step, w - shift)[1] if k - step >= 0 else 0
+            rows.append({"grade": k, "weight": w, "dim_C": dim_c,
+                         "rank_in": rank_in, "rank_out": rank_out,
+                         "dim_H": dim_c - rank_out - rank_in})
+    return rows
 
 
 def poisson_cohomology_dims(p, max_grade, max_weight):
@@ -300,21 +314,7 @@ def poisson_cohomology_dims(p, max_grade, max_weight):
     rank_out, dim_H} in canonical order.  Multivector weights run from
     -grade (grade with constant coefficients) up to max_weight.
     """
-    d = check_structure(p)
-    shift = d - 2
-    # coefficient degrees reach max_weight + max_grade, and one more in
-    # the rank_in blocks of a constant p
-    dim_rank = _ranked_blocks(p, LICHNEROWICZ, d,
-                              max_weight + max_grade + int(d == 0))
-    rows = []
-    for k in range(max_grade + 1):
-        for w in range(-k, max_weight + 1):
-            dim_c, rank_out = dim_rank(k, w)
-            rank_in = dim_rank(k - 1, w - shift)[1] if k else 0
-            rows.append({"grade": k, "weight": w, "dim_C": dim_c,
-                         "rank_in": rank_in, "rank_out": rank_out,
-                         "dim_H": dim_c - rank_out - rank_in})
-    return rows
+    return _dims(p, LICHNEROWICZ, max_grade, max_weight)
 
 
 def canonical_homology_dims(p, max_grade, max_weight):
@@ -322,17 +322,4 @@ def canonical_homology_dims(p, max_grade, max_weight):
 
     Form weights start at the grade (constant coefficients).
     """
-    d = check_structure(p)
-    shift = d - 2
-    # coefficient degrees reach max_weight, and one more in the rank_in
-    # blocks of a constant p
-    dim_rank = _ranked_blocks(p, CANONICAL, d, max_weight + int(d == 0))
-    rows = []
-    for k in range(max_grade + 1):
-        for w in range(k, max_weight + 1):
-            dim_c, rank_out = dim_rank(k, w)
-            rank_in = dim_rank(k + 1, w - shift)[1]
-            rows.append({"grade": k, "weight": w, "dim_C": dim_c,
-                         "rank_in": rank_in, "rank_out": rank_out,
-                         "dim_H": dim_c - rank_out - rank_in})
-    return rows
+    return _dims(p, CANONICAL, max_grade, max_weight)

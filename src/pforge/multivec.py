@@ -293,23 +293,6 @@ def _wedge(pu, pv, acc):
     return acc
 
 
-def vf_bracket(x, y):
-    """Lie bracket of vector fields: [X,Y]_i = sum_j X_j dY_i - Y_j dX_i."""
-    x._check(y)
-    if x.grade != 1 or y.grade != 1:
-        raise GradeMismatch("vf_bracket needs grade-1 arguments")
-    n = x.n
-    terms = {}
-    for i in range(n):
-        acc = Poly.zero(n)
-        xi, yi = x.coeff((i,)), y.coeff((i,))
-        for j in range(n):
-            acc = acc + x.coeff((j,)) * yi.diff(j) - y.coeff((j,)) * xi.diff(j)
-        if not acc.is_zero():
-            terms[(i,)] = acc
-    return Multivector(n, 1, terms)
-
-
 def schouten(u, v):
     """Graded (Schouten) bracket of multivectors; grade |u|+|v|-1.
 
@@ -370,34 +353,6 @@ def jacobiator(p):
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
     return schouten(p, p)
-
-
-def evaluate_on_functions(u, funcs):
-    """Value of a grade-k multivector on k polynomials (determinant rule)."""
-    n = u.n
-    if u.grade == 0:
-        if funcs:
-            raise GradeMismatch("grade-0 multivector takes no arguments")
-        return u.as_poly()
-    if len(funcs) != u.grade:
-        raise GradeMismatch("need exactly %d functions" % u.grade)
-    total = Poly.zero(n)
-    for idx, c in u.terms.items():
-        det = Poly.zero(n)
-        k = len(idx)
-        for perm_sign, perm in _permutations_signed(k):
-            prod = Poly.const(n, perm_sign)
-            for row, col in enumerate(perm):
-                prod = prod * funcs[col].diff(idx[row])
-            det = det + prod
-        total = total + c * det
-    return total
-
-
-def _permutations_signed(k):
-    from itertools import permutations
-    for perm in permutations(range(k)):
-        yield sort_sign(perm)[0], perm
 
 
 def all_index_tuples(n, k):

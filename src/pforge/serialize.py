@@ -118,10 +118,6 @@ def matrix_from_json(rows, what="matrix"):
     return [[fraction_from_json(x) for x in r] for r in rows]
 
 
-def rows_from_json(rows, what="subspace"):
-    return matrix_from_json(rows, what)
-
-
 def algebra_from_json(obj):
     from .ncalg import AlgebraSC
     if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:

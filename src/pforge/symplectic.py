@@ -66,7 +66,6 @@ class SymplecticContext:
         inv = linalg.invert(self.pmat)
         if inv is None:
             raise DegenerateBivector("bivector matrix is singular")
-        self.omat = inv
         self.omega = Form(self.n, 2, {(i, j): inv[i][j] for i in range(self.n)
                                       for j in range(i + 1, self.n)})
         vol = Form.from_poly(Poly.const(self.n, 1))
@@ -84,18 +83,6 @@ class SymplecticContext:
             return 1
         minor = [[self.pmat[ia][jb] for jb in idx_b] for ia in idx_a]
         return _det(minor)
-
-    def pairing(self, a, b):
-        """Determinant pairing of equal-grade forms, Poly-bilinear."""
-        if a.grade != b.grade:
-            raise GradeMismatch("pairing needs equal grades")
-        total = Poly.zero(self.n)
-        for ia, ca in a.terms.items():
-            for ib, cb in b.terms.items():
-                s = self.pairing_basis(ia, ib)
-                if s:
-                    total = total + ca * cb * s
-        return total
 
     def _star_matrix(self, k):
         """Matrix of star on grade-k basis forms, solved from the

@@ -1,0 +1,177 @@
+"""Independent second routes, kept only as test oracles.
+
+Each function here computes, by hand-written `Poly` arithmetic, a value
+that pforge computes another way:
+
+* `hamiltonian`, `vf_bracket` and `casimir_basis` are the routes
+  `analysis` and `multivec` used before X_f became [p, f] through
+  `schouten` and the Casimirs were read off the grade-0 Leibniz table;
+* `delta_coordinate`, `form_bracket_karasev` and
+  `schouten_identity_residual` are classical coordinate expansions and
+  identities of the form-side calculus;
+* `evaluate_on_functions` is the determinant rule for a multivector on
+  functions.
+
+Nothing here is fast; each is only a second road to the same exact
+values.
+"""
+
+from itertools import permutations
+
+from pforge import linalg
+from pforge.ratpoly import Poly
+from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
+    schouten, wedge
+from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of
+from pforge.homology import monomials
+
+
+# -- the Poisson side by hand ------------------------------------------
+
+def hamiltonian(p, f):
+    """X_f with X_f(g) = {f, g}, term by term over p's coefficients."""
+    if p.grade != 2:
+        raise GradeMismatch("p must be a bivector")
+    n = p.n
+    terms = {}
+    for (i, j), c in p.terms.items():
+        fi, fj = f.diff(i), f.diff(j)
+        if not fi.is_zero():
+            terms[(j,)] = terms.get((j,), Poly.zero(n)) + c * fi
+        if not fj.is_zero():
+            terms[(i,)] = terms.get((i,), Poly.zero(n)) - c * fj
+    return Multivector(n, 1, terms)
+
+
+def vf_bracket(x, y):
+    """Lie bracket of vector fields: [X,Y]_i = sum_j X_j dY_i - Y_j dX_i."""
+    x._check(y)
+    if x.grade != 1 or y.grade != 1:
+        raise GradeMismatch("vf_bracket needs grade-1 arguments")
+    n = x.n
+    terms = {}
+    for i in range(n):
+        acc = Poly.zero(n)
+        xi, yi = x.coeff((i,)), y.coeff((i,))
+        for j in range(n):
+            acc = acc + x.coeff((j,)) * yi.diff(j) - y.coeff((j,)) * xi.diff(j)
+        if not acc.is_zero():
+            terms[(i,)] = acc
+    return Multivector(n, 1, terms)
+
+
+def casimir_basis(p, max_degree):
+    """Casimirs of degree <= max_degree: the kernel of f -> X_f, with
+    one hand-built Hamiltonian field per monomial."""
+    n = p.n
+    mons = [e for deg in range(max_degree + 1) for e in monomials(n, deg)]
+    rows = {}
+    for j, e in enumerate(mons):
+        for idx, c in hamiltonian(p, Poly(n, {e: 1})).terms.items():
+            for ee, v in c.terms.items():
+                rows.setdefault((idx, ee), {})[j] = v
+    return [Poly(n, {e: c for e, c in zip(mons, v) if c})
+            for v in linalg.nullspace(list(rows.values()), ncols=len(mons))]
+
+
+# -- the form side by coordinate expansions ----------------------------
+
+def delta_coordinate(p, a0, rest):
+    """Coordinate expansion of delta on a0 * d(a1)^...^d(ak).
+
+    Independent of `delta`: the classical two-sum expansion in terms of
+    Poisson brackets of the factors.
+    """
+    n = a0.n
+    k = len(rest)
+    if k == 0:
+        return Form.zero(n, 0)
+    out = Form.zero(n, k - 1)
+    for i in range(1, k + 1):
+        br = pbracket_of(p, a0, rest[i - 1])
+        factors = [d_poly(rest[j - 1]) for j in range(1, k + 1) if j != i]
+        w = Form.from_poly(br * ((-1) ** (i + 1)))
+        for f in factors:
+            w = wedge(w, f)
+        out = out + w
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            br = pbracket_of(p, rest[i - 1], rest[j - 1])
+            w = Form.from_poly(a0 * ((-1) ** (i + j)))
+            w = wedge(w, d_poly(br))
+            for t in range(1, k + 1):
+                if t != i and t != j:
+                    w = wedge(w, d_poly(rest[t - 1]))
+            out = out + w
+    return out
+
+
+def _interior_p(p, a):
+    """i_p with the grade-0/1 edge cases sent to zero (delta's contract)."""
+    if a.grade < 2:
+        return Form.zero(a.n, max(a.grade - 2, 0))
+    return interior(p, a)
+
+
+def form_bracket_karasev(p, a, b):
+    """The form bracket through the bilinear pairing
+    P(a,b) = i_p(a^b) - (i_p a)^b - a^(i_p b)."""
+    def P(x, y):
+        return (_interior_p(p, wedge(x, y))
+                - wedge(_interior_p(p, x), y)
+                - wedge(x, _interior_p(p, y)))
+    return (form_d(P(a, b)) - P(form_d(a), b)
+            - P(a, form_d(b)).scale((-1) ** a.grade))
+
+
+def schouten_identity_residual(omega, u, v):
+    """Residual of the invariant bracket identity
+
+        omega([u,v]) = (-1)^((m+1) n) (d i_v omega)(u)
+                       + (-1)^m (d i_u omega)(v) - (d omega)(u ^ v)
+
+    for |omega| = |u| + |v| - 1.  Contract: identically zero.
+    """
+    m, k = u.grade, v.grade
+    if omega.grade != m + k - 1:
+        raise GradeMismatch("need |omega| = |u| + |v| - 1")
+
+    def d_int_paired(x, w, y):
+        # (d i_x w)(y), zero when |x| exceeds |w|
+        if x.grade > w.grade:
+            return Poly.zero(w.n)
+        return pair(form_d(interior(x, w)), y)
+
+    lhs = pair(omega, schouten(u, v))
+    t1 = d_int_paired(v, omega, u) * ((-1) ** ((m + 1) * k))
+    t2 = d_int_paired(u, omega, v) * ((-1) ** m)
+    t3 = pair(form_d(omega), wedge(u, v))
+    return lhs - (t1 + t2 - t3)
+
+
+# -- multivectors on functions -----------------------------------------
+
+def evaluate_on_functions(u, funcs):
+    """Value of a grade-k multivector on k polynomials (determinant rule)."""
+    n = u.n
+    if u.grade == 0:
+        if funcs:
+            raise GradeMismatch("grade-0 multivector takes no arguments")
+        return u.as_poly()
+    if len(funcs) != u.grade:
+        raise GradeMismatch("need exactly %d functions" % u.grade)
+    total = Poly.zero(n)
+    for idx, c in u.terms.items():
+        det = Poly.zero(n)
+        for perm_sign, perm in _permutations_signed(len(idx)):
+            prod = Poly.const(n, perm_sign)
+            for row, col in enumerate(perm):
+                prod = prod * funcs[col].diff(idx[row])
+            det = det + prod
+        total = total + c * det
+    return total
+
+
+def _permutations_signed(k):
+    for perm in permutations(range(k)):
+        yield sort_sign(perm)[0], perm

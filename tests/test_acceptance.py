@@ -16,7 +16,7 @@ from pforge import linalg, serialize
 from pforge.ratpoly import Poly, parse_poly
 from pforge.multivec import (Multivector, all_index_tuples, jacobiator,
                              lichnerowicz_dp, schouten, wedge)
-from pforge.forms import (Form, form_d, delta, schouten_identity_residual)
+from pforge.forms import (Form, form_d, delta)
 from pforge.symplectic import make_context
 from pforge.homology import (monomials, poisson_cohomology_dims)
 from pforge.analysis import (sharp, integrability_at, casimir_basis,
@@ -25,6 +25,7 @@ from pforge.superalg import (random_multimap, supercomm, super_axiom_report,
                              koszul_check, standard_algebra)
 from pforge.ncalg import (LieAlgebraSC, derivations, submanifold_check,
                           bott_forms)
+from reference_routes import schouten_identity_residual
 from conftest import (bivector, random_multivector, random_form, random_poly,
                       rng_for)
 

@@ -7,8 +7,10 @@ from pforge.forms import d_poly
 from pforge.analysis import (sharp, hamiltonian, pbracket, rank_at,
                              integrability_at, is_casimir, casimir_basis,
                              momentum_cocycle, ideal_check)
+from pforge.multivec import Multivector, schouten
 from pforge.ncalg import LieAlgebraSC, BadLieAlgebra
-from conftest import bivector, random_poly, rng_for
+import reference_routes as ref
+from conftest import bivector, random_multivector, random_poly, rng_for
 
 
 def so3_p():
@@ -173,3 +175,85 @@ def test_ideal_check_verdicts():
     cone = ideal_check(plane, [parse_poly("x0^2 + x1^2", 2)], 2)
     assert cone["verdict"] == "undecided"
     assert cone["poisson_ideal"] is None
+
+
+# -- the one route per operator against the hand-written routes --------
+
+def _catalog():
+    """so(3), sl(2), aff(1), a Jacobian structure and a log-canonical
+    structure, all Poisson."""
+    phi = parse_poly("x0^3 + 2*x0*x1*x2 - x2^2 + x1", 3)
+    return {
+        "so3": so3_p(),
+        "sl2": bivector(3, {(0, 1): "2*x1", (0, 2): "-2*x2", (1, 2): "x0"}),
+        "aff1": bivector(2, {(0, 1): "x1"}),
+        "jacobian": Multivector(3, 2, {(0, 1): phi.diff(2),
+                                       (1, 2): phi.diff(0),
+                                       (0, 2): -phi.diff(1)}),
+        "log-canonical": bivector(3, {(0, 1): "x0*x1", (0, 2): "-x0*x2",
+                                      (1, 2): "x1*x2"}),
+    }
+
+
+def _seeded_bivectors(seed, count):
+    """Random bivectors on Q^2..Q^4 whose coefficients mix degrees 0-2,
+    so many are neither homogeneous nor Poisson."""
+    rng = rng_for(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        out.append(random_multivector(n, 2, rng, max_degree=2))
+    return out
+
+
+def _structures():
+    return list(_catalog().values()) + _seeded_bivectors(61, 12)
+
+
+def test_seeded_bivectors_include_non_homogeneous_ones():
+    degrees = [{sum(e) for c in p.terms.values() for e in c.terms}
+               for p in _seeded_bivectors(61, 12)]
+    assert sum(len(d) > 1 for d in degrees) >= 6
+
+
+def test_hamiltonian_matches_the_hand_route():
+    rng = rng_for(62)
+    for p in _structures():
+        for _ in range(6):
+            f = random_poly(p.n, rng, max_degree=3, terms=3)
+            assert hamiltonian(p, f) == ref.hamiltonian(p, f), (p, f)
+        for i in range(p.n):
+            x = Poly.var(p.n, i)
+            assert hamiltonian(p, x) == ref.hamiltonian(p, x)
+
+
+def test_field_brackets_match_the_hand_commutator():
+    rng = rng_for(63)
+    for p in _structures():
+        fields = [hamiltonian(p, random_poly(p.n, rng, max_degree=3))
+                  for _ in range(4)]
+        for x in fields:
+            for y in fields:
+                got = schouten(x, y)
+                assert got.grade == 1
+                assert got == ref.vf_bracket(x, y), (p, x, y)
+
+
+def test_casimir_basis_matches_the_per_monomial_route():
+    for name, p in _catalog().items():
+        for degree in range(4):
+            got = casimir_basis(p, degree)
+            assert got == ref.casimir_basis(p, degree), (name, degree)
+    for p in _seeded_bivectors(64, 12):
+        for degree in range(3):
+            assert casimir_basis(p, degree) == ref.casimir_basis(p, degree), p
+
+
+def test_casimirs_of_a_non_homogeneous_structure():
+    # p = (1 + x2^2) d0^d1 on Q^3: X_f = (1 + x2^2)(f_0 d1 - f_1 d0)
+    # vanishes iff f depends on x2 alone
+    p = bivector(3, {(0, 1): "1 + x2^2"})
+    for degree in range(6):
+        want = ["1"] + ["x2" if k == 1 else "x2^%d" % k
+                        for k in range(1, degree + 1)]
+        assert [str(f) for f in casimir_basis(p, degree)] == want

@@ -126,7 +126,9 @@ def test_parenthesised_coefficient_is_an_input_error():
      "--max-weight", "2"),
     ("casimir", "-i", SO3, "--max-degree", "-1"),
     ("ideal", "-i", SO3, "--gens", '["x0"]', "--degree", "-1"),
-], ids=["max-grade", "max-degree", "degree"])
+    ("oracle", "super", "--dim", "-1"),
+    ("oracle", "super", "--trials", "-1"),
+], ids=["max-grade", "max-degree", "degree", "dim", "trials"])
 def test_negative_bound_exit_1(args):
     r = run(*args)
     assert r.returncode == 1

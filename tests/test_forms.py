@@ -5,9 +5,9 @@ import pytest
 from pforge.ratpoly import Poly, parse_poly, DimensionMismatch
 from pforge.multivec import Multivector, all_index_tuples, wedge
 from pforge.forms import (Form, form_wedge, form_d, d_poly, interior, pair,
-                          delta, delta_coordinate, form_bracket,
-                          form_bracket_karasev, lie_derivative,
-                          schouten_identity_residual)
+                          delta, form_bracket, lie_derivative)
+from reference_routes import (delta_coordinate, form_bracket_karasev,
+                              schouten_identity_residual)
 from conftest import (bivector, random_form, random_multivector, random_poly,
                       rng_for)
 

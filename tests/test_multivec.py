@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from pforge.ratpoly import Poly, parse_poly
-from pforge.multivec import (Multivector, wedge, vf_bracket, schouten,
-                             lichnerowicz_dp, jacobiator, sort_sign,
-                             evaluate_on_functions, GradeMismatch)
+from pforge.multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
+                             jacobiator, sort_sign, GradeMismatch)
+from reference_routes import vf_bracket, evaluate_on_functions
 from conftest import bivector, random_multivector, rng_for
 
 
