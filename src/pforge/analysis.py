@@ -33,7 +33,10 @@ def sharp(p, a):
     # each field S_i has coefficients of p's degree, and a term on dx_I
     # multiplies its coefficient by |I| of them
     w = _width(_degree(a) + a.grade * _degree(p))
-    fields = [_pack(hamiltonian(p, Poly.var(n, i)), w) for i in range(n)]
+    # {x_i, x_j} is p's packed coefficient on d_i^d_j, negated if i > j
+    fields = [{} for _ in range(n)]
+    for (i, j), c in _pack(p, w).items():
+        fields[i][j,], fields[j][i,] = c, {e: -v for e, v in c.items()}
     acc = {}
     for idx, c in _pack(a, w).items():
         piece = {(): c}

@@ -286,25 +286,23 @@ def cmd_ncalg_quotient(args):
                         "invariants_of_V_B": rep["invariants_of_V_B"]})
 
 
+def _connection(args, table, **fields):
+    return _emit(args, dict(fields, module_basis=table.module_basis,
+                            acting_basis=table.acting_basis,
+                            matrices=table.matrices))
+
+
 def cmd_ncalg_bott_quotient(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
     table = bott_quotient(g, _subspace_rows(args.sub, "subalgebra", g.dim))
-    return _emit(args, {"module_basis": table.module_basis,
-                        "acting_basis": table.acting_basis,
-                        "matrices": table.matrices,
-                        "flat": table.flat(),
-                        "curvature": {"%d,%d" % k: v for k, v
-                                      in table.curvature.items()}})
+    return _connection(args, table, flat=table.flat(), curvature={
+        "%d,%d" % k: v for k, v in table.curvature.items()})
 
 
 def cmd_ncalg_bott_forms(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
     rep = bott_forms(g, _subspace_rows(args.sub, "subalgebra", g.dim))
-    table = rep["connection"]
-    return _emit(args, {"module_basis": table.module_basis,
-                        "acting_basis": table.acting_basis,
-                        "matrices": table.matrices,
-                        "flat": rep["flat"]})
+    return _connection(args, rep["connection"], flat=rep["flat"])
 
 
 def cmd_ncalg_bott_integral(args):

@@ -23,6 +23,7 @@ a dimension table fixes one w for all its blocks, and a standalone
 `block_matrix` uses its own.
 """
 
+from itertools import combinations_with_replacement
 from operator import lshift
 
 from . import linalg
@@ -70,15 +71,11 @@ def monomials(n, deg):
     if deg < 0:
         return []
     out = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-    if n == 0:
-        return [()] if deg == 0 else []
-    rec([], deg, n)
+    for factors in combinations_with_replacement(range(n), deg):
+        e = [0] * n
+        for i in factors:
+            e[i] += 1
+        out.append(tuple(e))
     return sorted(out)
 
 

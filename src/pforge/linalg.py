@@ -84,12 +84,15 @@ def _markowitz_pivot(live, where):
     return best
 
 
-def _leftmost_pivot(live, where):
-    """(row id, column): the leftmost column of a live row, on its
-    shortest live row (the first of those on a tie)."""
-    c = min(min(vec) for vec in live.values())
-    return min((i for i in where[c] if i in live),
-               key=lambda i: (len(live[i]), i)), c
+def _leftmost_pivots(live, where):
+    """Reduced mode's (row id, column) pivots: the leftmost column of a
+    live row, on its shortest live row (the first of those on a tie).
+    A step adds only columns right of its pivot to live rows, so one
+    pass over the columns in order finds every pivot."""
+    for c in sorted(where):
+        rows = [i for i in where[c] if i in live]
+        if rows:
+            yield min(rows, key=lambda i: (len(live[i]), i)), c
 
 
 def _components(live, where):
@@ -128,10 +131,10 @@ def _eliminate(live, where, reduced):
     clears its column from the earlier pivot rows too.
     """
     vecs = dict(live)
-    pick = _leftmost_pivot if reduced else _markowitz_pivot
+    leftmost = _leftmost_pivots(live, where)
     pivots = []
     while live:
-        i, c = pick(live, where)
+        i, c = next(leftmost) if reduced else _markowitz_pivot(live, where)
         prow = live.pop(i)
         pivots.append((c, prow))
         for k in (c,) if reduced else prow:

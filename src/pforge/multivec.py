@@ -52,11 +52,15 @@ class GradeMismatch(ValueError):
 def sort_sign(idx):
     """Sign of the permutation sorting an index tuple, and the sorted
     tuple; (0, None) when an index repeats."""
-    if len(set(idx)) != len(idx):
+    key = tuple(sorted(idx))
+    if len(set(key)) != len(key):
         return 0, None
-    inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-              if idx[a] > idx[b])
-    return (-1) ** inv, tuple(sorted(idx))
+    s = 1
+    for a, x in enumerate(idx, 1):
+        for y in idx[a:]:
+            if x > y:
+                s = -s
+    return s, key
 
 
 def _width(deg):
@@ -170,14 +174,15 @@ class Graded:
     @classmethod
     def build(cls, n, grade, acc, w):
         """The element whose coefficients are the width-w packed
-        accumulators that `add_term` filled: zeros dropped, each
-        monomial unpacked and each Poly built once."""
+        accumulators that `add_term` filled: zeros dropped, each distinct
+        monomial unpacked once per call and each Poly built once."""
         mask = (1 << w) - 1
         shifts = range(0, w * n, w)
+        expts = {e: tuple([e >> s & mask for s in shifts])
+                 for e in {e for t in acc.values() for e, c in t.items() if c}}
         polys = {}
         for idx, terms in acc.items():
-            terms = {tuple([e >> s & mask for s in shifts]): c
-                     for e, c in terms.items() if c}
+            terms = {expts[e]: c for e, c in terms.items() if c}
             if terms:
                 polys[idx] = _poly(n, terms)
         return cls._trusted(n, grade, polys)

@@ -43,11 +43,10 @@ def _table(dim, table, error):
     checked to have length dim."""
     out = [[linalg.exact_vector(table[i][j]) for j in range(dim)]
            for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if len(out[i][j]) != dim:
-                raise error("structure constant vector (%d,%d) has length %d, "
-                            "not %d" % (i, j, len(out[i][j]), dim))
+    for i, j in product(range(dim), repeat=2):
+        if len(out[i][j]) != dim:
+            raise error("structure constant vector (%d,%d) has length %d, "
+                        "not %d" % (i, j, len(out[i][j]), dim))
     return out
 
 

@@ -19,7 +19,7 @@ CLI output) deterministic.
 
 import re
 from fractions import Fraction
-from operator import add, neg
+from operator import add
 
 
 class DimensionMismatch(ValueError):
@@ -28,10 +28,6 @@ class DimensionMismatch(ValueError):
 
 class PolyParseError(ValueError):
     """Input text does not conform to the polynomial grammar."""
-
-
-def _grlex_key(expts):
-    return (sum(expts), tuple(map(neg, expts)))
 
 
 def _exact(c):
@@ -224,41 +220,43 @@ class Poly:
 
     # -- presentation -------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ec: _grlex_key(ec[0]))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = ["x%d^%d" % (i, k) if k > 1 else "x%d" % i
-                       for i, k in enumerate(e) if k > 0]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_poly(self, {})
 
     def __repr__(self):
         return "Poly(%d, %s)" % (self.n, str(self))
 
 
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-])?
-        (?P<coeff>\d+(?:/\d+)?)?
-        \*?
-        (?P<factors>(?:x\d+(?:\^\d+)?\*?)*)
-        $""",
-    re.VERBOSE,
-)
+def format_poly(p, names):
+    """The canonical text of p, in graded lex order: descending lex, then
+    stably by degree, with built-in comparisons.  names is an {exponent
+    tuple: monomial text} memo that polynomials printed together share."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    keys = sorted(terms, reverse=True)
+    keys.sort(key=sum)
+    parts = []
+    for e in keys:
+        c = terms[e]
+        m = names.get(e)
+        if m is None:
+            m = names[e] = "*".join(["x%d^%d" % (i, k) if k > 1 else
+                                     "x%d" % i for i, k in enumerate(e) if k])
+        sign, c = ("- ", -c) if c < 0 else ("+ ", c)
+        parts.append(sign + (str(c) if not m else m if c == 1
+                             else str(c) + "*" + m))
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+# parse_poly's grammar on whitespace-free text: a term starts at a sign,
+# has a coefficient and/or factors, and may end in one newline.  The
+# lookahead keeps findall from an empty match at the end of the text.
+_FACTOR = r"(?:x\d+(?:\^\d+)?\*?)"
+_TERM = r"(?:\d+(?:/\d+)?\*?%s*|\*?%s+)\n?" % (_FACTOR, _FACTOR)
+_POLY_RE = re.compile(r"[+-]?%s(?:[+-]%s)*" % (_TERM, _TERM))
+_TERMS_RE = re.compile(r"(?=.)([+-]?)(\d*)(?:/(\d+))?\*?(%s*)\n?" % _FACTOR)
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
@@ -268,45 +266,51 @@ def parse_poly(text, n):
     Grammar: term = [sign] [int['/'int] ['*']] factor*;
     factor = 'x'index['^'exp]; terms joined by '+'/'-'. Whitespace is
     ignored; the unicode minus sign is accepted as '-'.
+
+    One regex checks the whole text, `findall` reads its terms and
+    factors, and `_reject` names the first bad term of any error.
     """
     s = text.replace("−", "-").replace(" ", "").replace("\t", "")
+    if not _POLY_RE.fullmatch(s):
+        _reject(s, n)
+    terms = {}
+    for sign, num, den, factors in _TERMS_RE.findall(s):
+        if den and not int(den):
+            _reject(s, n)
+        c = Fraction(int(num), int(den)) if den else int(num or 1)
+        e = [0] * n
+        for i, k in _FACTOR_RE.findall(factors):
+            i = int(i)
+            if i >= n:
+                _reject(s, n)
+            e[i] += int(k) if k else 1
+        e = tuple(e)
+        terms[e] = terms.get(e, 0) + (-c if sign == "-" else c)
+    if n < 0:
+        return Poly(n, terms)   # raises: no monomial has length n
+    return _poly(n, {e: c if type(c) is int or c.denominator != 1
+                     else c.numerator for e, c in terms.items() if c})
+
+
+def _reject(s, n):
+    """Raise the error of the first bad term of s, split at each sign.
+    Numbers are read in `parse_poly`'s order, so that one past `int`'s
+    digit limit raises the same ValueError."""
     if not s:
         raise PolyParseError("empty polynomial text")
-    # split into signed terms, keeping the signs
-    chunks = re.split(r"(?=[+-])", s)
-    chunks = [c for c in chunks if c]
-    terms = {}
     offset = 0
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and not m.group("factors")):
+    for chunk in filter(None, re.split(r"(?=[+-])", s)):
+        if not _POLY_RE.fullmatch(chunk):
             raise PolyParseError(
                 "malformed term %r at offset %d" % (chunk, offset))
-        text = m.group("coeff") or "1"
-        if "/" in text:
-            num, den = text.split("/")
-            if not int(den):
-                raise PolyParseError(
-                    "zero denominator in %r at offset %d" % (chunk, offset))
-            coeff = Fraction(int(num), int(den))
-        else:
-            coeff = int(text)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        expts = [0] * n
-        consumed = 0
-        for fm in _FACTOR_RE.finditer(m.group("factors")):
-            idx = int(fm.group(1))
-            if idx >= n:
-                raise PolyParseError(
-                    "variable x%d out of range for n=%d" % (idx, n))
-            expts[idx] += int(fm.group(2)) if fm.group(2) else 1
-            consumed = fm.end()
-        leftover = m.group("factors")[consumed:].strip("*")
-        if leftover:
+        (_, num, den, factors), = _TERMS_RE.findall(chunk)
+        if den and not int(den):
             raise PolyParseError(
-                "malformed factor %r at offset %d" % (leftover, offset))
-        key = tuple(expts)
-        terms[key] = terms.get(key, 0) + coeff
+                "zero denominator in %r at offset %d" % (chunk, offset))
+        int(num or 0)
+        for i, k in _FACTOR_RE.findall(factors):
+            if int(i) >= n:
+                raise PolyParseError(
+                    "variable x%d out of range for n=%d" % (int(i), n))
+            int(k or 0)
         offset += len(chunk)
-    return Poly(n, terms)

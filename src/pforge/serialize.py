@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .linalg import exact
-from .ratpoly import Poly, parse_poly, PolyParseError
+from .ratpoly import Poly, parse_poly, format_poly, PolyParseError
 from .multivec import Multivector, GradeMismatch, sort_sign
 from .forms import Form
 
@@ -84,8 +84,9 @@ def form_from_json(obj):
 
 
 def multivector_to_json(u):
+    names = {}      # monomial texts, shared by u's coefficients
     return {"n": u.n, "grade": u.grade,
-            "terms": [{"idx": list(idx), "coeff": str(c)}
+            "terms": [{"idx": list(idx), "coeff": format_poly(c, names)}
                       for idx, c in u.sorted_terms()]}
 
 
@@ -118,19 +119,26 @@ def matrix_from_json(rows, what="matrix"):
     return [[fraction_from_json(x) for x in r] for r in rows]
 
 
-def algebra_from_json(obj):
-    from .ncalg import AlgebraSC
-    if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:
-        raise InputError("algebra needs dim, mult and optional unit")
+def _structure_constants(obj, fields, message, key):
+    """(dim, table) of a structure-constant object whose fields are
+    among `fields`; obj[key] must be a dim x dim table of vectors."""
+    if not isinstance(obj, dict) or set(obj) - fields:
+        raise InputError(message)
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise InputError("dim must be a nonnegative integer")
-    mult = obj.get("mult")
     try:
-        table = [[[fraction_from_json(x) for x in mult[i][j]]
-                  for j in range(dim)] for i in range(dim)]
+        return dim, [[[fraction_from_json(x) for x in obj[key][i][j]]
+                      for j in range(dim)] for i in range(dim)]
     except (TypeError, IndexError, KeyError):
-        raise InputError("mult must be a dim x dim table of vectors")
+        raise InputError("%s must be a dim x dim table of vectors" % key)
+
+
+def algebra_from_json(obj):
+    from .ncalg import AlgebraSC
+    dim, table = _structure_constants(
+        obj, {"dim", "mult", "unit"},
+        "algebra needs dim, mult and optional unit", "mult")
     unit = obj.get("unit")
     if unit is not None:
         if not isinstance(unit, list):
@@ -141,17 +149,8 @@ def algebra_from_json(obj):
 
 def liealg_from_json(obj):
     from .ncalg import LieAlgebraSC
-    if not isinstance(obj, dict) or set(obj) - {"dim", "c"}:
-        raise InputError("lie algebra needs dim and c")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
-        raise InputError("dim must be a nonnegative integer")
-    try:
-        c = [[[fraction_from_json(x) for x in obj["c"][i][j]]
-              for j in range(dim)] for i in range(dim)]
-    except (TypeError, IndexError, KeyError):
-        raise InputError("c must be a dim x dim table of vectors")
-    return LieAlgebraSC(dim, c)
+    return LieAlgebraSC(*_structure_constants(
+        obj, {"dim", "c"}, "lie algebra needs dim and c", "c"))
 
 
 def point_from_text(text, n):

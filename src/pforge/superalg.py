@@ -38,10 +38,6 @@ class NonInvolutiveElement(ValueError):
     pass
 
 
-def _zero_vec(dim):
-    return [0] * dim
-
-
 class MultiMap:
     """Antisymmetric multilinear map V^k -> V on basis-index tables."""
 
@@ -80,17 +76,15 @@ class MultiMap:
     def value(self, idx):
         """Signed read at an arbitrary basis-index tuple."""
         sign, key = sort_sign(idx)
-        if not sign:
-            return _zero_vec(self.dim)
-        vec = self.table.get(key)
+        vec = self.table.get(key) if sign else None
         if vec is None:
-            return _zero_vec(self.dim)
+            return [0] * self.dim
         return [sign * x for x in vec]
 
     def eval_first(self, v, rest):
         """Evaluate with an arbitrary vector in the first slot, basis
         indices in the remaining slots."""
-        out = _zero_vec(self.dim)
+        out = [0] * self.dim
         for i, c in enumerate(v):
             if c:
                 for k, b in enumerate(self.value((i,) + tuple(rest))):
@@ -110,10 +104,8 @@ class MultiMap:
                                 % (self.arity, other.arity))
         table = {k: list(v) for k, v in self.table.items()}
         for k, v in other.table.items():
-            if k in table:
-                table[k] = [a + b for a, b in zip(table[k], v)]
-            else:
-                table[k] = list(v)
+            old = table.get(k)
+            table[k] = [a + b for a, b in zip(old, v)] if old else list(v)
         return MultiMap(self.dim, self.arity, table)
 
     def scale(self, c):
@@ -153,7 +145,7 @@ def comp_product(alpha, beta):
     out_arity = m + n - 1
     table = {}
     for idx in combinations(range(dim), out_arity):
-        acc = _zero_vec(dim)
+        acc = [0] * dim
         for pos in combinations(range(out_arity), n):
             inner = tuple(idx[p] for p in pos)
             rest = tuple(idx[p] for p in range(out_arity) if p not in pos)
@@ -330,7 +322,7 @@ def _embed(space, table, n):
     """Lift an A-valued derivation form into a MultiMap on V."""
     full = {}
     for key, vec in table.items():
-        full[key] = _zero_vec(space.d_der) + list(vec)
+        full[key] = [0] * space.d_der + list(vec)
     return MultiMap(space.dim, n, full)
 
 
@@ -339,7 +331,7 @@ def _koszul_d(space, table, n):
     A, d = space.A, space.d_der
     out = {}
     for key in combinations(range(d), n + 1):
-        acc = _zero_vec(A.dim)
+        acc = [0] * A.dim
         for i in range(n + 1):
             rest = key[:i] + key[i + 1:]
             sign, srt = sort_sign(rest)
@@ -390,7 +382,7 @@ def koszul_check(A, max_grade=2):
     # grade 0: a in A, da(X) = X(a)
     dims[0] = A.dim
     for a in range(A.dim):
-        vec = (_zero_vec(space.d_der) + list(linalg.unit_vector(a, A.dim)))
+        vec = [0] * space.d_der + list(linalg.unit_vector(a, A.dim))
         lhs = supercomm(mu, MultiMap.vector(vec))
         table = {}
         for t in range(space.d_der):

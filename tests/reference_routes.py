@@ -6,22 +6,31 @@ that pforge computes another way:
 * `hamiltonian`, `vf_bracket` and `casimir_basis` are the routes
   `analysis` and `multivec` used before X_f became [p, f] through
   `schouten` and the Casimirs were read off the grade-0 Leibniz table;
+* `sharp` wedges the fields X_{x_i} = [p, x_i] that `schouten` gives,
+  where `analysis.sharp` reads them off p's packed coefficients;
 * `delta_coordinate`, `form_bracket_karasev` and
   `schouten_identity_residual` are classical coordinate expansions and
   identities of the form-side calculus;
 * `evaluate_on_functions` is the determinant rule for a multivector on
-  functions.
+  functions;
+* `parse_poly` and `poly_str` are the polynomial text parser and printer
+  as they were before the one-regex parser and the built-in-sorted
+  printer: a chunk regex per term with its error messages, and a Python
+  key function for graded lex order.
 
 Nothing here is fast; each is only a second road to the same exact
 values.
 """
 
+import re
+from fractions import Fraction
 from itertools import permutations
+from operator import neg
 
 from pforge import linalg
-from pforge.ratpoly import Poly
+from pforge.ratpoly import Poly, PolyParseError
 from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
-    schouten, wedge
+    schouten, wedge, lichnerowicz_dp
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of
 from pforge.homology import monomials
 
@@ -72,6 +81,21 @@ def casimir_basis(p, max_degree):
                 rows.setdefault((idx, ee), {})[j] = v
     return [Poly(n, {e: c for e, c in zip(mons, v) if c})
             for v in linalg.nullspace(list(rows.values()), ncols=len(mons))]
+
+
+def sharp(p, a):
+    """sharp(a): each dx_i goes to X_{x_i} = [p, x_i], a wedge of forms
+    to the wedge of those fields."""
+    n = p.n
+    fields = [lichnerowicz_dp(p, Multivector.from_poly(Poly.var(n, i)))
+              for i in range(n)]
+    out = Multivector.zero(n, a.grade)
+    for idx, c in a.terms.items():
+        piece = Multivector.from_poly(c)
+        for i in idx:
+            piece = wedge(piece, fields[i])
+        out = out + piece
+    return out
 
 
 # -- the form side by coordinate expansions ----------------------------
@@ -175,3 +199,85 @@ def evaluate_on_functions(u, funcs):
 def _permutations_signed(k):
     for perm in permutations(range(k)):
         yield sort_sign(perm)[0], perm
+
+
+# -- polynomial text, chunk by chunk ------------------------------------
+
+def _grlex_key(expts):
+    return (sum(expts), tuple(map(neg, expts)))
+
+
+def poly_str(p):
+    """Canonical text of p: graded lex order by a key function."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items(), key=lambda ec: _grlex_key(ec[0])):
+        factors = ["x%d^%d" % (i, k) if k > 1 else "x%d" % i
+                   for i, k in enumerate(e) if k > 0]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+_TERM_RE = re.compile(
+    r"""(?P<sign>[+-])?
+        (?P<coeff>\d+(?:/\d+)?)?
+        \*?
+        (?P<factors>(?:x\d+(?:\^\d+)?\*?)*)
+        $""",
+    re.VERBOSE,
+)
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+
+
+def parse_poly(text, n):
+    """The polynomial grammar, one chunk regex match per signed term."""
+    s = text.replace("\u2212", "-").replace(" ", "").replace("\t", "")
+    if not s:
+        raise PolyParseError("empty polynomial text")
+    chunks = [c for c in re.split(r"(?=[+-])", s) if c]
+    terms = {}
+    offset = 0
+    for chunk in chunks:
+        m = _TERM_RE.match(chunk)
+        if not m or (m.group("coeff") is None and not m.group("factors")):
+            raise PolyParseError(
+                "malformed term %r at offset %d" % (chunk, offset))
+        text = m.group("coeff") or "1"
+        if "/" in text:
+            num, den = text.split("/")
+            if not int(den):
+                raise PolyParseError(
+                    "zero denominator in %r at offset %d" % (chunk, offset))
+            coeff = Fraction(int(num), int(den))
+        else:
+            coeff = int(text)
+        if m.group("sign") == "-":
+            coeff = -coeff
+        expts = [0] * n
+        consumed = 0
+        for fm in _FACTOR_RE.finditer(m.group("factors")):
+            idx = int(fm.group(1))
+            if idx >= n:
+                raise PolyParseError(
+                    "variable x%d out of range for n=%d" % (idx, n))
+            expts[idx] += int(fm.group(2)) if fm.group(2) else 1
+            consumed = fm.end()
+        leftover = m.group("factors")[consumed:].strip("*")
+        if leftover:
+            raise PolyParseError(
+                "malformed factor %r at offset %d" % (leftover, offset))
+        key = tuple(expts)
+        terms[key] = terms.get(key, 0) + coeff
+        offset += len(chunk)
+    return Poly(n, terms)

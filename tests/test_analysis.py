@@ -10,7 +10,8 @@ from pforge.analysis import (sharp, hamiltonian, pbracket, rank_at,
 from pforge.multivec import Multivector, schouten
 from pforge.ncalg import LieAlgebraSC, BadLieAlgebra
 import reference_routes as ref
-from conftest import bivector, random_multivector, random_poly, rng_for
+from conftest import (bivector, random_form, random_multivector, random_poly,
+                      rng_for)
 
 
 def so3_p():
@@ -225,6 +226,17 @@ def test_hamiltonian_matches_the_hand_route():
         for i in range(p.n):
             x = Poly.var(p.n, i)
             assert hamiltonian(p, x) == ref.hamiltonian(p, x)
+
+
+def test_sharp_matches_the_wedge_of_hamiltonian_fields():
+    rng = rng_for(65)
+    for p in _structures():
+        for grade in range(p.n + 1):
+            for _ in range(3):
+                a = random_form(p.n, grade, rng, max_degree=2)
+                got = sharp(p, a)
+                assert got.grade == grade
+                assert got == ref.sharp(p, a), (p, a)
 
 
 def test_field_brackets_match_the_hand_commutator():

@@ -335,6 +335,34 @@ def test_elimination_matches_dense_oracle_on_random_matrices():
         _compare_with_oracle(m, rng)
 
 
+def test_reduced_elimination_on_empty_and_zero_inputs():
+    # no rows, all-zero rows, and dict rows with no columns or only
+    # explicit zeros: the leftmost-pivot pass meets no live row
+    for n in range(4):
+        for count in range(4):
+            zeros = [[0] * n for _ in range(count)]
+            want = dense_rref(zeros)
+            kernel = [linalg.unit_vector(i, n) for i in range(n)]
+            for rows in (zeros, [{} for _ in range(count)],
+                         [{c: 0 for c in range(n)} for _ in range(count)]):
+                assert linalg.rref(rows, n) == want, rows
+                assert linalg.nullspace(rows, n) == kernel \
+                    == oracle_nullspace(zeros, n), rows
+                S = linalg.Subspace(rows, n)
+                assert S.basis == [] == linalg.row_space_basis(rows, n)
+                assert S.complement == kernel
+                assert S.coords([0] * n) == [0] * count
+                assert all(S.project(v) == v for v in kernel)
+    # one nonzero row among zero rows of every kind
+    for rows in ([[0, 0, 0], [0, 2, 4], [0, 0, 0]],
+                 [{}, {1: 2, 2: 4}, {0: 0}]):
+        assert linalg.rref(rows, 3) == dense_rref([[0, 0, 0], [0, 2, 4],
+                                                   [0, 0, 0]])
+        assert linalg.nullspace(rows, 3) == oracle_nullspace(
+            [[0, 2, 4]], 3)
+        assert linalg.Subspace(rows, 3).basis == [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("name", ["so3", "sl2"])
 def test_elimination_matches_dense_oracle_on_blocks(name, request):
     p = request.getfixturevalue(name)

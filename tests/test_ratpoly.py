@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from pforge.ratpoly import (Poly, parse_poly, PolyParseError,
+from pforge.ratpoly import (Poly, parse_poly, format_poly, PolyParseError,
                             DimensionMismatch)
+import reference_routes as ref
+from conftest import rng_for
 
 
 def test_parse_print_round_trip():
@@ -128,3 +130,103 @@ def test_var_power_must_be_a_nonnegative_int():
     for power in (-1, 0.5):
         with pytest.raises(ValueError):
             Poly.var(2, 1, power)
+
+
+# -- the one-regex parser and the built-in-sorted printer against the
+#    chunk-by-chunk oracles of reference_routes --------------------------
+
+_ALPHABET = "x0123456789^*/+- \t\n−"
+
+
+def _random_term(rng):
+    s = rng.choice(["", "+", "-", "−"])
+    r = rng.random()
+    if r < 0.5:
+        s += str(rng.randint(0, 12))
+        if r < 0.2:
+            s += "/" + str(rng.randint(0, 5))
+        if rng.random() < 0.5:
+            s += "*"
+    for _ in range(rng.randint(0, 3)):
+        s += "x%d" % rng.randint(0, 9)
+        if rng.random() < 0.3:
+            s += "^%d" % rng.randint(0, 4)
+        if rng.random() < 0.4:
+            s += "*"
+    return s
+
+
+def _random_text(rng):
+    """Mostly near-grammatical text: signed terms with a few random
+    edits; else any string over the grammar's alphabet."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_ALPHABET)
+                       for _ in range(rng.randint(0, 10)))
+    s = "".join(_random_term(rng) + rng.choice(["", " ", "+", " + ", " - "])
+                for _ in range(rng.randint(1, 4)))
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        i = rng.randint(0, len(s))
+        op = rng.random()
+        if op < 0.4:
+            s = s[:i] + rng.choice(_ALPHABET + "y(٣") + s[i:]
+        elif op < 0.7:
+            s = s[:i] + s[i + 1:]
+        else:
+            s = s[:i] + rng.choice(_ALPHABET) + s[i + 1:]
+    return s
+
+
+def _outcome(parse, text, n):
+    """("ok", terms with their coefficient types) or (exception type,
+    message)."""
+    try:
+        p = parse(text, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", p.n, {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def test_parser_matches_the_chunk_parser_on_random_strings():
+    rng = rng_for(1212)
+    cases = ["x0*2", "2*", "x0x1", "+-", "1/0", "1/0*x0 + x9", "x9 + 1/0",
+             "x0 +", "*", "*x0", "x0**x1", "2**x0", "x0\n", "x0\n+1",
+             "x0\n\n", "4/2*x1 - 1/2 - 3/2", "-x0 + x0", "007*x001^02",
+             "٣*x١", "", " \t", "1//2", "(x0", "y", "x0^"]
+    # a number past int's digit limit raises before a later bad term
+    big = "9" * 4400
+    cases += [big + "+*", "1/" + big + "+*", "x0^" + big + "+*",
+              "x" + big + "+*", "1/0+" + big]
+    texts = [(t, n) for t in cases for n in (-1, 0, 1, 2, 8)]
+    texts += [(_random_text(rng), rng.randint(0, 8)) for _ in range(100000)]
+    kinds = set()
+    for text, n in texts:
+        want = _outcome(ref.parse_poly, text, n)
+        assert _outcome(parse_poly, text, n) == want, (text, n)
+        kinds.add(want[0] if want[0] == "ok" else want[1].split()[0])
+    assert {"ok", "malformed", "zero", "variable", "empty",
+            "monomial"} <= kinds
+
+
+def _random_poly(n, rng):
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        e = tuple(rng.choice([0, 0, 1, 2, 3, 11]) for _ in range(n))
+        if rng.random() < 0.2:
+            e = (0,) * n
+        c = rng.choice([rng.randint(-3, 3), rng.randint(-10**20, 10**20),
+                        Fraction(rng.randint(-7, 7), rng.randint(1, 6))])
+        terms[e] = c
+    return Poly(n, terms)
+
+
+def test_printer_matches_the_key_sorted_printer():
+    rng = rng_for(1213)
+    for n in range(1, 9):
+        names = {}
+        for _ in range(400):
+            p = _random_poly(n, rng)
+            want = ref.poly_str(p)
+            assert str(p) == want == format_poly(p, names), p.terms
+            assert parse_poly(want, n) == p
+    assert str(Poly.const(3, Fraction(-1, 2))) == "-1/2"
+    assert str(Poly(0, {(): 5})) == "5" and str(Poly.zero(2)) == "0"
