@@ -250,12 +250,12 @@ def format_poly(p, names):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-# parse_poly's grammar on whitespace-free text: a term starts at a sign,
-# has a coefficient and/or factors, and may end in one newline.  The
-# lookahead keeps findall from an empty match at the end of the text.
+# parse_poly's grammar on whitespace-free text: each term after the first
+# starts at a sign, has a coefficient or a factor (the lookahead) and may
+# end in one newline; _TERMS_RE's lookahead stops an empty match at the end.
 _FACTOR = r"(?:x\d+(?:\^\d+)?\*?)"
-_TERM = r"(?:\d+(?:/\d+)?\*?%s*|\*?%s+)\n?" % (_FACTOR, _FACTOR)
-_POLY_RE = re.compile(r"[+-]?%s(?:[+-]%s)*" % (_TERM, _TERM))
+_POLY_RE = re.compile(r"(?:(?:\A[+-]?|[+-])(?=\d|\*?x)"
+                      r"(?:\d+(?:/\d+)?)?\*?%s*\n?)+" % _FACTOR)
 _TERMS_RE = re.compile(r"(?=.)([+-]?)(\d*)(?:/(\d+))?\*?(%s*)\n?" % _FACTOR)
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
