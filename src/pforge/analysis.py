@@ -13,7 +13,8 @@ from itertools import product
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
-                       GradeMismatch, _width, _degree, _pack, _wedge)
+                       GradeMismatch, _width, _degree, _pack, _wedge,
+                       _coordinate_fields)
 from .forms import pbracket_of as pbracket, _check_pair
 from .homology import monomials, LICHNEROWICZ, _leibniz_tables, _column
 
@@ -33,10 +34,7 @@ def sharp(p, a):
     # each field S_i has coefficients of p's degree, and a term on dx_I
     # multiplies its coefficient by |I| of them
     w = _width(_degree(a) + a.grade * _degree(p))
-    # {x_i, x_j} is p's packed coefficient on d_i^d_j, negated if i > j
-    fields = [{} for _ in range(n)]
-    for (i, j), c in _pack(p, w).items():
-        fields[i][j,], fields[j][i,] = c, {e: -v for e, v in c.items()}
+    fields = _coordinate_fields(_pack(p, w), n)
     acc = {}
     for idx, c in _pack(a, w).items():
         piece = {(): c}
@@ -152,7 +150,8 @@ def casimir_basis(p, max_degree):
     rows = {}
     for j, e in enumerate(mons):
         for key, v in _column(table, e, w).items():
-            rows.setdefault(key, {})[j] = v
+            if v:
+                rows.setdefault(key, {})[j] = v
     return [Poly(n, {e: c for e, c in zip(mons, v) if c})
             for v in linalg.nullspace(list(rows.values()), ncols=len(mons))]
 

@@ -215,7 +215,12 @@ def cmd_ideal(args):
 
 def cmd_oracle_super(args):
     seed = args.seed if args.seed is not None else 0
-    rep = super_axiom_report(_nonnegative(args.dim, "--dim"), seed,
+    dim = _nonnegative(args.dim, "--dim")
+    if dim > 6:
+        # a multimap has dim^(arity + 1) entries: at the default
+        # --trials, --dim 6 takes about 0.6 s and 7 about 2 s
+        raise InputError("--dim must be <= 6, got %d" % dim)
+    rep = super_axiom_report(dim, seed,
                              trials=_nonnegative(args.trials, "--trials"))
     return _emit(args, rep)
 

@@ -12,15 +12,18 @@ of their differential (`_STEP`), so one driver serves both.  Dimensions
 of (co)homology come out of exact kernel/rank counts on the block
 matrices; nothing is ever estimated.
 
-Blocks are read off Leibniz tables of the differential, one per
-(complex, grade), built by the packed kernels of `multivec` and `forms`
-on one-term elements.  Table entries, column shifts and the target
-position map all use packed keys: the target index tuple's position
-above the n packed exponents (w bits each), so shifting an entry by a
-monomial is one int add.  w is the bit length of the largest target
-coefficient degree (at least d + 1, the degree a table reaches):
-a dimension table fixes one w for all its blocks, and a standalone
-`block_matrix` uses its own.
+Blocks are read off Leibniz tables of the differential D, one per
+(complex, grade).  D is first order: with the coordinates' Hamiltonian
+fields X_j = [p, x_j] = sum_i {x_j, x_i} d_i, the Leibniz identities
+[p, f u] = f [p, u] + X_f ^ u and delta(f a) = f delta(a) + i_{X_f} a
+give D(f e_I) = f T0 + sum_j (df/dx_j) T_j, with T0 = D(e_I) and
+T_j = X_j ^ e_I (multivectors) or i_{X_j} e_I (forms).  Table entries,
+column shifts and the target position map all use packed keys: the
+target index tuple's position above the n packed exponents (w bits
+each), so shifting an entry by a monomial is one int add.  w is the
+bit length of the largest target coefficient degree, and at least that
+of d + 1 (table entries reach degree d): a dimension table fixes one w
+for all its blocks, and a standalone `block_matrix` uses its own.
 """
 
 from itertools import combinations_with_replacement
@@ -28,8 +31,8 @@ from operator import lshift
 
 from . import linalg
 from .multivec import (all_index_tuples, jacobiator, GradeMismatch, _width,
-                       _pack, _schouten)
-from .forms import NonInvolutive, _delta
+                       _pack, _schouten, _wedge, _coordinate_fields)
+from .forms import NonInvolutive, _delta, _interior
 
 
 class NonHomogeneous(ValueError):
@@ -131,9 +134,9 @@ class WeightBlock:
 
 def _table_width(d, top):
     """Packing width for the tables and blocks of a degree-d bivector
-    whose largest target coefficient degree is top.  Building a table
-    reaches degree d + 1 (D applied to x_j e_I), and every shifted
-    table entry has exactly its block's target degree."""
+    whose largest target coefficient degree is top.  Table entries
+    reach degree d (the coefficients of the fields X_j), and every
+    shifted table entry has exactly its block's target degree."""
     return _width(max(top, d + 1))
 
 
@@ -147,54 +150,33 @@ def _index_keys(n, grade, w):
 
 
 def _leibniz_tables(p, complex_kind, grade, w):
-    """The differential D of the complex on one grade, as tables that
-    fix its value on every polynomial coefficient.
-
-    D is first order in the coefficient, D(f u) = f D(u) +
-    sum_j (df/dx_j) (D(x_j u) - x_j D(u)), so for each index tuple I of
-    the grade it is enough to know T0 = D(e_I) and, for each variable j,
-    T_j = D(x_j e_I) - x_j D(e_I).  Maps I to (T0, [T_0, ..., T_{n-1}]),
-    each a sparse {packed key: value} dict, where a packed key is the
-    target index tuple's `_index_keys` part plus the width-w packed
-    exponent: multiplying an entry by x^e is one int add.  p is packed
-    once, and D runs as the packed kernel on one-term elements.
-    """
+    """The Leibniz tables of D on one grade (see the module docstring):
+    {I: (T0, [T_0, ..., T_{n-1}])} over the grade's index tuples I, each
+    entry a sparse {packed key: value} dict at width w.  The fields X_j
+    are read off p's packed coefficients once per call."""
     n = p.n
     pp = _pack(p, w)
-    if complex_kind == LICHNEROWICZ:
-        def image(idx, mono):
-            return _schouten(2, pp, {idx: {mono: 1}}, w, {})
-    else:
-        def image(idx, mono):
-            return _delta(n, pp, {idx: {mono: 1}}, grade, w)
+    lich = complex_kind == LICHNEROWICZ
+    first = _wedge if lich else _interior
     high = _index_keys(n, grade + _STEP[complex_kind], w)
 
     def flat(acc):
         return {high[t] + e: v for t, terms in acc.items()
                 for e, v in terms.items() if v}
-    units = [1 << (w * j) for j in range(n)]
+    fields = _coordinate_fields(pp, n)
     tables = {}
     for idx in all_index_tuples(n, grade):
-        t0 = flat(image(idx, 0))
-        firsts = []
-        for unit in units:
-            tj = flat(image(idx, unit))
-            for key, v in t0.items():
-                key += unit
-                x = tj.get(key, 0) - v
-                if x:
-                    tj[key] = x
-                else:
-                    del tj[key]
-            firsts.append(tj)
-        tables[idx] = t0, firsts
+        unit = {idx: {0: 1}}
+        t0 = (_schouten(2, pp, unit, w, {}) if lich
+              else _delta(n, pp, unit, grade, w))
+        tables[idx] = flat(t0), [flat(first(x, unit, {})) for x in fields]
     return tables
 
 
 def _column(table, e, w):
     """D(x^e e_I) from the table entry (T0, [T_j]) of e_I, as a
-    {packed key: value} dict with its zeros dropped: T0 shifted by e,
-    plus e_j T_j shifted by e - 1_j for every j with e_j > 0."""
+    {packed key: value} dict that may hold zeros: T0 shifted by e, plus
+    e_j T_j shifted by e - 1_j for every j with e_j > 0."""
     t0, firsts = table
     pe = sum(map(lshift, e, range(0, w * len(e), w)))
     col = {key + pe: v for key, v in t0.items()}
@@ -204,7 +186,7 @@ def _column(table, e, w):
             for key, v in firsts[j].items():
                 key += shift
                 col[key] = col.get(key, 0) + ej * v
-    return {key: v for key, v in col.items() if v}
+    return col
 
 
 def block_matrix(p, complex_kind, grade, weight, _tables=None,
@@ -251,7 +233,8 @@ def block_matrix(p, complex_kind, grade, weight, _tables=None,
         for e in mons:
             col = _column(tables[idx], e, w)
             try:
-                cols.append({pos[key]: v for key, v in col.items()})
+                # zeros are dropped before their key is looked up
+                cols.append({pos[key]: v for key, v in col.items() if v})
             except KeyError as exc:
                 raise AssertionError(
                     "differential left the expected (grade, weight) "

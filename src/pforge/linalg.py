@@ -60,9 +60,10 @@ def _primitive_rows(rows):
         vec = {c: x for c, x in _entries(row) if x}
         if not vec:
             continue
-        den = lcm(*(x.denominator for x in vec.values()))
-        for c, x in vec.items():
-            vec[c] = x.numerator * (den // x.denominator)
+        if any(type(x) is not int for x in vec.values()):
+            den = lcm(*(x.denominator for x in vec.values()))
+            for c, x in vec.items():
+                vec[c] = x.numerator * (den // x.denominator)
         _divide_content(vec)
         live[i] = vec
         for c in vec:

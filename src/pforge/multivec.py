@@ -96,6 +96,15 @@ def _diff(f, i, w):
     return {e - one: k * c for e, c in f.items() if (k := e >> s & mask)}
 
 
+def _coordinate_fields(pp, n):
+    """The packed fields X_j = [p, x_j] = sum_i {x_j, x_i} d_i of the
+    packed bivector pp; {x_j, x_i} = -{x_i, x_j} when i < j."""
+    fields = [{} for _ in range(n)]
+    for (i, j), c in pp.items():
+        fields[i][j,], fields[j][i,] = c, {e: -v for e, v in c.items()}
+    return fields
+
+
 def add_term(acc, idx, scale, f, g=None):
     """Add scale * f * g (scale * f when g is None) on the basis element
     of the index tuple idx; f and g are packed term dicts
@@ -111,20 +120,19 @@ def add_term(acc, idx, scale, f, g=None):
     if not s:
         return
     k = s * scale
-    if k != 1:
-        f = {e: k * c for e, c in f.items()}
     out = acc.get(key)
     if out is None:
         out = acc[key] = {}
     get = out.get
     if g is None:
         for e, c in f.items():
-            out[e] = get(e, 0) + c
+            out[e] = get(e, 0) + k * c
         return
     for e1, c1 in f.items():
+        kc = k * c1
         for e2, c2 in g.items():
             e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
+            out[e] = get(e, 0) + kc * c2
 
 
 class Graded:

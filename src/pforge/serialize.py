@@ -44,7 +44,9 @@ def _terms_from_json(obj, n, grade):
         sign, key = sort_sign(idx)
         if not sign:
             continue
-        terms[key] = terms.get(key, Poly.zero(n)) + coeff * sign
+        coeff = coeff if sign > 0 else -coeff
+        old = terms.get(key)
+        terms[key] = coeff if old is None else old + coeff
     return terms
 
 

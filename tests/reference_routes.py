@@ -8,6 +8,9 @@ that pforge computes another way:
   `schouten` and the Casimirs were read off the grade-0 Leibniz table;
 * `sharp` wedges the fields X_{x_i} = [p, x_i] that `schouten` gives,
   where `analysis.sharp` reads them off p's packed coefficients;
+* `leibniz_tables` runs the differential on x_j e_I and e_I for each
+  coordinate j, where `homology._leibniz_tables` wedges or contracts
+  e_I with the coordinate fields X_j;
 * `delta_coordinate`, `form_bracket_karasev` and
   `schouten_identity_residual` are classical coordinate expansions and
   identities of the form-side calculus;
@@ -30,9 +33,10 @@ from operator import neg
 from pforge import linalg
 from pforge.ratpoly import Poly, PolyParseError
 from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
-    schouten, wedge, lichnerowicz_dp
-from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of
-from pforge.homology import monomials
+    schouten, wedge, lichnerowicz_dp, all_index_tuples, _pack, _schouten
+from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
+    _delta
+from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
 
 
 # -- the Poisson side by hand ------------------------------------------
@@ -96,6 +100,42 @@ def sharp(p, a):
             piece = wedge(piece, fields[i])
         out = out + piece
     return out
+
+
+def leibniz_tables(p, complex_kind, grade, w):
+    """`homology._leibniz_tables` by running the differential D on
+    one-term elements: T0 = D(e_I) and T_j = D(x_j e_I) - x_j D(e_I),
+    n + 1 packed kernel runs per index tuple I of the grade."""
+    n = p.n
+    pp = _pack(p, w)
+    if complex_kind == LICHNEROWICZ:
+        def image(idx, mono):
+            return _schouten(2, pp, {idx: {mono: 1}}, w, {})
+    else:
+        def image(idx, mono):
+            return _delta(n, pp, {idx: {mono: 1}}, grade, w)
+    high = _index_keys(n, grade + _STEP[complex_kind], w)
+
+    def flat(acc):
+        return {high[t] + e: v for t, terms in acc.items()
+                for e, v in terms.items() if v}
+    units = [1 << (w * j) for j in range(n)]
+    tables = {}
+    for idx in all_index_tuples(n, grade):
+        t0 = flat(image(idx, 0))
+        firsts = []
+        for unit in units:
+            tj = flat(image(idx, unit))
+            for key, v in t0.items():
+                key += unit
+                x = tj.get(key, 0) - v
+                if x:
+                    tj[key] = x
+                else:
+                    del tj[key]
+            firsts.append(tj)
+        tables[idx] = t0, firsts
+    return tables
 
 
 # -- the form side by coordinate expansions ----------------------------

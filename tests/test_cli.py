@@ -135,6 +135,21 @@ def test_negative_bound_exit_1(args):
     assert json.loads(r.stdout)["error"]["kind"] == "bad-input"
 
 
+def test_oracle_super_dim_above_6_is_refused_before_any_work(monkeypatch,
+                                                           capsys):
+    import pforge.cli as cli
+    assert cli.main(["oracle", "super", "--dim", "6", "--trials", "1"]) == 0
+    capsys.readouterr()
+
+    def unbounded(*args, **kwargs):
+        raise AssertionError("--dim 7 reached super_axiom_report")
+
+    monkeypatch.setattr(cli, "super_axiom_report", unbounded)
+    assert cli.main(["oracle", "super", "--dim", "7"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "bad-input" and "<= 6" in error["message"]
+
+
 def test_jobs_is_not_an_option():
     assert run("check", "-i", SO3, "--jobs", "2").returncode == 1
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from pforge import homology
@@ -6,9 +9,11 @@ from pforge.homology import (structure_degree, check_structure, monomials,
                              poisson_cohomology_dims, canonical_homology_dims,
                              NonHomogeneous, LICHNEROWICZ, CANONICAL)
 from pforge.forms import Form, NonInvolutive, delta
-from pforge.multivec import Multivector, lichnerowicz_dp
+from pforge.multivec import (Multivector, lichnerowicz_dp, jacobiator,
+                             all_index_tuples, _degree)
 from pforge.ratpoly import Poly
 from conftest import bivector, rng_for
+import reference_routes as ref
 
 
 def rows_by_key(rows):
@@ -150,6 +155,81 @@ def test_so3_blocks_match_the_per_column_route_across_widths():
                             block_matrix(p, kind, k, w, _tables=tables)):
                     assert blk.columns == want, (kind, k, w)
         assert {width for _, width in tables} == widths
+
+
+def _seeded_bivector(rng, n):
+    """A bivector on Q^n whose coefficients mix degrees 0-2, with
+    values a/b for b in 1..3, so it is in general neither Poisson nor
+    homogeneous, and some of its coefficients are not integral."""
+    terms = {}
+    for idx in all_index_tuples(n, 2):
+        coeff = {}
+        for _ in range(rng.randint(0, 3)):
+            e = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(n)] += 1
+            coeff[tuple(e)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        terms[idx] = Poly(n, {e: c for e, c in coeff.items() if c})
+    return Multivector(n, 2, terms)
+
+
+def _table_cases():
+    """The catalog and three seeded bivectors on each of Q^2..Q^5."""
+    cases = {name: bivector(*STRUCTURES[name]) for name in STRUCTURES}
+    cases.update({
+        "aff1": bivector(2, {(0, 1): "x1"}),
+        "jacobian": jacobian_structure(seeded_phi(3, 3)),
+        "log-canonical": bivector(3, {(0, 1): "x0*x1", (0, 2): "-x0*x2",
+                                      (1, 2): "x1*x2"}),
+        "zero": Multivector(3, 2),
+    })
+    rng = rng_for(131)
+    for n in range(2, 6):
+        for i in range(3):
+            cases["seeded-q%d-%d" % (n, i)] = _seeded_bivector(rng, n)
+    return cases
+
+
+TABLE_CASES = _table_cases()
+
+
+def test_seeded_table_cases_are_neither_poisson_nor_homogeneous():
+    seeded = [p for name, p in TABLE_CASES.items()
+              if name.startswith("seeded")]
+    coeffs = [c for p in seeded for c in p.terms.values()]
+    assert sum(not jacobiator(p).is_zero() for p in seeded) >= 8
+    assert sum(len({sum(e) for c in p.terms.values() for e in c.terms}) > 1
+               for p in seeded) >= 8
+    assert any(type(v) is Fraction for c in coeffs for v in c.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_leibniz_tables_match_the_kernel_per_entry_route(name):
+    # T_j = X_j ^ e_I and i_{X_j} e_I hold for every bivector, Poisson
+    # or not, so each entry equals D(x_j e_I) - x_j D(e_I)
+    p = TABLE_CASES[name]
+    w = homology._table_width(_degree(p), _degree(p))
+    for width in (w, w + 3):
+        for kind in (LICHNEROWICZ, CANONICAL):
+            for k in range(p.n + 1):
+                got = homology._leibniz_tables(p, kind, k, width)
+                want = ref.leibniz_tables(p, kind, k, width)
+                assert got == want, (name, kind, k, width)
+
+
+def test_tables_run_the_differential_once_per_index_tuple(monkeypatch):
+    calls = []
+    for name in ("_schouten", "_delta"):
+        def counted(*args, _real=getattr(homology, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(homology, name, counted)
+    p = bivector(*STRUCTURES["so3+sl2"])
+    for kind, op in ((LICHNEROWICZ, "_schouten"), (CANONICAL, "_delta")):
+        for k in range(p.n + 1):
+            del calls[:]
+            homology._leibniz_tables(p, kind, k, 3)
+            assert calls == [op] * comb(p.n, k), (kind, k)
 
 
 def test_dims_build_each_grade_table_once_at_one_width(so3, monkeypatch):

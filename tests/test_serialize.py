@@ -31,6 +31,12 @@ def test_unsorted_idx_folds_sign():
     u = serialize.multivector_from_json(
         {"n": 2, "grade": 2, "terms": [{"idx": [1, 0], "coeff": "x0"}]})
     assert str(u.terms[(0, 1)]) == "-x0"
+    # a repeated index tuple adds its signed coefficient to the first
+    u = serialize.multivector_from_json(
+        {"n": 2, "grade": 2, "terms": [{"idx": [1, 0], "coeff": "x0"},
+                                       {"idx": [0, 1], "coeff": "x1"},
+                                       {"idx": [1, 0], "coeff": "1/2"}]})
+    assert str(u.terms[(0, 1)]) == "-1/2 - x0 + x1"
 
 
 def test_repeated_idx_is_dropped():
