@@ -83,20 +83,11 @@ class PointReport:
 def _wedge_power_rank(p, point):
     """2k with p(x)^k != 0 and p(x)^(k+1) = 0, on the evaluated bivector."""
     n = p.n
-    terms = {}
-    for idx, c in p.terms.items():
-        v = c.eval(point)
-        if v:
-            terms[idx] = Poly.const(n, v)
-    px = Multivector(n, 2, terms)
-    power = Multivector.from_poly(Poly.const(n, 1))
-    k = 0
-    while True:
-        nxt = wedge(power, px)
-        if nxt.is_zero():
-            return 2 * k
-        power = nxt
+    px = Multivector(n, 2, {idx: c.eval(point) for idx, c in p.terms.items()})
+    power, k = Multivector.from_poly(Poly.const(n, 1)), 0
+    while not (power := wedge(power, px)).is_zero():
         k += 1
+    return 2 * k
 
 
 def rank_at(p, point):
@@ -175,10 +166,8 @@ def momentum_cocycle(p, g, lam):
                 out = out + lam[k] * c
         return out
 
-    c = [[Poly.zero(n) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            c[i][j] = lam_of(g.c[i][j]) - pbracket(p, lam[i], lam[j])
+    c = [[lam_of(g.c[i][j]) - pbracket(p, lam[i], lam[j]) for j in range(d)]
+         for i in range(d)]
 
     def c_of(u, v):
         out = Poly.zero(n)
@@ -190,16 +179,10 @@ def momentum_cocycle(p, g, lam):
                     out = out + c[i][j] * (u[i] * v[j])
         return out
 
-    cyclic_ok = True
     basis = [linalg.unit_vector(i, d) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                s = (c_of(g.c[i][j], basis[k])
-                     + c_of(g.c[j][k], basis[i])
-                     + c_of(g.c[k][i], basis[j]))
-                if not s.is_zero():
-                    cyclic_ok = False
+    cyclic_ok = all((c_of(g.c[i][j], basis[k]) + c_of(g.c[j][k], basis[i])
+                     + c_of(g.c[k][i], basis[j])).is_zero()
+                    for i, j, k in product(range(d), repeat=3))
     fields = [hamiltonian(p, f) for f in lam]
     ham_ok = all(schouten(fields[i], fields[j])
                  == hamiltonian(p, lam_of(g.c[i][j]))
@@ -214,9 +197,7 @@ def _membership(target, gens, degree_bound):
     Returns the list of multipliers h_k or None.
     """
     n = target.n
-    mons = []
-    for deg in range(degree_bound + 1):
-        mons.extend(monomials(n, deg))
+    mons = [e for deg in range(degree_bound + 1) for e in monomials(n, deg)]
     per = len(mons)
     # one row per monomial: the coefficients it gets from each h_k g_k
     rows = {ee: {} for ee in target.terms}
@@ -262,7 +243,6 @@ def ideal_check(p, generators, degree_bound):
                 "certificates": [], "failures": []}
     certificates = []
     failures = []
-    undecided = False
     for gi, g in enumerate(generators):
         for j in range(n):
             br = pbracket(p, g, Poly.var(n, j))
@@ -280,7 +260,6 @@ def ideal_check(p, generators, degree_bound):
                 failures.append({"generator": gi, "coordinate": j,
                                  "witness_point": witness})
             else:
-                undecided = True
                 failures.append({"generator": gi, "coordinate": j,
                                  "witness_point": None})
     if failures:

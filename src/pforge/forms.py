@@ -57,7 +57,9 @@ def _form_d(n, pa, w, acc, scale=1):
             if i not in idx:
                 ci = _diff(c, i, w)
                 if ci:
-                    add_term(acc, (i,) + idx, scale, ci)
+                    b = sum(j < i for j in idx)  # dx_i moves past b
+                    add_term(acc, idx[:b] + (i,) + idx[b:],
+                             -scale if b & 1 else scale, ci)
     return acc
 
 

@@ -48,9 +48,7 @@ _STEP = {LICHNEROWICZ: 1, CANONICAL: -1}
 
 def structure_degree(p):
     """Common total degree of p's coefficients (0 for the zero bivector)."""
-    degs = set()
-    for c in p.terms.values():
-        degs.update(sum(e) for e in c.terms)
+    degs = {sum(e) for c in p.terms.values() for e in c.terms}
     if len(degs) > 1:
         raise NonHomogeneous("coefficient degrees %s" % sorted(degs))
     return degs.pop() if degs else 0
@@ -167,7 +165,8 @@ def _leibniz_tables(p, complex_kind, grade, w):
     tables = {}
     for idx in all_index_tuples(n, grade):
         unit = {idx: {0: 1}}
-        t0 = (_schouten(2, pp, unit, w, {}) if lich
+        # [p, e_I] = S(e_I, p): S(p, e_I) differentiates a constant
+        t0 = (_schouten(unit, pp, w, {}) if lich
               else _delta(n, pp, unit, grade, w))
         tables[idx] = flat(t0), [flat(first(x, unit, {})) for x in fields]
     return tables

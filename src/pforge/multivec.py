@@ -105,31 +105,26 @@ def _coordinate_fields(pp, n):
     return fields
 
 
-def add_term(acc, idx, scale, f, g=None):
+def add_term(acc, key, scale, f, g=None):
     """Add scale * f * g (scale * f when g is None) on the basis element
-    of the index tuple idx; f and g are packed term dicts
+    of the increasing index tuple key; f and g are packed term dicts
     {packed monomial: coefficient} of one width, scale a nonzero exact
-    number.
+    number into which the caller has folded any reordering sign.
 
     acc maps increasing tuples to packed {monomial: coefficient}
     accumulators; a monomial product is one int add, and no Poly or
     exponent tuple is formed per term.  Zeros stay in the accumulators
-    until `Graded.build` drops them.  idx may be unsorted: its sorting
-    sign is folded in, and an idx with a repeated index adds nothing."""
-    s, key = sort_sign(idx)
-    if not s:
-        return
-    k = s * scale
+    until `Graded.build` drops them."""
     out = acc.get(key)
     if out is None:
         out = acc[key] = {}
     get = out.get
     if g is None:
         for e, c in f.items():
-            out[e] = get(e, 0) + k * c
+            out[e] = get(e, 0) + scale * c
         return
     for e1, c1 in f.items():
-        kc = k * c1
+        kc = scale * c1
         for e2, c2 in g.items():
             e = e1 + e2
             out[e] = get(e, 0) + kc * c2
@@ -302,7 +297,9 @@ def _wedge(pu, pv, acc):
     """Add the wedge of two packed elements into acc; returns acc."""
     for iu, cu in pu.items():
         for iv, cv in pv.items():
-            add_term(acc, iu + iv, 1, cu, cv)
+            s, key = sort_sign(iu + iv)
+            if s:
+                add_term(acc, key, s, cu, cv)
     return acc
 
 
@@ -313,49 +310,66 @@ def schouten(u, v):
     of basis terms u = f d_I and v = g d_J, with f and g carried by the
     first factor of each.  Every other factor is a bare d_i, and
     [d_i, d_j] = 0, so only the pairs (a, 0) and (0, b) survive.  With
-    [d_i, g d_j] = g_i d_j and [f d_i, d_j] = -f_j d_i, moving the new
-    d_j into place, they fold into two sums (0-based a, b; m = |I|):
+    [d_i, g d_j] = g_i d_j the pairs (a, 0) give (0-based a)
 
-        [f d_I, g d_J] = sum_a (-1)^a f dg/dx_{I_a} d_{I-I_a} ^ d_J
-                       + sum_b (-1)^(m+b) g df/dx_{J_b} d_I ^ d_{J-J_b}
+        S(f d_I, g d_J) = sum_a (-1)^a f dg/dx_{I_a} d_{I-I_a} ^ d_J,
 
-    For |v| = 0 the first sum is the rule for [u, g]; for |u| = 0 the
-    second is [g, u] = [u, g].
+    and the pairs (0, b) give S(v, u) moved into place, so with m = |u|
+    and k = |v|, [u, v] = S(u, v) + (-1)^(m k) S(v, u).  On one operand
+    [u, u] = (1 + (-1)^m) S(u, u) runs S once.  S(u, g) is the rule for
+    [u, g], and S(g, u) = 0.  S sums the signed derivatives that land on
+    one basis element before f multiplies them (`_schouten`).
     """
-    u._check(v)
-    n, m = u.n, u.grade
-    if m == 0 and v.grade == 0:
+    u._check(v, Multivector)
+    v._check(u, Multivector)
+    n, m, k = u.n, u.grade, v.grade
+    if m == 0 and k == 0:
         return Multivector.zero(n, 0)
     w = _width(_degree(u) + _degree(v))
-    return Multivector.build(n, m + v.grade - 1,
-                             _schouten(m, _pack(u, w), _pack(v, w), w, {}),
-                             w)
+    pu = _pack(u, w)
+    if v is u:
+        acc = {} if m % 2 else _schouten(pu, pu, w, {}, 2)
+    else:
+        pv = _pack(v, w)
+        acc = _schouten(pv, pu, w, _schouten(pu, pv, w, {}), (-1) ** (m * k))
+    return Multivector.build(n, m + k - 1, acc, w)
 
 
-def _schouten(m, pu, pv, w, acc):
-    """Add the two sums of `schouten` for packed elements of width w,
-    pu of grade m, into acc; returns acc."""
-    du, dv = {}, {}     # partial derivatives, each taken once
+def _schouten(pu, pv, w, acc, scale=1):
+    """Add scale * S(u, v) of `schouten` for packed u and v into acc;
+    returns acc.  Per term f d_I, the signed derivatives that land on
+    one basis element are summed (zeros dropped; a lone one is used as
+    it is), then f multiplies each sum once.  Derivatives and the signs
+    of index concatenations are memoised for this call only."""
+    ders, signs = {}, {}
     for iu, f in pu.items():
-        for iv, g in pv.items():
-            for a, i in enumerate(iu):
-                gi = dv.get((iv, i))
-                if gi is None:
-                    gi = dv[iv, i] = _diff(g, i, w)
-                if gi:
-                    add_term(acc, iu[:a] + iu[a + 1:] + iv, (-1) ** a, f, gi)
-            for b, j in enumerate(iv):
-                fj = du.get((iu, j))
-                if fj is None:
-                    fj = du[iu, j] = _diff(f, j, w)
-                if fj:
-                    add_term(acc, iu + iv[:b] + iv[b + 1:], (-1) ** (m + b),
-                             g, fj)
+        parts = {}
+        for a, i in enumerate(iu):
+            if i not in ders:
+                ders[i] = [(iv, gi) for iv, g in pv.items()
+                           if (gi := _diff(g, i, w))]
+            rest = iu[:a] + iu[a + 1:]
+            for iv, gi in ders[i]:
+                idx = rest + iv
+                s, key = signs.get(idx) or signs.setdefault(idx, sort_sign(idx))
+                if s:
+                    parts.setdefault(key, []).append((-s if a & 1 else s, gi))
+        for key, signed in parts.items():
+            (s, h), *more = signed
+            if more:
+                h = {}
+                for t, gi in signed:
+                    for e, c in gi.items():
+                        h[e] = h.get(e, 0) + t * c
+                s, h = 1, {e: c for e, c in h.items() if c}
+            if h:
+                add_term(acc, key, s * scale, f, h)
     return acc
 
 
 def lichnerowicz_dp(p, u):
     """Coboundary [p, .] of the bivector p; squares to zero when [p,p]=0."""
+    p._check(p, Multivector)
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
     return schouten(p, u)
@@ -363,6 +377,7 @@ def lichnerowicz_dp(p, u):
 
 def jacobiator(p):
     """[p, p]; vanishes iff the induced bracket satisfies Jacobi."""
+    p._check(p, Multivector)
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
     return schouten(p, p)

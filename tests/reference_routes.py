@@ -105,12 +105,14 @@ def sharp(p, a):
 def leibniz_tables(p, complex_kind, grade, w):
     """`homology._leibniz_tables` by running the differential D on
     one-term elements: T0 = D(e_I) and T_j = D(x_j e_I) - x_j D(e_I),
-    n + 1 packed kernel runs per index tuple I of the grade."""
+    n + 1 packed differentials per index tuple I of the grade."""
     n = p.n
     pp = _pack(p, w)
     if complex_kind == LICHNEROWICZ:
         def image(idx, mono):
-            return _schouten(2, pp, {idx: {mono: 1}}, w, {})
+            # [p, u] = S(p, u) + S(u, p) for the bivector p
+            unit = {idx: {mono: 1}}
+            return _schouten(unit, pp, w, _schouten(pp, unit, w, {}))
     else:
         def image(idx, mono):
             return _delta(n, pp, {idx: {mono: 1}}, grade, w)

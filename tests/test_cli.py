@@ -150,6 +150,24 @@ def test_oracle_super_dim_above_6_is_refused_before_any_work(monkeypatch,
     assert error["kind"] == "bad-input" and "<= 6" in error["message"]
 
 
+def test_oracle_super_trials_above_1000_is_refused_before_any_work(
+        monkeypatch, capsys):
+    import pforge.cli as cli
+    assert cli.main(["oracle", "super", "--dim", "1", "--trials",
+                     "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 1000
+
+    def unbounded(*args, **kwargs):
+        raise AssertionError("--trials 1001 reached super_axiom_report")
+
+    monkeypatch.setattr(cli, "super_axiom_report", unbounded)
+    assert cli.main(["oracle", "super", "--dim", "6", "--trials",
+                     "1001"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "bad-input",
+                     "message": "--trials must be <= 1000, got 1001"}
+
+
 def test_jobs_is_not_an_option():
     assert run("check", "-i", SO3, "--jobs", "2").returncode == 1
 

@@ -15,7 +15,9 @@ import pytest
 import fraction_reference as ref
 from conftest import rng_for
 from pforge.ratpoly import Poly
-from pforge.multivec import Multivector, wedge, schouten, all_index_tuples
+from pforge import multivec
+from pforge.multivec import (Multivector, wedge, schouten, jacobiator,
+                             all_index_tuples, _pack)
 from pforge.forms import Form, form_d, interior, delta
 
 COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
@@ -240,3 +242,89 @@ def test_nine_variables_match_the_reference():
                             every=9)
             p = high_graded(Multivector, n, 2, rng, lo, hi, every=6)
             check_operators(n, u, v, a, p)
+
+
+# -- one first-sum kernel -------------------------------------------------
+#
+# schouten runs S(u, v) = sum_a (-1)^a f dg/dx_{I_a} d_{I-I_a} ^ d_J as
+# [u, v] = S(u, v) + (-1)^(m k) S(v, u), and once, as (1 + (-1)^m) S(u, u),
+# when both operands are one element.  The reference is the two-sum
+# formula.
+
+
+def sparse_multivector(n, grade, rng, terms=6):
+    idxs = all_index_tuples(n, grade)
+    return Multivector(n, grade, {idx: mixed_poly(n, rng)
+                                  for idx in rng.sample(idxs,
+                                                        min(terms, len(idxs)))})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_self_bracket_matches_the_two_sum_reference(n):
+    rng = rng_for(90 + n)
+    for m in range(min(n, 4) + 1):
+        for _ in range(3):
+            u = sparse_multivector(n, m, rng)
+            twin = Multivector(n, m, dict(u.terms))
+            ru = ref.from_graded(u)
+            want = ref.schouten(n, m, ru, ru)
+            if m % 2:
+                # odd grade: the two sums of [u, u] cancel
+                assert ref.graded_values(want) == {}
+                assert schouten(u, u).is_zero()
+            for got in (schouten(u, u), schouten(u, twin)):
+                assert_same(got, want)
+                assert got.grade == max(2 * m - 1, 0)
+            if m == 2:
+                assert_same(jacobiator(u), want)
+            k = rng.randint(0, min(n, 4))
+            v = sparse_multivector(n, k, rng)
+            if m + k:
+                assert_same(schouten(u, v),
+                            ref.schouten(n, m, ru, ref.from_graded(v)))
+
+
+def test_grouped_derivatives_that_cancel_leave_no_zero():
+    # f d0^d1 against g1 d1^d2 + g2 d0^d2: the pairs (a=1, d1^d2) and
+    # (a=0, d0^d2) land on d0^d1^d2 with -dg1/dx1 - dg2/dx0, which
+    # cancels in the x3 terms and leaves -x2/2 from the x0*x2 term of g2
+    n = 4
+    f = Poly(n, {(0, 0, 0, 2): 3})
+    g1 = Poly(n, {(0, 1, 0, 1): -1, (0, 0, 0, 1): 5})
+    g2 = Poly(n, {(1, 0, 0, 1): 1, (1, 0, 1, 0): Fraction(1, 2)})
+    u = Multivector(n, 2, {(0, 1): f})
+    v = Multivector(n, 2, {(1, 2): g1, (0, 2): g2})
+    w = multivec._width(4)
+    acc = multivec._schouten(_pack(u, w), _pack(v, w), w, {}, 1)
+    assert all(c for terms in acc.values() for c in terms.values())
+    got = Multivector.build(n, 3, acc, w)
+    assert got.terms == {(0, 1, 2): Poly(n, {(0, 0, 1, 2): Fraction(-3, 2)})}
+    # a group that cancels outright adds nothing at all
+    v = Multivector(n, 2, {(1, 2): Poly(n, {(0, 1, 0, 1): -1}),
+                           (0, 2): Poly(n, {(1, 0, 0, 1): 1})})
+    assert multivec._schouten(_pack(u, w), _pack(v, w), w, {}, 1) == {}
+    assert_same(schouten(u, v), ref.schouten(n, 2, ref.from_graded(u),
+                                             ref.from_graded(v)))
+
+
+def test_self_bracket_runs_the_kernel_once(monkeypatch):
+    calls = []
+    real = multivec._schouten
+
+    def counted(pu, pv, w, acc, scale=1):
+        calls.append(scale)
+        return real(pu, pv, w, acc, scale)
+    monkeypatch.setattr(multivec, "_schouten", counted)
+    rng = rng_for(99)
+    p = sparse_multivector(4, 2, rng)
+    u = sparse_multivector(4, 3, rng)
+    twin = Multivector(4, 2, dict(p.terms))
+    for run, scales in ((lambda: jacobiator(p), [2]),
+                        (lambda: schouten(p, p), [2]),
+                        (lambda: schouten(u, u), []),
+                        (lambda: schouten(p, twin), [1, 1]),
+                        (lambda: schouten(p, u), [1, 1]),
+                        (lambda: schouten(u, u.scale(2)), [1, -1])):
+        del calls[:]
+        run()
+        assert calls == scales

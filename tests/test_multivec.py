@@ -88,6 +88,21 @@ def test_grade_mismatch():
         Multivector(2, 1, {(0, 1): Poly.const(2, Fraction(1))})
 
 
+def test_brackets_refuse_form_operands():
+    from pforge.forms import Form
+    n = 2
+    a = Form(n, 1, {(0,): parse_poly("x0", n), (1,): parse_poly("x1", n)})
+    b = Form(n, 2, {(0, 1): parse_poly("x0", n)})
+    u = mv(n, 1, {(0,): "x1"})
+    p = mv(n, 2, {(0, 1): "x0"})
+    for call in (lambda: schouten(a, a), lambda: schouten(u, a),
+                 lambda: schouten(a, u), lambda: jacobiator(b),
+                 lambda: lichnerowicz_dp(b, u), lambda: lichnerowicz_dp(p, a)):
+        with pytest.raises(TypeError, match="Form operand where a "
+                                            "Multivector is needed"):
+            call()
+
+
 # -- reference oracle: the full double sum over simple factors ---------
 #
 # The route `schouten` used before it kept only the (a, 0) and (0, b)
