@@ -7,7 +7,9 @@ Every polynomial input and half of the algebras carry non-integral
 coefficients, so these jobs pin the printed form of the exact
 arithmetic byte for byte, whatever the kernel stores internally: an
 entry of a list prints as a string, and a count as a number, whether it
-is held as an int or as a Fraction.
+is held as an int or as a Fraction.  The `star` jobs of every grade
+were recorded from the star solved as a linear system over the grade's
+basis forms, so they pin the closed form i_{sharp(a)} vol to it.
 """
 
 import contextlib
@@ -86,6 +88,17 @@ JOBS = {
     "star-text": (["star", "--format", "text", "-i",
                    dumps({"p": SYMP, "form": field(3, 8, "form", every=5)})],
                   "b74e7c81878a1d77300203c58e2bb87cb4e38cee4d814961288c8d280485bd3e"),
+    "star-0": (["star", "-i", dumps({"p": SYMP, "form": field(0, 9, "form")})],
+               "0902d457e8c1b332b34822853cca449c891bb2b87a619245fbd9c48382d8918d"),
+    "star-1": (["star", "-i", dumps({"p": SYMP, "form": field(1, 10, "form")})],
+               "f48ef69f656d5951fecaa4c55560943882fd25692d6859feee2e6b959e53aa4a"),
+    "star-4": (["star", "-i", dumps({"p": SYMP,
+                                     "form": field(4, 11, "form", every=2)})],
+               "bd5cc8c788547e4a288f4f030645d3f860487b463023e5b4d172b7654d4c69b8"),
+    "star-5": (["star", "-i", dumps({"p": SYMP, "form": field(5, 12, "form")})],
+               "d6be947cf5d0735e1845b2503a829bad124b8c1c6f02a591c5d3914b780ad3ac"),
+    "star-6": (["star", "-i", dumps({"p": SYMP, "form": field(6, 13, "form")})],
+               "fb7931159066d57810306db3122d89d9db2ed2d74105027a99bf755e678e5255"),
     "cohomology-lich": (["cohomology", "-i", dumps(LP), "--complex", "lich",
                          "--max-grade", "2", "--max-weight", "1"],
                         "cac0278248a4c59407a27226bb9946dc26a6a802cb71f03e372d08ba39fbbeb3"),
