@@ -13,7 +13,7 @@ from itertools import product
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
-                       GradeMismatch, _width, _degree, _pack, _wedge,
+                       GradeMismatch, add_term, _width, _degree, _pack,
                        _coordinate_fields)
 from .forms import pbracket_of as pbracket, _check_pair
 from .homology import monomials, LICHNEROWICZ, _leibniz_tables, _column
@@ -35,13 +35,32 @@ def sharp(p, a):
     # multiplies its coefficient by |I| of them
     w = _width(_degree(a) + a.grade * _degree(p))
     fields = _coordinate_fields(_pack(p, w), n)
+    # the wedge S_I = S_{i1} ^ ... ^ S_{ik} of each index tuple extends
+    # its prefix's, memoised for this call only; the coefficient of dx_I
+    # then multiplies S_I once
+    wedges = {(): {(): {0: 1}}}
     acc = {}
     for idx, c in _pack(a, w).items():
-        piece = {(): c}
-        for i in idx[:-1]:
-            piece = _wedge(piece, fields[i], {})
-        _wedge(piece, fields[idx[-1]], acc)
+        for j in range(1, len(idx) + 1):
+            if idx[:j] not in wedges:
+                wedges[idx[:j]] = _wedge_field(wedges[idx[:j - 1]],
+                                               fields[idx[j - 1]])
+        for key, h in wedges[idx].items():
+            add_term(acc, key, 1, c, h)
     return Multivector.build(n, a.grade, acc, w)
+
+
+def _wedge_field(pu, px):
+    """Packed u ^ X for a packed vector field X: each d_j of X moves left
+    past the indices of u above j."""
+    acc = {}
+    for iu, cu in pu.items():
+        for (j,), cx in px.items():
+            if j not in iu:
+                b = sum(i < j for i in iu)
+                add_term(acc, iu[:b] + (j,) + iu[b:],
+                         -1 if (len(iu) - b) & 1 else 1, cu, cx)
+    return acc
 
 
 def hamiltonian(p, f):
@@ -55,9 +74,9 @@ def bivector_matrix_at(p, point):
     n = p.n
     if len(point) != n:
         raise DimensionMismatch("point length %d != n=%d" % (len(point), n))
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for (i, j), c in p.terms.items():
-        v = c.eval(point)
+        v = linalg.exact(c.eval(point))
         m[i][j] = v
         m[j][i] = -v
     return m
@@ -219,8 +238,7 @@ def _membership(target, gens, degree_bound):
 
 def _zero_witness(gens, target, n):
     """Rational point where all generators vanish but the target does not."""
-    values = [Fraction(0), Fraction(1), Fraction(-1),
-              Fraction(2), Fraction(1, 2)]
+    values = [0, 1, -1, 2, Fraction(1, 2)]
     if n > 3:
         values = values[:3]
     for pt in product(values, repeat=n):

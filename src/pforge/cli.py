@@ -17,7 +17,7 @@ from .serialize import InputError, dump, str_fractions
 from .ratpoly import (Poly, parse_poly, PolyParseError, DimensionMismatch)
 from .multivec import jacobiator, schouten, lichnerowicz_dp, GradeMismatch
 from .forms import delta, form_bracket, NonInvolutive
-from .symplectic import (make_context, DegenerateBivector, OddDimension,
+from .symplectic import (SymplecticContext, DegenerateBivector, OddDimension,
                          NotConstantCoefficient)
 from .homology import (poisson_cohomology_dims, canonical_homology_dims,
                        NonHomogeneous, LICHNEROWICZ, CANONICAL)
@@ -142,7 +142,7 @@ def cmd_star(args):
     obj = _load_json(args.input)
     p = _bivector(_need(obj, "p", "bivector"))
     a = serialize.form_from_json(_need(obj, "form", "form"))
-    ctx = make_context(p)
+    ctx = SymplecticContext(p)
     return _emit(args, {"result": ctx.star(a),
                         "volume": ctx.vol})
 

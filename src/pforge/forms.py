@@ -19,8 +19,7 @@ between.
 
 from .ratpoly import Poly
 from .multivec import (Graded, Multivector, add_term, sort_sign,
-                       GradeMismatch, wedge, jacobiator, _width, _degree,
-                       _pack, _diff)
+                       GradeMismatch, wedge, _width, _degree, _pack, _diff)
 
 
 class NonInvolutive(ValueError):
@@ -103,13 +102,11 @@ def pair(a, u):
     return total
 
 
-def delta(p, a, require_involutive=False):
+def delta(p, a):
     """Koszul-Brylinski boundary delta = i_p d - d i_p; grade -1."""
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
     _check_pair(a, p)
-    if require_involutive and not jacobiator(p).is_zero():
-        raise NonInvolutive("bivector is not involutive; delta^2 = 0 fails")
     if a.grade == 0:
         return Form.zero(a.n, 0)
     w = _width(_degree(p) + _degree(a))

@@ -214,7 +214,8 @@ class Poly:
         for e, c in self.terms.items():
             v = c
             for xi, ei in zip(pt, e):
-                v *= xi ** ei
+                if ei:
+                    v *= xi ** ei
             total += v
         return total
 

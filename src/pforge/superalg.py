@@ -183,23 +183,27 @@ def dmu(mu, alpha):
     return supercomm(mu, alpha)
 
 
-def random_multimap(dim, arity, rng, bound=3):
+# random multimaps have entries in [-ENTRY_BOUND, ENTRY_BOUND], and the
+# axiom report draws arities from 0..MAX_ARITY
+ENTRY_BOUND = 3
+MAX_ARITY = 3
+
+
+def random_multimap(dim, arity, rng):
     table = {}
     for idx in combinations(range(dim), arity):
-        vec = [rng.randint(-bound, bound) for _ in range(dim)]
+        vec = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(dim)]
         table[idx] = vec
     return MultiMap(dim, arity, table)
 
 
-def super_axiom_report(dim, seed, trials=50, max_arity=3):
+def super_axiom_report(dim, seed, trials=50):
     """Random (s1)/(s2) certification; returns a summary dict."""
     import random
     rng = random.Random(seed)
     s1_fail = s2_fail = 0
     for _ in range(trials):
-        m = rng.randint(0, max_arity)
-        n = rng.randint(0, max_arity)
-        k = rng.randint(0, max_arity)
+        m, n, k = (rng.randint(0, MAX_ARITY) for _ in range(3))
         a = random_multimap(dim, m, rng)
         b = random_multimap(dim, n, rng)
         c = random_multimap(dim, k, rng)

@@ -10,9 +10,13 @@ Conventions, fixed once so that both acceptance identities hold
 * The grade-k pairing of forms is the determinant pairing
   <a, b>_k = det[ p(a_i, b_j) ] on decomposables of 1-forms (the
   literal "(a^b)(wedge^k p)" reading dies on top forms; see README).
-* star(a) is the unique solution of  b ^ star(a) = <a, b>_k * vol
-  over all grade-k basis forms b.  Note the argument order in the
-  pairing; the pairing is only (-1)^k-symmetric.
+* star(a) is defined by  b ^ star(a) = <a, b>_k * vol  over all grade-k
+  basis forms b.  Note the argument order in the pairing; the pairing
+  is only (-1)^k-symmetric.
+* star(a) = i_{sharp(a)} vol in closed form: for basis forms
+  <dx_B, sharp(dx_A)> = det[ p(a_i, b_j) ] = <dx_A, dx_B>_k, and
+  b ^ i_X vol = <b, X> vol for a k-form b and a k-vector X.  No linear
+  system is solved.
 """
 
 from fractions import Fraction
@@ -20,9 +24,9 @@ from math import factorial
 
 from . import linalg
 from .ratpoly import Poly
-from .multivec import (all_index_tuples, sort_sign, add_term, GradeMismatch,
-                       _width, _degree, _pack)
-from .forms import Form, form_wedge
+from .multivec import GradeMismatch
+from .forms import Form, form_wedge, interior
+from .analysis import sharp, bivector_matrix_at
 
 
 class DegenerateBivector(ValueError):
@@ -37,119 +41,38 @@ class OddDimension(ValueError):
     pass
 
 
-def bivector_matrix(p):
-    """Antisymmetric n x n matrix with M[i][j] = {x_i, x_j} for constant p."""
-    n = p.n
-    m = [[0] * n for _ in range(n)]
-    for (i, j), c in p.terms.items():
-        if not c.is_constant():
-            raise NotConstantCoefficient(
-                "bivector coefficient for (%d,%d) is not constant" % (i, j))
-        v = c.constant_term()
-        m[i][j] = v
-        m[j][i] = -v
-    return m
-
-
 class SymplecticContext:
-    """Frozen star-operator context for one constant symplectic bivector."""
+    """Frozen star-operator context for one constant symplectic bivector;
+    rejects degenerate, odd-dimensional or non-constant bivectors."""
 
     def __init__(self, p):
         if p.grade != 2:
             raise GradeMismatch("need a bivector")
         if p.n % 2 != 0:
             raise OddDimension("symplectic dimension must be even")
+        for (i, j), c in p.terms.items():
+            if not c.is_constant():
+                raise NotConstantCoefficient("bivector coefficient for "
+                                             "(%d,%d) is not constant" % (i, j))
         self.n = p.n
         self.m = p.n // 2
         self.p = p
-        self.pmat = bivector_matrix(p)
-        inv = linalg.invert(self.pmat)
+        inv = linalg.invert(bivector_matrix_at(p, [0] * p.n))
         if inv is None:
             raise DegenerateBivector("bivector matrix is singular")
         self.omega = Form(self.n, 2, {(i, j): inv[i][j] for i in range(self.n)
                                       for j in range(i + 1, self.n)})
-        vol = Form.from_poly(Poly.const(self.n, 1))
+        power = Form.from_poly(Poly.const(self.n, 1))
         for _ in range(self.m):
-            vol = form_wedge(vol, self.omega)
-        self.vol = vol.scale(Fraction(1, factorial(self.m)))
-        if self.vol.is_zero():
-            raise DegenerateBivector("volume form vanished")
-        self._star_matrices = {}
-
-    def pairing_basis(self, idx_a, idx_b):
-        """Determinant pairing <dx_A, dx_B>_k = det[ p(a_i, b_j) ]."""
-        k = len(idx_a)
-        if k == 0:
-            return 1
-        minor = [[self.pmat[ia][jb] for jb in idx_b] for ia in idx_a]
-        return _det(minor)
-
-    def _star_matrix(self, k):
-        """Matrix of star on grade-k basis forms, solved from the
-        defining relation against every grade-k basis beta: one system
-        whose (beta, gamma) entries are the signs of beta ^ gamma, with
-        one right-hand side per source basis form alpha."""
-        if k in self._star_matrices:
-            return self._star_matrices[k]
-        n = self.n
-        src = all_index_tuples(n, k)
-        dst = all_index_tuples(n, n - k)
-        vc = self.vol.coeff(tuple(range(n))).constant_term()
-        aug = [[sort_sign(beta + gamma)[0] for gamma in dst]
-               + [self.pairing_basis(alpha, beta) * vc for alpha in src]
-               for beta in src]
-        red, pivots = linalg.rref(aug)
-        if pivots != list(range(len(dst))):
-            raise DegenerateBivector("star system unsolvable at grade %d" % k)
-        cols = [[row[len(dst) + a] for row in red] for a in range(len(src))]
-        self._star_matrices[k] = (src, dst, cols)
-        return self._star_matrices[k]
+            power = form_wedge(power, self.omega)
+        # omega^m = m! Pf(omega) dx_0 ^ ... ^ dx_{n-1} is nonzero, as omega
+        # is invertible; vol's one coefficient is stored as an int when
+        # integral, which keeps every star's arithmetic integer-first
+        top = tuple(range(self.n))
+        self.vol = Form.basis(self.n, top, Fraction(
+            power.coeff(top).constant_term(), factorial(self.m)))
 
     def star(self, a):
-        """Symplectic star; grade k -> 2m - k, Poly-linear."""
-        k = a.grade
-        if not 0 <= k <= self.n:
-            raise GradeMismatch("grade out of range")
-        src, dst, cols = self._star_matrix(k)
-        w = _width(_degree(a))
-        acc = {}
-        pos = {idx: i for i, idx in enumerate(src)}
-        for idx, c in _pack(a, w).items():
-            col = cols[pos[idx]]
-            for j, gamma in enumerate(dst):
-                if col[j]:
-                    add_term(acc, gamma, col[j], c)
-        return Form.build(self.n, self.n - k, acc, w)
-
-
-def _det(m):
-    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
-
-    Each step's division by the previous pivot is exact, so integral
-    entries stay ints all the way (`//`); any other entries divide as
-    Fractions.  The result is an int when integral, else a Fraction."""
-    m = [list(row) for row in m]
-    k = len(m)
-    integral = all(type(x) is int for row in m for x in row)
-    sign, prev = 1, 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv], sign = m[piv], m[c], -sign
-        top = m[c]
-        pc = top[c]
-        for row in m[c + 1:]:
-            rc = row[c]
-            for j in range(c + 1, k):
-                x = pc * row[j] - rc * top[j]
-                row[j] = x // prev if integral else Fraction(x) / prev
-        prev = pc
-    return linalg.exact(sign * prev)
-
-
-def make_context(p):
-    """Build the star context; rejects degenerate, odd-dimensional, or
-    non-constant bivectors."""
-    return SymplecticContext(p)
+        """Symplectic star i_{sharp(a)} vol; grade k -> 2m - k,
+        Poly-linear.  a must be a form over p's n."""
+        return interior(sharp(self.p, a), self.vol)

@@ -17,7 +17,7 @@ from pforge.ratpoly import Poly, parse_poly
 from pforge.multivec import (Multivector, all_index_tuples, jacobiator,
                              lichnerowicz_dp, schouten, wedge)
 from pforge.forms import (Form, form_d, delta)
-from pforge.symplectic import make_context
+from pforge.symplectic import SymplecticContext
 from pforge.homology import (monomials, poisson_cohomology_dims)
 from pforge.analysis import (sharp, integrability_at, casimir_basis,
                              momentum_cocycle)
@@ -106,7 +106,7 @@ def test_03_star_identities(capsys):
     ok = True
     r4 = bivector(4, {(0, 1): "1", (2, 3): "1"})
     for p in (PLANE, r4):
-        ctx = make_context(p)
+        ctx = SymplecticContext(p)
         one = Form.from_poly(parse_poly("1", p.n))
         ok &= ctx.star(one) == ctx.vol and ctx.star(ctx.vol) == one
         for k in range(p.n + 1):

@@ -46,6 +46,16 @@ def test_star_degenerate_exit_2():
     assert json.loads(r.stdout)["error"]["kind"] == "degenerate-bivector"
 
 
+@pytest.mark.parametrize("n", [3, 1], ids=["form-wider", "form-narrower"])
+def test_star_form_over_another_n_exit_1(n):
+    form = {"kind": "form", "n": n, "grade": 1,
+            "terms": [{"idx": [n - 1], "coeff": "x0"}]}
+    r = run("star", "-i", json.dumps({"p": json.loads(PLANE), "form": form}))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["kind"] == "dimension-mismatch"
+    assert "Traceback" not in r.stderr
+
+
 def test_zero_denominator_is_an_input_error():
     bad = json.dumps({"n": 2, "grade": 2,
                       "terms": [{"idx": [0, 1], "coeff": "1/0*x0"}]})
