@@ -36,16 +36,21 @@ def sharp(p, a):
     w = _width(_degree(a) + a.grade * _degree(p))
     fields = _coordinate_fields(_pack(p, w), n)
     # the wedge S_I = S_{i1} ^ ... ^ S_{ik} of each index tuple extends
-    # its prefix's, memoised for this call only; the coefficient of dx_I
-    # then multiplies S_I once
-    wedges = {(): {(): {0: 1}}}
+    # its prefix's, and the coefficient of dx_I multiplies S_I once.  In
+    # lexicographic order the tuples that share a prefix are adjacent, so
+    # keeping only the wedges along the last tuple's prefixes (path[j] is
+    # S of last[:j]) still builds each prefix once
+    path, last = [{(): {0: 1}}], ()
     acc = {}
-    for idx, c in _pack(a, w).items():
-        for j in range(1, len(idx) + 1):
-            if idx[:j] not in wedges:
-                wedges[idx[:j]] = _wedge_field(wedges[idx[:j - 1]],
-                                               fields[idx[j - 1]])
-        for key, h in wedges[idx].items():
+    for idx, c in sorted(_pack(a, w).items()):
+        j = 0
+        while j < len(last) and last[j] == idx[j]:
+            j += 1
+        del path[j + 1:]
+        for i in idx[j:]:
+            path.append(_wedge_field(path[-1], fields[i]))
+        last = idx
+        for key, h in path[-1].items():
             add_term(acc, key, 1, c, h)
     return Multivector.build(n, a.grade, acc, w)
 
