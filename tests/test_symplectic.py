@@ -8,7 +8,7 @@ from pforge.forms import Form, form_wedge, form_d, delta
 from pforge.multivec import sort_sign
 from pforge.symplectic import (SymplecticContext, DegenerateBivector,
                                OddDimension, NotConstantCoefficient)
-from conftest import bivector, random_form, rng_for
+from conftest import bivector, random_form, rng_for, assert_normal_form
 
 R2 = bivector(2, {(0, 1): "1"})
 R4 = bivector(4, {(0, 1): "1", (2, 3): "1"})
@@ -32,6 +32,8 @@ def test_star_one_and_volume(p):
     one = Form.from_poly(parse_poly("1", p.n))
     assert ctx.star(one) == ctx.vol
     assert ctx.star(ctx.vol) == one
+    # vol's one coefficient is an int when integral
+    assert_normal_form(ctx.vol.coeff(range(p.n)).constant_term())
 
 
 @pytest.mark.parametrize("p", [R2, R4, R4_SKEW])
