@@ -9,7 +9,10 @@ arithmetic byte for byte, whatever the kernel stores internally: an
 entry of a list prints as a string, and a count as a number, whether it
 is held as an int or as a Fraction.  The `star` jobs of every grade
 were recorded from the star solved as a linear system over the grade's
-basis forms, so they pin the closed form i_{sharp(a)} vol to it.
+basis forms, so they pin the closed form i_{sharp(a)} vol to it.  The
+`cocycle` jobs were recorded while `cmd_cocycle` printed the table's
+polynomials with `str` by hand, so they pin its output to `_emit`'s
+formatting.
 """
 
 import contextlib
@@ -169,6 +172,8 @@ M2 = {"dim": 4, "unit": [1, 0, 0, 1], "mult": [
 GL2 = lie(4, {(0, 1): {1: "1"}, (0, 2): {2: "-1"},
               (1, 2): {0: "1", 3: "-1"}, (1, 3): {1: "1"},
               (2, 3): {2: "-1"}})
+# so(3): [e0, e1] = e2, [e1, e2] = e0, [e2, e0] = e1
+SO3 = lie(3, {(0, 1): {2: "1"}, (1, 2): {0: "1"}, (0, 2): {1: "-1"}})
 # sl(2) on 2h, e, f: [2h, e] = 4e, [2h, f] = -4f, [e, f] = 1/2 (2h)
 SL2_HALF = lie(3, {(0, 1): {1: "4"}, (0, 2): {2: "-4"},
                    (1, 2): {0: "1/2"}})
@@ -239,6 +244,14 @@ FINITE_JOBS = {
                            dumps(["x0", "x1", "2*x2 - 1/3*x3"]),
                            "--degree", "1"],
                           "f2d5a664164b560ace5977c0a1774271a812ef28dd2f041fc3675f4c7e443f0c"),
+    "cocycle": (["cocycle", "-i", dumps(LP), "--liealg", dumps(SO3),
+                 "--lambda", dumps(["1/2*x0 + x3", "1/2*x1 - 2/3",
+                                    "1/2*x2 + x4*x5"])],
+                "744cff0cf8507f8c428bf73cbb92f3d4823382a1dfc9a2bfa7744e1763aa0931"),
+    "cocycle-text": (["cocycle", "--format", "text", "-i", dumps(LP),
+                      "--liealg", dumps(SL2_HALF), "--lambda",
+                      dumps(["x0 - 3/4*x3^2", "1/2*x1*x2", "-x5 + 7/6"])],
+                     "07cd99103c00f9421218ef7a681614d4d419407ab9600b612192e0861d3c0e7c"),
     "rank": (["rank", "-i", dumps(LP), "--point", "1/2,-1,3,0,2/3,1"],
              "4a68b8610a7b7aa67593afe59e41a14c392d0652b3dffa59c948d87ed9da0f73"),
 }
