@@ -12,7 +12,7 @@ and also clears it from the earlier pivot rows, which leaves the unique
 reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`,
 `intersect`, `invert` and `Subspace` (one span reduced once, for
 repeated membership, coordinate and quotient queries) read their answers
-off that form as dense lists.
+off that form as dense lists; `kernel_coords` needs no elimination.
 
 Every entry of an answer is exact and in one normal form (`exact`): an
 `int` when it is integral, else a `Fraction` whose denominator is not 1.
@@ -220,8 +220,9 @@ def rref(rows, ncols=None):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel, one vector per non-pivot column;
-    `ncols` is needed only for dict rows."""
+    """Basis of the right kernel, one vector per non-pivot (free) column;
+    `ncols` is needed only for dict rows.  The vector of free column f
+    is 1 at f, 0 at every other free column and 0 past f."""
     n = _width(rows, ncols)
     red = _reduce(rows)
     pivots = {c for c, _ in red}
@@ -231,6 +232,27 @@ def nullspace(rows, ncols=None):
             if k != c:
                 basis[k][c] = -v
     return list(basis.values())
+
+
+def kernel_coords(basis):
+    """The coordinate map of a `nullspace` basis, or of any basis whose
+    vectors are each 1 at their last nonzero place, where the others
+    are 0: vec's coordinates are its entries at those places.  The map
+    returns them only if they recombine to vec, so a vector outside the
+    span gives None, and a basis of another shape None or the true
+    coordinates."""
+    free = [max(k for k, x in enumerate(b) if x) for b in basis]
+    sparse = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
+
+    def coords(vec):
+        c = [vec[f] for f in free]
+        out = list(vec)
+        for a, row in zip(c, sparse):
+            if a:
+                for k, x in row:
+                    out[k] -= a * x
+        return None if any(out) else exact_vector(c)
+    return coords
 
 
 def solve(rows, rhs, ncols=None):

@@ -420,6 +420,40 @@ def test_coordinates_and_inverse():
     assert linalg.mat_mul(m, linalg.invert(m)) == linalg.identity(2)
 
 
+def test_kernel_coords_match_subspace_coordinates():
+    """The free-column read over a `nullspace` basis, of dense and of
+    dict rows, gives the coordinates `Subspace` solves for, and None for
+    a vector outside the kernel."""
+    rng = random.Random(1616)
+    cases = [[[Fraction(0)] * 4], linalg.identity(3), [[1, 2, 3]]]
+    cases += [_random_matrix(rng) for _ in range(300)]
+    for m in cases:
+        n = len(m[0])
+        for rows in (m, _as_dicts(m)):
+            basis = linalg.nullspace(rows, ncols=n)
+            S = linalg.Subspace(basis, n)
+            probes = [[sum(c * b[j] for c, b in zip(coeffs, basis))
+                       for j in range(n)]
+                      for coeffs in ([Fraction(rng.randint(-3, 3),
+                                               rng.randint(1, 2))
+                                      for _ in basis] for _ in range(3))]
+            probes += [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                       for _ in range(2)]
+            for v in probes:
+                got = linalg.kernel_coords(basis)(v)
+                assert got == S.coords(v), (m, v)
+                assert_normal_form(got)
+            # a unit vector at a pivot column has no free-column entry
+            free = {max(k for k, x in enumerate(b) if x) for b in basis}
+            for c in set(range(n)) - free:
+                assert linalg.kernel_coords(basis)(
+                    linalg.unit_vector(c, n)) is None
+    assert linalg.nullspace(linalg.identity(3)) == []
+    assert linalg.nullspace([[0] * 4]) == linalg.identity(4)
+    assert linalg.kernel_coords(linalg.identity(4))([0, 3, 0, -1]) == \
+        [0, 3, 0, -1]
+
+
 def _random_rows(rng, n):
     """Row sets with zero rows, duplicate rows and dependent rows; a
     quarter of them span all of Q^n."""
