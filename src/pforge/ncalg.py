@@ -164,7 +164,9 @@ def validate_algebra(A):
 
 
 def derivations(A):
-    """Basis of Der(A) as matrices, plus the inner-derivation sub-basis."""
+    """Basis of Der(A) as matrices, the inner-derivation sub-basis, and
+    Der(A)'s structure constants: brackets[i][j] holds the coordinates
+    of [X_i, X_j] over the basis."""
     d, mult = A.dim, A.mult
     rows = []
     for i in range(d):
@@ -179,26 +181,43 @@ def derivations(A):
                         if x:
                             row[k] = row.get(k, 0) - x
                 rows.append(row)
-    basis = [_unflatten(v, d) for v in linalg.nullspace(rows, ncols=d * d)]
+    flat = linalg.nullspace(rows, ncols=d * d)
+    basis = [_unflatten(v, d, d) for v in flat]
     ad = _ad_rows(A)
     inner_rows = linalg.row_space_basis(
         [{r * d + k: x for r in range(d) for k, x in ad[i * d + r].items()}
          for i in range(d)], ncols=d * d)
     # closure of Der(A) under commutator, checked exactly
-    span = linalg.Subspace([_flatten(m) for m in basis], d * d)
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            if not span.contains(_flatten(_commutator(a, b))):
-                raise AssertionError("Der(A) not closed under commutator")
-    return {"basis": basis, "inner": [_unflatten(r, d) for r in inner_rows]}
+    coords = linalg.kernel_coords(flat)
+    brackets = _structure_constants(
+        len(basis), lambda i, j: coords(
+            _flatten(_commutator(basis[i], basis[j]))),
+        AssertionError, "Der(A) not closed under commutator at %r")
+    return {"basis": basis, "inner": [_unflatten(r, d, d) for r in inner_rows],
+            "brackets": brackets}
+
+
+def _structure_constants(k, coords, error, message):
+    """c[i][j] = coords(i, j) for i < j, c[j][i] = -c[i][j] and a zero
+    diagonal: the structure constants of a basis of k elements under an
+    antisymmetric bracket.  coords gives None when the bracket leaves
+    the span, and the first such pair (i, j) raises error(message % pair)."""
+    c = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        v = coords(i, j)
+        if v is None:
+            raise error(message % ((i, j),))
+        c[i][j], c[j][i] = v, [-x for x in v]
+    return c
 
 
 def _flatten(m):
     return [x for row in m for x in row]
 
 
-def _unflatten(v, d):
-    return [[v[r * d + c] for c in range(d)] for r in range(d)]
+def _unflatten(v, d, k):
+    """The d x k matrix whose rows, concatenated, are v."""
+    return [[v[r * k + c] for c in range(k)] for r in range(d)]
 
 
 def _from_columns(cols, nrows):
@@ -281,14 +300,17 @@ def _images(vecs, d, reduce):
     """Residual for `_sub_basis`: reduce(X v) for v in vecs, concatenated,
     for X the d x d matrix of a flattened operator."""
     def residual(x):
-        X = _unflatten(x, d)
+        X = _unflatten(x, d, d)
         return [c for v in vecs for c in reduce(linalg.mat_vec(X, v))]
     return residual
 
 
 def _sub_basis(span_rows, residual):
     """Basis of the subspace of span(span_rows) where a linear residual
-    vanishes, as combinations of span_rows.
+    vanishes, as combinations of span_rows.  When span_rows is a
+    `nullspace` basis, so is the result in `linalg.kernel_coords`'s
+    sense: each vector is 1 at its last nonzero place, where the others
+    are 0.
 
     `residual` maps a vector to its constraint-violation vector; an
     empty vector means no constraints.
@@ -300,8 +322,9 @@ def _sub_basis(span_rows, residual):
             for c in linalg.nullspace(mat, ncols=len(span_rows))]
 
 
-def ideal_derivations(A, I_rows, _der=None):
-    """Der_I(A), Der_I(A)_0 and the restriction matrix r_I.
+def submanifold_check(A, I_rows, _der=None):
+    """Is the restriction r_I: Der_I(A) -> Der(A/I) surjective?  Report
+    with ranks and witnesses.
 
     Der_I preserves the ideal; Der_I_0 maps everything into it.  The
     kernel of r_I is verified to equal Der_I(A)_0 exactly.  `_der` is
@@ -319,11 +342,11 @@ def ideal_derivations(A, I_rows, _der=None):
     der_i0 = _sub_basis(der, _images(linalg.identity(d), d, ideal.project))
     Q, proj, section = quotient_algebra(A, I_rows)
     der_q = derivations(Q)["basis"]
-    der_q_span = linalg.Subspace([_flatten(m) for m in der_q], Q.dim ** 2)
+    q_coords = linalg.kernel_coords([_flatten(m) for m in der_q])
     rI = []
     for x in der_i:
-        m = linalg.mat_mul(proj, linalg.mat_mul(_unflatten(x, d), section))
-        coords = der_q_span.coords(_flatten(m))
+        m = linalg.mat_mul(proj, linalg.mat_mul(_unflatten(x, d, d), section))
+        coords = q_coords(_flatten(m))
         if coords is None:
             raise AssertionError("restriction left Der(A/I)")
         rI.append(coords)
@@ -332,21 +355,13 @@ def ideal_derivations(A, I_rows, _der=None):
         _from_columns(rI, len(der_q)), ncols=len(der_i))]
     if not linalg.subspace_equal(kernel, der_i0):
         raise AssertionError("kernel(r_I) != Der_I(A)_0")
-    return {"der_I": [_unflatten(x, d) for x in der_i],
-            "der_I_0": [_unflatten(x, d) for x in der_i0], "r_I": rI,
+    r = linalg.rank(rI)
+    return {"der_I": [_unflatten(x, d, d) for x in der_i],
+            "der_I_0": [_unflatten(x, d, d) for x in der_i0], "r_I": rI,
             "quotient": Q, "der_quotient": der_q,
-            "proj": proj, "section": section}
-
-
-def submanifold_check(A, I_rows, _der=None):
-    """r_I surjective onto Der(A/I)?  Report with ranks and witnesses,
-    alongside everything `ideal_derivations` returns (which takes
-    `_der`)."""
-    info = ideal_derivations(A, I_rows, _der=_der)
-    target_dim = len(info["der_quotient"])
-    r = linalg.rank(info["r_I"])
-    return dict(info, submanifold=r == target_dim, rank_r_I=r,
-                dim_der_quotient=target_dim)
+            "proj": proj, "section": section,
+            "submanifold": r == len(der_q), "rank_r_I": r,
+            "dim_der_quotient": len(der_q)}
 
 
 def quotient_check(A, B_rows):
@@ -359,9 +374,10 @@ def quotient_check(A, B_rows):
     bbase = sub.basis
     der = [_flatten(m) for m in derivations(A)["basis"]]
     # Q_B preserves B: X(b) vanishes modulo B; V_B kills B outright
-    q_b = [_unflatten(x, d)
+    q_b = [_unflatten(x, d, d)
            for x in _sub_basis(der, _images(bbase, d, sub.project))]
-    v_b = [_unflatten(x, d) for x in _sub_basis(der, _images(bbase, d, list))]
+    v_b = [_unflatten(x, d, d)
+           for x in _sub_basis(der, _images(bbase, d, list))]
 
     # B as an algebra in its own right
     bmult = [[sub.coords(A.multiply(u, v)) for v in bbase] for u in bbase]
@@ -374,15 +390,15 @@ def quotient_check(A, B_rows):
     q1 = linalg.subspace_equal(zb_ambient, inter)
 
     # q2: restriction Q_B -> Der(B) surjective
-    der_b = derivations(B)["basis"]
-    der_b_span = linalg.Subspace([_flatten(m) for m in der_b], B.dim ** 2)
+    der_b = derivations(B)
+    b_coords = linalg.kernel_coords([_flatten(m) for m in der_b["basis"]])
     r_b = []
     for X in q_b:
-        coords = der_b_span.coords(_flatten(_restriction(X, sub)))
+        coords = b_coords(_flatten(_restriction(X, sub)))
         if coords is None:
             raise AssertionError("restriction of Q_B left Der(B)")
         r_b.append(coords)
-    q2 = linalg.rank(r_b) == len(der_b)
+    q2 = linalg.rank(r_b) == len(der_b["basis"])
 
     # q3: joint kernel of V_B on A equals B
     inv_rows = [row for X in v_b for row in X]
@@ -391,22 +407,21 @@ def quotient_check(A, B_rows):
 
     return {"q1": q1, "q2": q2, "q3": q3,
             "quotient_manifold_algebra": q1 and q2 and q3,
-            "Q_B": q_b, "V_B": v_b, "r_B": r_b,
-            "der_B": der_b, "invariants_of_V_B": invariants,
+            "Q_B": q_b, "V_B": v_b, "r_B": r_b, "der_B": der_b["basis"],
+            "der_B_brackets": der_b["brackets"],
+            "invariants_of_V_B": invariants,
             "B_algebra": B, "B_basis": bbase}
 
 
-def _curvature(mats, bracket_coords):
-    """R(i, j) = [M_i, M_j] - sum_k c_k M_k for i < j, where c =
-    bracket_coords(i, j) writes the bracket of acting elements i and j
-    over the acting basis."""
+def _curvature(mats, brackets):
+    """R(i, j) = [M_i, M_j] - sum_k brackets[i][j][k] M_k for i < j, with
+    brackets the structure constants of the acting basis."""
     size = len(mats[0]) if mats else 0
     flat = [_flatten(m) for m in mats]
     table = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            nab = _unflatten(_combination(bracket_coords(i, j), flat), size)
-            table[(i, j)] = linalg.mat_sub(_commutator(mats[i], mats[j]), nab)
+    for i, j in combinations(range(len(mats)), 2):
+        nab = _unflatten(_combination(brackets[i][j], flat), size, size)
+        table[(i, j)] = linalg.mat_sub(_commutator(mats[i], mats[j]), nab)
     return table
 
 
@@ -421,21 +436,17 @@ def splitting_curvature(A, B_rows, s_ops, g_ops=None):
     """
     info = quotient_check(A, B_rows)
     der_b = info["der_B"]
-    q_b_span = linalg.Subspace([_flatten(m) for m in info["Q_B"]],
-                               A.dim ** 2)
+    q_b_coords = linalg.kernel_coords([_flatten(m) for m in info["Q_B"]])
     sub = linalg.Subspace(info["B_basis"], A.dim)
-    der_b_span = linalg.Subspace([_flatten(m) for m in der_b],
-                                 len(info["B_basis"]) ** 2)
     if len(s_ops) != len(der_b):
         raise NotASplitting("need one operator per Der(B) basis element")
     for i, sx in enumerate(s_ops):
-        if not q_b_span.contains(_flatten(sx)):
+        if q_b_coords(_flatten(sx)) is None:
             raise NotASplitting("s(X_%d) is not in Q_B" % i)
         if _restriction(sx, sub) != der_b[i]:
             raise NotASplitting("r_B(s(X_%d)) != X_%d" % (i, i))
 
-    table = _curvature(s_ops, lambda i, j: der_b_span.coords(
-        _flatten(_commutator(der_b[i], der_b[j]))))
+    table = _curvature(s_ops, info["der_B_brackets"])
     out = {"curvature": table,
            "flat": all(not any(_flatten(m)) for m in table.values())}
     if g_ops is not None:
@@ -470,30 +481,23 @@ class ConnectionTable:
 
 
 def _lie_subalgebra(g, rows):
-    """span(rows) as a Subspace over its echelon basis, or NotASubalgebra."""
+    """span(rows) as a Subspace over its echelon basis, and that basis's
+    structure constants, or NotASubalgebra."""
     sub = _span(rows, g.dim)
-    for i, u in enumerate(sub.basis):
-        for j, v in enumerate(sub.basis):
-            if not sub.contains(g.bracket(u, v)):
-                raise NotASubalgebra("L0 not a Lie subalgebra, witness %r"
-                                     % ((i, j),))
-    return sub
-
-
-def _bracket_coords(g, sub):
     base = sub.basis
-    return lambda i, j: sub.coords(g.bracket(base[i], base[j]))
+    return sub, _structure_constants(
+        len(base), lambda i, j: sub.coords(g.bracket(base[i], base[j])),
+        NotASubalgebra, "L0 not a Lie subalgebra, witness %r")
 
 
 def bott_quotient(g, L0_rows):
     """Canonical connection of L0 on L/L0: grad_X q(u) = q([X, u])."""
-    sub = _lie_subalgebra(g, L0_rows)
+    sub, brackets = _lie_subalgebra(g, L0_rows)
     comp = sub.complement
     mats = [_from_columns([sub.project(g.bracket(x, u)) for u in comp],
                           len(comp))
             for x in sub.basis]
-    return ConnectionTable(comp, sub.basis, mats,
-                           _curvature(mats, _bracket_coords(g, sub)))
+    return ConnectionTable(comp, sub.basis, mats, _curvature(mats, brackets))
 
 
 def bott_forms(g, L0_rows):
@@ -502,24 +506,23 @@ def bott_forms(g, L0_rows):
     (grad_X a)(u) = -a([X, u]); the annihilator is verified to be
     invariant and the curvature to vanish identically.
     """
-    sub = _lie_subalgebra(g, L0_rows)
+    sub, brackets = _lie_subalgebra(g, L0_rows)
     d = g.dim
     ann = linalg.nullspace(sub.basis, ncols=d)
-    ann_span = linalg.Subspace(ann, d)
+    ann_coords = linalg.kernel_coords(ann)
     mats = []
     for x in sub.basis:
         ad = [g.bracket(x, e) for e in linalg.identity(d)]
         cols = []
         for alpha in ann:
             # (grad_x alpha)(e_t) = -alpha([x, e_t])
-            coords = ann_span.coords(
+            coords = ann_coords(
                 [-sum(a * b for a, b in zip(alpha, col)) for col in ad])
             if coords is None:
                 raise AssertionError("annihilator not invariant")
             cols.append(coords)
         mats.append(_from_columns(cols, len(ann)))
-    table = ConnectionTable(ann, sub.basis, mats,
-                            _curvature(mats, _bracket_coords(g, sub)))
+    table = ConnectionTable(ann, sub.basis, mats, _curvature(mats, brackets))
     return {"connection": table, "flat": table.flat()}
 
 
@@ -561,15 +564,16 @@ def bott_integral(A, D_ops, I_rows):
     """
     d = A.dim
     D_ops = [[linalg.exact_vector(row) for row in X] for X in D_ops]
-    der = derivations(A)["basis"]
+    rep = derivations(A)
+    der = rep["basis"]
     k = len(der)
-    der_span = linalg.Subspace([_flatten(m) for m in der], d * d)
+    der_coords = linalg.kernel_coords([_flatten(m) for m in der])
     d_flat = [_flatten(m) for m in D_ops]
     d_span = linalg.Subspace(d_flat, d * d)
-    problems = []
-    for i, x in enumerate(d_flat):
-        if not der_span.contains(x):
-            problems.append("D[%d] is not a derivation" % i)
+    # coordinates over Der(A) of each D element
+    d_coords = [der_coords(x) for x in d_flat]
+    problems = ["D[%d] is not a derivation" % i
+                for i, c in enumerate(d_coords) if c is None]
     for i, X in enumerate(D_ops):
         for j, Y in enumerate(D_ops):
             if not d_span.contains(_flatten(_commutator(X, Y))):
@@ -589,30 +593,27 @@ def bott_integral(A, D_ops, I_rows):
     # module and connection only need D-invariance of I, so they are
     # reported either way
     der_q = info["der_quotient"]
-    der_q_span = linalg.Subspace([_flatten(m) for m in der_q],
-                                 info["quotient"].dim ** 2)
-    images = [der_q_span.coords(_flatten(linalg.mat_mul(
+    q_coords = linalg.kernel_coords([_flatten(m) for m in der_q])
+    images = [q_coords(_flatten(linalg.mat_mul(
         info["proj"], linalg.mat_mul(X, info["section"])))) for X in D_ops]
     integral = all(c is not None for c in images) and \
         linalg.rank(images) == len(der_q)
 
     # D_I = elements of D mapping all of A into I
     d_i = _sub_basis(d_flat, _images(linalg.identity(d), d, ideal.project))
-    reps = [D_ops[i] for i in _new_directions(d_i, d_flat, d * d)]
+    reps = _new_directions(d_i, d_flat, d * d)
 
     omega1 = _one_forms(A, der)
-    # coordinates over Der(A) of each D element and of each [X, Y_c]
-    d_coords = [der_span.coords(x) for x in d_flat]
 
     def vanishes_on_d(v):
         """The values a(X) for X in D, for a flattened 1-form a."""
-        form = _unflatten_form(v, d, k)
+        form = _unflatten(v, d, k)
         return [sum(c[t] * form[r][t] for t in range(k))
                 for c in d_coords for r in range(d)]
 
     def i_valued(v):
         """Every value column of the 1-form modulo I."""
-        form = _unflatten_form(v, d, k)
+        form = _unflatten(v, d, k)
         return [x for c in range(k)
                 for x in ideal.project([form[r][c] for r in range(d)])]
 
@@ -622,32 +623,34 @@ def bott_integral(A, D_ops, I_rows):
     gamma_reps = [omega_d[i]
                   for i in _new_directions(inter, omega_d, d * k)]
 
-    def lie_derivative(X):
+    sparse = _sparse(rep["brackets"])
+
+    def lie_derivative(X, x):
         """a -> L_X a, (L_X a)(Y) = X(a(Y)) - a([X, Y]), for a vanishing
-        on X; forms flattened."""
-        brackets = [der_span.coords(_flatten(_commutator(X, Y)))
-                    for Y in der]
+        on X; forms flattened.  x holds X's coordinates over Der(A), so
+        [X, Y_c] is read off Der(A)'s nonzero structure constants."""
+        brackets = [[(t, b) for t, b in enumerate(_bilinear(
+            sparse, x, linalg.unit_vector(c, k))) if b] for c in range(k)]
 
         def apply(v):
-            form = _unflatten_form(v, d, k)
+            form = _unflatten(v, d, k)
             xform = linalg.mat_mul(X, form)
-            return [xform[r][c] - sum(brackets[c][t] * form[r][t]
-                                      for t in range(k))
+            return [xform[r][c] - sum(b * form[r][t] for t, b in brackets[c])
                     for r in range(d) for c in range(k)]
         return apply
 
     # representative independence: L_V of a D-vanishing form is I-valued
     omega_i_span = linalg.Subspace(omega_i, d * k)
     for V in d_i:
-        lv = lie_derivative(_unflatten(V, d))
+        lv = lie_derivative(_unflatten(V, d, d), der_coords(V))
         if not all(omega_i_span.contains(lv(v)) for v in omega_d):
             raise AssertionError(
                 "representative independence fails for D_I element")
 
     gamma_span = linalg.Subspace(inter + gamma_reps, d * k)
     mats = []
-    for X in reps:
-        lx = lie_derivative(X)
+    for i in reps:
+        lx = lie_derivative(D_ops[i], d_coords[i])
         cols = []
         for v in gamma_reps:
             coords = gamma_span.coords(lx(v))
@@ -659,10 +662,7 @@ def bott_integral(A, D_ops, I_rows):
             "gamma_basis": gamma_reps,
             "gamma_dim": len(gamma_reps),
             "omega1_D_dim": len(omega_d),
-            "acting_reps": reps,
+            "acting_reps": [D_ops[i] for i in reps],
             "matrices": mats,
             "d_I_dim": len(d_i)}
 
-
-def _unflatten_form(v, d, k):
-    return [[v[r * k + c] for c in range(k)] for r in range(d)]

@@ -18,12 +18,11 @@ check that [mu, .] restricted to the A-multilinear, A-valued maps that
 kill A equals minus the Koszul differential.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .multivec import sort_sign
-from .ncalg import (AlgebraSC, BadAlgebra, derivations, _commutator,
-                    _flatten)
+from .ncalg import AlgebraSC, BadAlgebra, derivations, _flatten
 
 
 class ArityMismatch(ValueError):
@@ -235,175 +234,140 @@ def _check_commutative(A):
 class OperatorSpace:
     """V = Der(A) (+) A realised as operators on A.
 
-    Basis: derivation matrices first, then left multiplications by the
-    algebra basis.  Coordinates of an operator are solved exactly.
+    Basis: the derivations X_t that `derivations` gives first, then the
+    left multiplications L_a by the algebra basis.  A must be
+    commutative and unital, BadAlgebra otherwise.  The unit makes the
+    sum direct, since L_a(1) = a while every derivation kills 1; without
+    one an L_a can be a derivation.
     """
 
     def __init__(self, A):
+        _check_commutative(A)
+        if A.unit is None:
+            raise BadAlgebra("Der(A) + A needs a unital algebra")
         self.A = A
-        self.der = derivations(A)["basis"]
+        der = derivations(A)
+        self.der, self.brackets = der["basis"], der["brackets"]
         self.d_der = len(self.der)
-        self.ops = list(self.der) + [
-            A.left_mult(linalg.unit_vector(i, A.dim))
-            for i in range(A.dim)]
-        self.dim = len(self.ops)
-        self._span = linalg.Subspace([_flatten(m) for m in self.ops],
-                                     A.dim ** 2)
-
-    def coords(self, op):
-        c = self._span.coords(_flatten(op))
-        if c is None:
-            raise SpaceMismatch("operator not in Der(A) + A")
-        return c
+        self.dim = self.d_der + A.dim
+        self._coords = linalg.kernel_coords([_flatten(m) for m in self.der])
 
     def mu(self):
-        """Commutator tensor on V as an arity-2 MultiMap."""
+        """Commutator tensor on V as an arity-2 MultiMap, in closed form:
+        [X_i, X_j] from Der(A)'s structure constants, [X, L_a] = L_{X(a)},
+        and [L_a, L_b] = L_{ab - ba} = 0."""
+        k, d = self.d_der, self.A.dim
         table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                c = self.coords(_commutator(self.ops[i], self.ops[j]))
-                if any(c):
-                    table[(i, j)] = c
+        for i, X in enumerate(self.der):
+            for j in range(i + 1, k):
+                table[(i, j)] = self.brackets[i][j] + [0] * d
+            for a in range(d):
+                table[(i, k + a)] = [0] * k + [row[a] for row in X]
         return MultiMap(self.dim, 2, table)
 
-    def module_action(self, a_idx, v_idx):
-        """Coordinates of e_a . (basis op v) = L_{e_a} compose v."""
+    def module_action(self, a_idx, t):
+        """Coordinates over Der(A) of e_a . X_t = L_{e_a} X_t, which is a
+        derivation because A is commutative."""
         la = self.A.left_mult(linalg.unit_vector(a_idx, self.A.dim))
-        return self.coords(linalg.mat_mul(la, self.ops[v_idx]))
+        c = self._coords(_flatten(linalg.mat_mul(la, self.der[t])))
+        if c is None:
+            raise AssertionError("e_%d . X_%d is not a derivation"
+                                 % (a_idx, t))
+        return c
 
 
 def _form_basis(space, n):
-    """Basis of the A-valued, A-multilinear maps on V killing A, arity n.
+    """Basis of the A-valued, A-multilinear maps on V killing A, arity n:
+    at n = 0 the unit vectors of A.
 
     Each element is a dict: increasing tuple over derivation indices ->
     coordinate vector in A.
     """
-    A, d = space.A, space.d_der
+    A, d, m = space.A, space.d_der, space.A.dim
+    if n == 0:
+        return [{(): linalg.unit_vector(a, m)} for a in range(m)]
     keys = list(combinations(range(d), n))
-    nunk = len(keys) * A.dim
-    if nunk == 0:
-        return [], keys
-    pos = {k: i for i, k in enumerate(keys)}
-
-    def read(unknown_row, idx, coeff):
-        """Add coeff * omega(idx) (signed) into a constraint row."""
-        sign, key = sort_sign(idx)
-        if not sign or key not in pos:
-            return
-        base = pos[key] * A.dim
-        for r in range(A.dim):
-            unknown_row[r][base + r] += coeff * sign
-
+    # omega(key) is unknown at pos[key] .. pos[key] + m - 1
+    pos = {key: i * m for i, key in enumerate(keys)}
     rows = []
-    for a in range(A.dim):
-        la = A.left_mult(linalg.unit_vector(a, A.dim))
-        for key in keys:
-            # omega(a . X_{k0}, rest) - a * omega(key) = 0
-            block = [[0] * nunk for _ in range(A.dim)]
-            av = space.module_action(a, key[0])
-            for t in range(d):
-                if av[t]:
-                    read(block, (t,) + key[1:], av[t])
-            # subtract a * omega(key): multiply value vector by la
-            base = pos[key] * A.dim
-            for r in range(A.dim):
-                for c in range(A.dim):
-                    block[r][base + c] -= la[r][c]
-            rows.extend(block)
-    basis = []
-    for v in linalg.nullspace(rows, ncols=nunk):
-        table = {}
-        for key in keys:
-            base = pos[key] * A.dim
-            vec = v[base:base + A.dim]
-            if any(vec):
-                table[key] = vec
-        basis.append(table)
-    return basis, keys
+    for a in range(m):
+        la = A.left_mult(linalg.unit_vector(a, m))
+        acts = [space.module_action(a, t) for t in range(d)]
+        for key, r in product(keys, range(m)):
+            # omega(a . X_{k0}, rest) - a * omega(key) = 0, coordinate r
+            row = {pos[key] + c: -x for c, x in enumerate(la[r]) if x}
+            for t, x in enumerate(acts[key[0]]):
+                sign, srt = sort_sign((t,) + key[1:])
+                if x and sign:
+                    row[pos[srt] + r] = row.get(pos[srt] + r, 0) + sign * x
+            rows.append(row)
+    return [{key: vec for key, i in pos.items() if any(vec := v[i:i + m])}
+            for v in linalg.nullspace(rows, ncols=len(keys) * m)]
 
 
 def _embed(space, table, n):
     """Lift an A-valued derivation form into a MultiMap on V."""
-    full = {}
-    for key, vec in table.items():
-        full[key] = [0] * space.d_der + list(vec)
-    return MultiMap(space.dim, n, full)
+    return MultiMap(space.dim, n, {key: [0] * space.d_der + list(vec)
+                                   for key, vec in table.items()})
 
 
 def _koszul_d(space, table, n):
-    """Koszul differential of an A-valued form on Der(A), as a table."""
-    A, d = space.A, space.d_der
+    """Koszul differential of an A-valued form w on Der(A), as a table:
+
+        dw(X_0..X_n) = sum_i (-1)^i X_i(w(.. no X_i ..))
+                       + sum_{i<j} (-1)^(i+j) w([X_i, X_j], .. no X_i, X_j ..),
+
+    so da(X) = X(a) at n = 0; [X_i, X_j] is read off Der(A)'s structure
+    constants."""
     out = {}
-    for key in combinations(range(d), n + 1):
-        acc = [0] * A.dim
+    for key in combinations(range(space.d_der), n + 1):
+        acc = [0] * space.A.dim
         for i in range(n + 1):
-            rest = key[:i] + key[i + 1:]
-            sign, srt = sort_sign(rest)
-            val = table.get(srt)
+            val = table.get(key[:i] + key[i + 1:])
             if val is not None:
-                xv = linalg.mat_vec(space.der[key[i]],
-                                    [sign * x for x in val])
-                s = (-1) ** i
-                acc = [a + s * b for a, b in zip(acc, xv)]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                br = space.coords(_commutator(space.der[key[i]],
-                                              space.der[key[j]]))
-                rest = tuple(key[t] for t in range(n + 1)
-                             if t != i and t != j)
-                s = (-1) ** (i + j)
-                for t in range(d):
-                    if not br[t]:
-                        continue
-                    sign, srt = sort_sign((t,) + rest)
-                    if not sign:
-                        continue
-                    val = table.get(srt)
-                    if val is not None:
-                        c = s * br[t] * sign
-                        acc = [a + c * x for a, x in zip(acc, val)]
+                xv = linalg.mat_vec(space.der[key[i]], val)
+                acc = [a + (-1) ** i * b for a, b in zip(acc, xv)]
+        for i, j in combinations(range(n + 1), 2):
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            for t, b in enumerate(space.brackets[key[i]][key[j]]):
+                sign, srt = sort_sign((t,) + rest)
+                val = table.get(srt) if b and sign else None
+                if val is not None:
+                    c = (-1) ** (i + j) * b * sign
+                    acc = [a + c * x for a, x in zip(acc, val)]
         if any(acc):
             out[key] = acc
     return out
 
 
-def koszul_check(A, max_grade=2):
+# the Koszul oracle checks the forms of grades 0..KOSZUL_MAX_GRADE
+KOSZUL_MAX_GRADE = 2
+
+
+def koszul_check(A):
     """Verify [mu, w] = -(dw) on the derivation-form subspace of L(V).
 
     V is Der(A) (+) A acting on A, mu its commutator tensor.  Checked
-    on grade 0 (elements of A) and on a computed basis of each graded
-    piece up to max_grade; entrywise over the full V table, which also
+    on a computed basis of each graded piece up to KOSZUL_MAX_GRADE,
+    grade 0 being A itself; entrywise over the full V table, which also
     certifies that [mu, w] stays inside the subspace.  A must be
-    commutative; BadAlgebra otherwise.
+    commutative and unital (see `OperatorSpace`), BadAlgebra otherwise.
     """
-    _check_commutative(A)
     space = OperatorSpace(A)
     mu = space.mu()
     if not supercomm(mu, mu).is_zero():
         raise NonInvolutiveElement("commutator tensor not involutive")
     dims = {}
     counterexample = None
-    # grade 0: a in A, da(X) = X(a)
-    dims[0] = A.dim
-    for a in range(A.dim):
-        vec = [0] * space.d_der + list(linalg.unit_vector(a, A.dim))
-        lhs = supercomm(mu, MultiMap.vector(vec))
-        table = {}
-        for t in range(space.d_der):
-            xv = linalg.mat_vec(space.der[t], linalg.unit_vector(a, A.dim))
-            if any(xv):
-                table[(t,)] = xv
-        rhs = -_embed(space, table, 1)
-        if lhs != rhs and counterexample is None:
-            counterexample = "grade 0, basis element %d" % a
-    for n in range(1, max_grade + 1):
-        basis, _ = _form_basis(space, n)
+    for n in range(KOSZUL_MAX_GRADE + 1):
+        basis = _form_basis(space, n)
         dims[n] = len(basis)
         for k, table in enumerate(basis):
             lhs = supercomm(mu, _embed(space, table, n))
             rhs = -_embed(space, _koszul_d(space, table, n), n + 1)
             if lhs != rhs and counterexample is None:
-                counterexample = "grade %d, basis form %d" % (n, k)
+                counterexample = "grade %d, basis %s %d" % (
+                    n, "form" if n else "element", k)
     return {"ok": counterexample is None,
             "dim_algebra": A.dim,
             "dim_der": space.d_der,

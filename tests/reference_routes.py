@@ -19,7 +19,11 @@ that pforge computes another way:
 * `parse_poly` and `poly_str` are the polynomial text parser and printer
   as they were before the one-regex parser and the built-in-sorted
   printer: a chunk regex per term with its error messages, and a Python
-  key function for graded lex order.
+  key function for graded lex order;
+* `der_brackets` and `operator_space_mu` write commutators of operators
+  over Der(A) and over V = Der(A) + A by a `linalg.Subspace` solve,
+  where `ncalg.derivations` reads Der(A)'s structure constants off its
+  kernel basis and `superalg.OperatorSpace.mu` is the closed form.
 
 Nothing here is fast; each is only a second road to the same exact
 values.
@@ -27,7 +31,7 @@ values.
 
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import neg
 
 from pforge import linalg
@@ -37,6 +41,8 @@ from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
     _delta
 from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
+from pforge.ncalg import derivations, _commutator, _flatten
+from pforge.superalg import MultiMap
 
 
 # -- the Poisson side by hand ------------------------------------------
@@ -323,3 +329,30 @@ def parse_poly(text, n):
         terms[key] = terms.get(key, 0) + coeff
         offset += len(chunk)
     return Poly(n, terms)
+
+
+# -- Der(A) and the Koszul operator space by coordinate solves ---------
+
+def der_brackets(basis):
+    """brackets[i][j]: coordinates of [X_i, X_j] over the Der(A) basis
+    matrices X, each commutator solved for by one `Subspace`."""
+    span = linalg.Subspace([_flatten(m) for m in basis],
+                           len(basis[0]) ** 2 if basis else 0)
+    return [[span.coords(_flatten(_commutator(a, b))) for b in basis]
+            for a in basis]
+
+
+def operator_space_mu(A):
+    """The commutator tensor on V = Der(A) + A, with basis the Der(A)
+    basis and then the left multiplications by A's basis: each
+    commutator of two basis operators written over them by a
+    `Subspace`."""
+    ops = derivations(A)["basis"] + [A.left_mult(linalg.unit_vector(i, A.dim))
+                                     for i in range(A.dim)]
+    span = linalg.Subspace([_flatten(m) for m in ops], A.dim ** 2)
+    table = {}
+    for i, j in combinations(range(len(ops)), 2):
+        c = span.coords(_flatten(_commutator(ops[i], ops[j])))
+        if any(c):
+            table[(i, j)] = c
+    return MultiMap(len(ops), 2, table)

@@ -21,8 +21,10 @@ from pforge.ncalg import (AlgebraSC, LieAlgebraSC, ConnectionTable,
                           derivations, submanifold_check, quotient_check,
                           bott_integral, bott_quotient, bott_forms,
                           validate_algebra)
-from pforge.superalg import MultiMap, koszul_check, super_axiom_report
+from pforge.superalg import (MultiMap, OperatorSpace, koszul_check,
+                             standard_algebra, super_axiom_report)
 from conftest import assert_normal_form
+from reference_routes import der_brackets, operator_space_mu
 from test_linalg import dense_rref, oracle_invert
 
 
@@ -67,6 +69,10 @@ def same(a, b, path="result"):
             same(x, y, "%s[%d]" % (path, i))
     else:
         assert a == b, (path, a, b)
+
+
+def flat(m):
+    return [x for row in m for x in row]
 
 
 def both_routes(fn, *args):
@@ -223,6 +229,39 @@ def test_derivations_match_fraction_route(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_der_brackets_match_subspace_coordinates(case):
+    _, A, *_ = case
+
+    def both(A):
+        rep = derivations(A)
+        return rep["brackets"], der_brackets(rep["basis"])
+    got, want = both_routes(both, A)
+    same(got, want)
+    assert any(x for row in got for v in row for x in v)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_kernel_read_over_derivation_sub_bases(case):
+    # Der_I, Der_I_0, Q_B and V_B are `_sub_basis` combinations of the
+    # Der(A) basis, which keep its shape: the kernel read over each
+    # agrees with `Subspace` on the Der(A) basis, on its own basis and
+    # on sums of neighbours in each
+    _, A, ideal, sub, _ = case
+    der = [flat(X) for X in derivations(A)["basis"]]
+    probes = der + [[a + b for a, b in zip(u, v)] for u, v in
+                    zip(der, der[1:])]
+    info = dict(submanifold_check(A, ideal), **quotient_check(A, sub))
+    for key in ("der_I", "der_I_0", "Q_B", "V_B"):
+        basis = [flat(X) for X in info[key]]
+        read = linalg.kernel_coords(basis)
+        span = linalg.Subspace(basis, A.dim ** 2)
+        sums = [[a + b for a, b in zip(u, v)] for u, v in zip(basis,
+                                                            basis[1:])]
+        for v in probes + basis + sums:
+            assert read(v) == span.coords(v)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_submanifold_and_quotient_match_fraction_route(case):
     _, A, ideal, sub, _ = case
     assert both_routes(submanifold_check, A, ideal)["submanifold"] in (
@@ -244,6 +283,18 @@ def test_bott_integral_matches_fraction_route(case):
 def test_koszul_check_matches_fraction_route(case):
     _, A, *_ = case
     assert both_routes(koszul_check, A)["ok"] is True
+
+
+MU_CASES = [(name, standard_algebra(name)) for name in
+            ("Q", "QxQ", "Q[t]/t^3", "Q[s,t]/(s^2,t^2)")] + \
+    [(c[0], c[1]) for c in CASES if c[0][:4] in ("x2y2", "x3y1")]
+
+
+@pytest.mark.parametrize("name, A", MU_CASES, ids=[c[0] for c in MU_CASES])
+def test_closed_form_mu_matches_commutator_route(name, A):
+    got, want = both_routes(lambda A: (OperatorSpace(A).mu(),
+                                       operator_space_mu(A)), A)
+    same(got, want)
 
 
 @pytest.mark.parametrize("half", [False, True], ids=["integral", "half"])

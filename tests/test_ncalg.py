@@ -8,8 +8,8 @@ from pforge import linalg
 from pforge.ncalg import (AlgebraSC, BadAlgebra, NotAnIdeal, NotASubalgebra,
                           NotASplitting, center, validate_algebra,
                           derivations, check_ideal, check_subalgebra,
-                          quotient_algebra, ideal_derivations,
-                          submanifold_check, quotient_check,
+                          quotient_algebra, submanifold_check,
+                          quotient_check,
                           splitting_curvature, bott_quotient, bott_forms,
                           bott_integral, LieAlgebraSC, BadLieAlgebra)
 

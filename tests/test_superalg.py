@@ -6,7 +6,7 @@ from pforge.superalg import (MultiMap, comp_product, supercomm, dmu,
                              random_multimap, super_axiom_report,
                              koszul_check, standard_algebra,
                              NonInvolutiveElement, ArityMismatch)
-from pforge.ncalg import AlgebraSC, derivations
+from pforge.ncalg import AlgebraSC, BadAlgebra, derivations
 from conftest import rng_for
 
 
@@ -105,3 +105,14 @@ def test_koszul_supercommutator_identity(name):
     assert rep["dim_algebra"] == dim_a
     assert rep["dim_der"] == dim_der
     assert rep["form_dims"] == dims
+
+
+def test_koszul_check_refuses_an_algebra_without_a_unit():
+    # on Q with e0 e0 = 0, L_{e0} = 0 is a derivation, so Der(A) + A has
+    # a dependent basis and no verdict means anything
+    A = AlgebraSC(1, [[[0]]])
+    assert derivations(A)["basis"] == [[[1]]]
+    with pytest.raises(BadAlgebra, match="unital"):
+        koszul_check(A)
+    with pytest.raises(BadAlgebra, match="unital"):
+        koszul_check(AlgebraSC(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]))
