@@ -175,9 +175,8 @@ def cmd_casimir(args):
         return _emit(args, {"casimir": is_casimir(p, f)})
     if args.max_degree is None:
         raise InputError("need --function or --max-degree")
-    basis = casimir_basis(p, args.max_degree)
     return _emit(args, {"max_degree": args.max_degree,
-                        "basis": [str(f) for f in basis]})
+                        "basis": casimir_basis(p, args.max_degree)})
 
 
 def cmd_integrable(args):
@@ -194,26 +193,15 @@ def cmd_cocycle(args):
     lam = serialize.polys_from_json(lam_raw, p.n)
     if len(lam) != g.dim:
         raise InputError("lambda must list %d polynomials" % g.dim)
-    rep = momentum_cocycle(p, g, lam)
-    return _emit(args, {
-        "table": [[str(c) for c in row] for row in rep["table"]],
-        "cyclic_identity": rep["cyclic_identity"],
-        "hamiltonian_homomorphism": rep["hamiltonian_homomorphism"]})
+    return _emit(args, momentum_cocycle(p, g, lam))
 
 
 def cmd_ideal(args):
     p = _bivector(_load_json(args.input))
     gens = serialize.polys_from_json(_load_json(args.gens, "generators"),
                                      p.n)
-    rep = ideal_check(p, gens, _nonnegative(args.degree, "--degree"))
-    out = {"verdict": rep["verdict"], "poisson_ideal": rep["poisson_ideal"],
-           "failures": rep["failures"],
-           "certificates": [
-               {"generator": c["generator"], "coordinate": c["coordinate"],
-                "multipliers": None if c["multipliers"] is None
-                else [str(h) for h in c["multipliers"]]}
-               for c in rep["certificates"]]}
-    return _emit(args, out)
+    return _emit(args, ideal_check(p, gens,
+                                   _nonnegative(args.degree, "--degree")))
 
 
 def cmd_oracle_super(args):
