@@ -564,8 +564,8 @@ def bott_integral(A, D_ops, I_rows):
     """
     d = A.dim
     D_ops = [[linalg.exact_vector(row) for row in X] for X in D_ops]
-    rep = derivations(A)
-    der = rep["basis"]
+    der_info = derivations(A)
+    der = der_info["basis"]
     k = len(der)
     der_coords = linalg.kernel_coords([_flatten(m) for m in der])
     d_flat = [_flatten(m) for m in D_ops]
@@ -623,7 +623,7 @@ def bott_integral(A, D_ops, I_rows):
     gamma_reps = [omega_d[i]
                   for i in _new_directions(inter, omega_d, d * k)]
 
-    sparse = _sparse(rep["brackets"])
+    sparse = _sparse(der_info["brackets"])
 
     def lie_derivative(X, x):
         """a -> L_X a, (L_X a)(Y) = X(a(Y)) - a([X, Y]), for a vanishing
