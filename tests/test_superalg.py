@@ -108,8 +108,8 @@ def test_koszul_supercommutator_identity(name):
 
 
 def test_koszul_check_refuses_an_algebra_without_a_unit():
-    # on Q with e0 e0 = 0, L_{e0} = 0 is a derivation, so Der(A) + A has
-    # a dependent basis and no verdict means anything
+    # on Q with e0 e0 = 0, L_{e0} is the zero map, a derivation, so the
+    # basis of Der(A) + A is dependent and no verdict means anything
     A = AlgebraSC(1, [[[0]]])
     assert derivations(A)["basis"] == [[[1]]]
     with pytest.raises(BadAlgebra, match="unital"):
