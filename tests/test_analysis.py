@@ -178,6 +178,12 @@ def test_ideal_check_verdicts():
     assert cone["poisson_ideal"] is None
 
 
+def test_ideal_without_generators_is_poisson():
+    assert ideal_check(so3_p(), [], 2) == {
+        "verdict": "poisson", "poisson_ideal": True,
+        "certificates": [], "failures": []}
+
+
 # -- the one route per operator against the hand-written routes --------
 
 def _catalog():

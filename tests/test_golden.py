@@ -12,7 +12,11 @@ were recorded from the star solved as a linear system over the grade's
 basis forms, so they pin the closed form i_{sharp(a)} vol to it.  The
 `cocycle` jobs were recorded while `cmd_cocycle` printed the table's
 polynomials with `str` by hand, so they pin its output to `_emit`'s
-formatting.
+formatting.  The text-format `rank`, `bott-quotient` and `bott-forms`
+jobs and the `ideal` jobs without generators or with an undecided
+verdict were recorded while `rank_at` returned a report object with its
+own stringifying and the Bott connections returned a connection table,
+so they pin the plain-dict results to that output.
 """
 
 import contextlib
@@ -63,6 +67,9 @@ SYMP = {"n": N, "grade": 2, "terms": [
     {"idx": [0, 1], "coeff": "1/2"}, {"idx": [2, 3], "coeff": "3"},
     {"idx": [4, 5], "coeff": "-2/3"}, {"idx": [0, 3], "coeff": "1/5"},
     {"idx": [1, 4], "coeff": "-7/2"}]}
+# the constant symplectic plane, on which x0^2 + x1^2 is not an ideal
+# that a bounded search can decide
+PLANE = {"n": 2, "grade": 2, "terms": [{"idx": [0, 1], "coeff": "1"}]}
 
 
 def dumps(obj):
@@ -254,6 +261,24 @@ FINITE_JOBS = {
                      "07cd99103c00f9421218ef7a681614d4d419407ab9600b612192e0861d3c0e7c"),
     "rank": (["rank", "-i", dumps(LP), "--point", "1/2,-1,3,0,2/3,1"],
              "4a68b8610a7b7aa67593afe59e41a14c392d0652b3dffa59c948d87ed9da0f73"),
+    "rank-text": (["rank", "--format", "text", "-i", dumps(LP),
+                   "--point", "2/3,0,-1/2,5,-1,3/4"],
+                  "bfed74ce5d77498155e2d62c3149af9e1384e1619674ac5776c4aab299b36c20"),
+    "bott-quotient-gl2-text": (ncalg("bott-quotient", "--format", "text",
+                                     "--liealg", GL2, "--sub",
+                                     [[1, 0, 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 0, 1]]),
+                               "748d9013e32539de2f311ffbee86287941f943a37d0af898ad982747cef73ace"),
+    "bott-forms-sl2-text": (ncalg("bott-forms", "--format", "text",
+                                  "--liealg", SL2_HALF,
+                                  "--sub", [[2, 0, 0], [0, 1, 0]]),
+                            "eb774e362e6b8fa9e1187932346a84bf2a236c8913286dd6d517dd054bf27283"),
+    "ideal-undecided": (["ideal", "-i", dumps(PLANE), "--gens",
+                         dumps(["x0^2 + x1^2"]), "--degree", "2"],
+                        "394ab4bbd0551cf0ca178a0e6ce46684c63753f6042aebc299818bdd14b713d0"),
+    "ideal-no-generators": (["ideal", "-i", dumps(LP), "--gens", "[]",
+                             "--degree", "1"],
+                            "c8540e352e56d3034db0ecc9f39f0a7c83ce8f85426560060b0f8fdcec7b8c6c"),
 }
 JOBS.update(FINITE_JOBS)
 
