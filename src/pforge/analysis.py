@@ -87,23 +87,6 @@ def bivector_matrix_at(p, point):
     return m
 
 
-class PointReport:
-    __slots__ = ("point", "rank", "image_basis", "integrable_here")
-
-    def __init__(self, point, rank, image_basis, integrable_here):
-        self.point = point
-        self.rank = rank
-        self.image_basis = image_basis
-        self.integrable_here = integrable_here
-
-    def as_dict(self):
-        return {"point": [str(x) for x in self.point],
-                "rank": self.rank,
-                "image_basis": [[str(x) for x in row]
-                                for row in self.image_basis],
-                "integrable_here": self.integrable_here}
-
-
 def _wedge_power_rank(p, point):
     """2k with p(x)^k != 0 and p(x)^(k+1) = 0, on the evaluated bivector."""
     n = p.n
@@ -115,17 +98,18 @@ def _wedge_power_rank(p, point):
 
 
 def rank_at(p, point):
-    """Pointwise rank by both the wedge-power criterion and matrix rank."""
-    point = [Fraction(x) for x in point]
+    """Pointwise rank by both the wedge-power criterion and matrix rank,
+    with the image of p(x) and whether p is involutive at x."""
+    point = linalg.exact_vector(point)
     m = bivector_matrix_at(p, point)
     r_matrix = linalg.rank(m)
     r_wedge = _wedge_power_rank(p, point)
     if r_matrix != r_wedge:
         raise AssertionError(
             "rank criteria disagree: matrix %d vs wedge %d" % (r_matrix, r_wedge))
-    image = linalg.row_space_basis(m)
-    return PointReport(point, r_matrix, image,
-                       integrability_at(p, point))
+    return {"point": point, "rank": r_matrix,
+            "image_basis": linalg.row_space_basis(m),
+            "integrable_here": integrability_at(p, point)}
 
 
 def integrability_at(p, point):
@@ -261,9 +245,6 @@ def ideal_check(p, generators, degree_bound):
     bracket is nonzero is found; otherwise the verdict is undecided.
     """
     n = p.n
-    if not generators:
-        return {"verdict": "poisson", "poisson_ideal": True,
-                "certificates": [], "failures": []}
     certificates = []
     failures = []
     for gi, g in enumerate(generators):
@@ -279,17 +260,12 @@ def ideal_check(p, generators, degree_bound):
                                      "multipliers": mults})
                 continue
             witness = _zero_witness(generators, br, n)
-            if witness is not None:
-                failures.append({"generator": gi, "coordinate": j,
-                                 "witness_point": witness})
-            else:
-                failures.append({"generator": gi, "coordinate": j,
-                                 "witness_point": None})
-    if failures:
-        if any(f["witness_point"] is not None for f in failures):
-            verdict, flag = "refuted", False
-        else:
-            verdict, flag = "undecided", None
+            failures.append({"generator": gi, "coordinate": j,
+                             "witness_point": witness})
+    if any(f["witness_point"] is not None for f in failures):
+        verdict, flag = "refuted", False
+    elif failures:
+        verdict, flag = "undecided", None
     else:
         verdict, flag = "poisson", True
     return {"verdict": verdict, "poisson_ideal": flag,

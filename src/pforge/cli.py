@@ -14,13 +14,13 @@ from functools import cache
 
 from . import serialize
 from .serialize import InputError, dump, str_fractions
-from .ratpoly import (Poly, parse_poly, PolyParseError, DimensionMismatch)
+from .ratpoly import parse_poly, PolyParseError, DimensionMismatch
 from .multivec import jacobiator, schouten, lichnerowicz_dp, GradeMismatch
 from .forms import delta, form_bracket, NonInvolutive
 from .symplectic import (SymplecticContext, DegenerateBivector, OddDimension,
                          NotConstantCoefficient)
 from .homology import (poisson_cohomology_dims, canonical_homology_dims,
-                       NonHomogeneous, LICHNEROWICZ, CANONICAL)
+                       NonHomogeneous)
 from .analysis import (rank_at, integrability_at, is_casimir, casimir_basis,
                        momentum_cocycle, ideal_check)
 from .superalg import (super_axiom_report, koszul_check, standard_algebra,
@@ -160,7 +160,7 @@ def cmd_cohomology(args):
 def cmd_rank(args):
     p = _bivector(_load_json(args.input))
     point = serialize.point_from_text(args.point, p.n)
-    return _emit(args, rank_at(p, point).as_dict())
+    return _emit(args, rank_at(p, point))
 
 
 def cmd_casimir(args):
@@ -281,23 +281,18 @@ def cmd_ncalg_quotient(args):
                         "invariants_of_V_B": rep["invariants_of_V_B"]})
 
 
-def _connection(args, table, **fields):
-    return _emit(args, dict(fields, module_basis=table.module_basis,
-                            acting_basis=table.acting_basis,
-                            matrices=table.matrices))
-
-
 def cmd_ncalg_bott_quotient(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
-    table = bott_quotient(g, _subspace_rows(args.sub, "subalgebra", g.dim))
-    return _connection(args, table, flat=table.flat(), curvature={
-        "%d,%d" % k: v for k, v in table.curvature.items()})
+    rep = bott_quotient(g, _subspace_rows(args.sub, "subalgebra", g.dim))
+    rep["curvature"] = {"%d,%d" % k: v for k, v in rep["curvature"].items()}
+    return _emit(args, rep)
 
 
 def cmd_ncalg_bott_forms(args):
     g = serialize.liealg_from_json(_load_json(args.liealg, "lie algebra"))
     rep = bott_forms(g, _subspace_rows(args.sub, "subalgebra", g.dim))
-    return _connection(args, rep["connection"], flat=rep["flat"])
+    del rep["curvature"]
+    return _emit(args, rep)
 
 
 def cmd_ncalg_bott_integral(args):
@@ -335,70 +330,66 @@ def build_parser():
                     "coefficients, plus finite-dimensional algebra oracles.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, **kwargs):
-        sp = subs.add_parser(name, parents=[common], **kwargs)
-        sp.set_defaults(func=func.__name__)
-        return sp
-
-    sub("check", cmd_check, help="jacobiator of a bivector")
-    sub("schouten", cmd_schouten, help="graded bracket of two multivectors")
-    sub("dp", cmd_dp, help="coboundary [p, u]")
-    sub("delta", cmd_delta, help="canonical boundary of a form")
-    sub("bracket", cmd_bracket, help="graded bracket of two forms")
-    sub("star", cmd_star, help="symplectic star of a form")
-
-    sp = sub("cohomology", cmd_cohomology, help="per-weight dimensions")
-    sp.add_argument("--complex", choices=["lich", "can"], required=True)
-    sp.add_argument("--max-grade", type=int, required=True)
-    sp.add_argument("--max-weight", type=int, required=True)
-
-    sp = sub("rank", cmd_rank, help="pointwise rank report")
-    sp.add_argument("--point", required=True)
-
-    sp = sub("casimir", cmd_casimir, help="Casimir test or kernel search")
-    sp.add_argument("--function", help="polynomial to test")
-    sp.add_argument("--max-degree", type=int, help="search degree bound")
-
-    sp = sub("integrable", cmd_integrable, help="pointwise involutivity")
-    sp.add_argument("--point", required=True)
-
-    sp = sub("cocycle", cmd_cocycle, help="momentum-map cocycle table")
-    sp.add_argument("--liealg", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True,
-                    help="JSON list of polynomials, one per basis element")
-
-    sp = sub("ideal", cmd_ideal, help="bounded-degree Poisson ideal check")
-    sp.add_argument("--gens", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-
-    oracle = subs.add_parser("oracle", help="finite-dimensional oracles")
-    osubs = oracle.add_subparsers(dest="oracle_command", required=True)
-    sp = osubs.add_parser("super", parents=[common])
-    sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=50)
-    sp.set_defaults(func=cmd_oracle_super.__name__)
-    sp = osubs.add_parser("koszul", parents=[common])
-    sp.add_argument("--algebra", required=True,
-                    help="algebra JSON, a path, or a named test algebra")
-    sp.set_defaults(func=cmd_oracle_koszul.__name__)
-
-    nc = subs.add_parser("ncalg", help="structure-constant calculus")
-    nsubs = nc.add_subparsers(dest="ncalg_command", required=True)
-
-    def ncsub(name, func, *flags):
-        sp = nsubs.add_parser(name, parents=[common])
+    def sub(group, name, func, *flags, **kwargs):
+        """Subcommand name of group, run by func, with the common options
+        and the given required flags."""
+        sp = group.add_parser(name, parents=[common], **kwargs)
         for flag in flags:
             sp.add_argument(flag, required=True)
         sp.set_defaults(func=func.__name__)
         return sp
 
-    ncsub("der", cmd_ncalg_der, "--algebra")
-    ncsub("submanifold", cmd_ncalg_submanifold, "--algebra", "--ideal")
-    ncsub("quotient", cmd_ncalg_quotient, "--algebra", "--sub")
-    ncsub("bott-quotient", cmd_ncalg_bott_quotient, "--liealg", "--sub")
-    ncsub("bott-forms", cmd_ncalg_bott_forms, "--liealg", "--sub")
-    ncsub("bott-integral", cmd_ncalg_bott_integral,
-          "--algebra", "--dist", "--ideal")
+    sub(subs, "check", cmd_check, help="jacobiator of a bivector")
+    sub(subs, "schouten", cmd_schouten,
+        help="graded bracket of two multivectors")
+    sub(subs, "dp", cmd_dp, help="coboundary [p, u]")
+    sub(subs, "delta", cmd_delta, help="canonical boundary of a form")
+    sub(subs, "bracket", cmd_bracket, help="graded bracket of two forms")
+    sub(subs, "star", cmd_star, help="symplectic star of a form")
+
+    sp = sub(subs, "cohomology", cmd_cohomology,
+             help="per-weight dimensions")
+    sp.add_argument("--complex", choices=["lich", "can"], required=True)
+    sp.add_argument("--max-grade", type=int, required=True)
+    sp.add_argument("--max-weight", type=int, required=True)
+
+    sub(subs, "rank", cmd_rank, "--point", help="pointwise rank report")
+
+    sp = sub(subs, "casimir", cmd_casimir,
+             help="Casimir test or kernel search")
+    sp.add_argument("--function", help="polynomial to test")
+    sp.add_argument("--max-degree", type=int, help="search degree bound")
+
+    sub(subs, "integrable", cmd_integrable, "--point",
+        help="pointwise involutivity")
+
+    sp = sub(subs, "cocycle", cmd_cocycle, "--liealg",
+             help="momentum-map cocycle table")
+    sp.add_argument("--lambda", dest="lam", required=True,
+                    help="JSON list of polynomials, one per basis element")
+
+    sp = sub(subs, "ideal", cmd_ideal, "--gens",
+             help="bounded-degree Poisson ideal check")
+    sp.add_argument("--degree", type=int, required=True)
+
+    oracle = subs.add_parser("oracle", help="finite-dimensional oracles")
+    osubs = oracle.add_subparsers(dest="oracle_command", required=True)
+    sp = sub(osubs, "super", cmd_oracle_super)
+    sp.add_argument("--dim", type=int, default=3)
+    sp.add_argument("--trials", type=int, default=50)
+    sp = sub(osubs, "koszul", cmd_oracle_koszul)
+    sp.add_argument("--algebra", required=True,
+                    help="algebra JSON, a path, or a named test algebra")
+
+    nc = subs.add_parser("ncalg", help="structure-constant calculus")
+    nsubs = nc.add_subparsers(dest="ncalg_command", required=True)
+    sub(nsubs, "der", cmd_ncalg_der, "--algebra")
+    sub(nsubs, "submanifold", cmd_ncalg_submanifold, "--algebra", "--ideal")
+    sub(nsubs, "quotient", cmd_ncalg_quotient, "--algebra", "--sub")
+    sub(nsubs, "bott-quotient", cmd_ncalg_bott_quotient, "--liealg", "--sub")
+    sub(nsubs, "bott-forms", cmd_ncalg_bott_forms, "--liealg", "--sub")
+    sub(nsubs, "bott-integral", cmd_ncalg_bott_integral,
+        "--algebra", "--dist", "--ideal")
     return parser
 
 

@@ -414,25 +414,26 @@ def quotient_check(A, B_rows):
 
 
 def _curvature(mats, brackets):
-    """R(i, j) = [M_i, M_j] - sum_k brackets[i][j][k] M_k for i < j, with
-    brackets the structure constants of the acting basis."""
+    """The curvature R(i, j) = [M_i, M_j] - sum_k brackets[i][j][k] M_k
+    for i < j, with brackets the structure constants of the acting basis,
+    and whether every R(i, j) is zero."""
     size = len(mats[0]) if mats else 0
     flat = [_flatten(m) for m in mats]
     table = {}
     for i, j in combinations(range(len(mats)), 2):
         nab = _unflatten(_combination(brackets[i][j], flat), size, size)
         table[(i, j)] = linalg.mat_sub(_commutator(mats[i], mats[j]), nab)
-    return table
+    return {"curvature": table,
+            "flat": all(not any(_flatten(m)) for m in table.values())}
 
 
-def splitting_curvature(A, B_rows, s_ops, g_ops=None):
+def splitting_curvature(A, B_rows, s_ops):
     """Curvature of the connection defined by a splitting s.
 
     s_ops lists one operator matrix per basis element of Der(B); each
     must land in Q_B and restrict back to that basis element.  Returns
     the antisymmetric table R(X_i, X_j) = [s_i, s_j] - s([X_i, X_j])
-    and, when g_ops is supplied, the compatibility residuals
-    [g, s(x)].
+    and whether it vanishes.
     """
     info = quotient_check(A, B_rows)
     der_b = info["der_B"]
@@ -446,38 +447,19 @@ def splitting_curvature(A, B_rows, s_ops, g_ops=None):
         if _restriction(sx, sub) != der_b[i]:
             raise NotASplitting("r_B(s(X_%d)) != X_%d" % (i, i))
 
-    table = _curvature(s_ops, info["der_B_brackets"])
-    out = {"curvature": table,
-           "flat": all(not any(_flatten(m)) for m in table.values())}
-    if g_ops is not None:
-        residuals = {}
-        for k, g in enumerate(g_ops):
-            for i, sx in enumerate(s_ops):
-                residuals[(k, i)] = _commutator(g, sx)
-        out["compatibility_residuals"] = residuals
-        out["compatible"] = all(not any(_flatten(m))
-                                for m in residuals.values())
-    return out
+    return _curvature(s_ops, info["der_B_brackets"])
 
 
 # ---------------------------------------------------------------------
 # Bott connections
 
 
-class ConnectionTable:
-    """Module basis plus one exact matrix per acting basis element."""
-
-    __slots__ = ("module_basis", "acting_basis", "matrices", "curvature")
-
-    def __init__(self, module_basis, acting_basis, matrices, curvature):
-        self.module_basis = module_basis
-        self.acting_basis = acting_basis
-        self.matrices = matrices
-        self.curvature = curvature
-
-    def flat(self):
-        return all(not any(x for row in m for x in row)
-                   for m in self.curvature.values())
+def _connection(module_basis, acting_basis, mats, brackets):
+    """A Bott connection: the module basis, the acting basis, the matrix
+    M_i of the i-th acting element on the module basis, and the curvature
+    of the M_i with its flatness."""
+    return dict(_curvature(mats, brackets), module_basis=module_basis,
+                acting_basis=acting_basis, matrices=mats)
 
 
 def _lie_subalgebra(g, rows):
@@ -497,14 +479,14 @@ def bott_quotient(g, L0_rows):
     mats = [_from_columns([sub.project(g.bracket(x, u)) for u in comp],
                           len(comp))
             for x in sub.basis]
-    return ConnectionTable(comp, sub.basis, mats, _curvature(mats, brackets))
+    return _connection(comp, sub.basis, mats, brackets)
 
 
 def bott_forms(g, L0_rows):
     """Connection of L0 on the annihilator of L0 in the dual space.
 
     (grad_X a)(u) = -a([X, u]); the annihilator is verified to be
-    invariant and the curvature to vanish identically.
+    invariant, and `flat` reports whether the curvature vanishes.
     """
     sub, brackets = _lie_subalgebra(g, L0_rows)
     d = g.dim
@@ -522,8 +504,7 @@ def bott_forms(g, L0_rows):
                 raise AssertionError("annihilator not invariant")
             cols.append(coords)
         mats.append(_from_columns(cols, len(ann)))
-    table = ConnectionTable(ann, sub.basis, mats, _curvature(mats, brackets))
-    return {"connection": table, "flat": table.flat()}
+    return _connection(ann, sub.basis, mats, brackets)
 
 
 def _one_forms(A, der):

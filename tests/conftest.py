@@ -84,9 +84,9 @@ def assert_normal_form(x, path="result"):
     bool, when it is integral, else a Fraction.  Walks lists, tuples,
     dicts and the public fields of result objects; a bool is allowed
     as a dict value (a verdict), and None and strings anywhere."""
-    from pforge.ncalg import AlgebraSC, LieAlgebraSC, ConnectionTable
+    from pforge.ncalg import AlgebraSC, LieAlgebraSC
     from pforge.superalg import MultiMap
-    if isinstance(x, (AlgebraSC, LieAlgebraSC, ConnectionTable, MultiMap)):
+    if isinstance(x, (AlgebraSC, LieAlgebraSC, MultiMap)):
         for name in x.__slots__:
             if not name.startswith("_"):
                 assert_normal_form(getattr(x, name), "%s.%s" % (path, name))

@@ -11,7 +11,7 @@ from pforge.multivec import Multivector, schouten
 from pforge.ncalg import LieAlgebraSC, BadLieAlgebra
 import reference_routes as ref
 from conftest import (bivector, random_form, random_multivector, random_poly,
-                      rng_for)
+                      rng_for, assert_normal_form)
 
 
 def so3_p():
@@ -84,12 +84,18 @@ def test_pbracket_antisymmetry_and_jacobi():
 def test_rank_report():
     p = so3_p()
     rep = rank_at(p, [Fraction(1), Fraction(0), Fraction(0)])
-    assert rep.rank == 2
-    assert rep.integrable_here
+    assert rep["rank"] == 2
+    assert rep["integrable_here"]
     origin = rank_at(p, [Fraction(0)] * 3)
-    assert origin.rank == 0
-    d = rep.as_dict()
-    assert d["rank"] == 2 and len(d["image_basis"]) == 2
+    assert origin["rank"] == 0
+    assert len(rep["image_basis"]) == 2
+
+
+def test_rank_report_is_in_normal_form():
+    rep = rank_at(so3_p(), [Fraction(1, 2), Fraction(3), "-2/3"])
+    assert_normal_form(rep)
+    assert rep["point"] == [Fraction(1, 2), 3, Fraction(-2, 3)]
+    assert rep["rank"] == 2 and len(rep["image_basis"]) == 2
 
 
 def test_integrability_catalog_and_counterexample():

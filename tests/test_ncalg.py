@@ -229,18 +229,40 @@ def heisenberg():
 
 def test_bott_quotient_so3():
     table = bott_quotient(so3_lie(), F([[0, 0, 1]]))
-    assert table.matrices == [F([[0, -1], [1, 0]])]
-    assert table.curvature == {}
+    assert table["matrices"] == [F([[0, -1], [1, 0]])]
+    assert table["curvature"] == {}
 
 
 def test_bott_forms_so3_and_heisenberg():
     rep = bott_forms(so3_lie(), F([[0, 0, 1]]))
     assert rep["flat"]
-    assert rep["connection"].matrices == [F([[0, -1], [1, 0]])]
+    assert rep["matrices"] == [F([[0, -1], [1, 0]])]
     rep = bott_forms(heisenberg(), F([[0, 0, 1]]))
     assert rep["flat"]
     assert all(all(x == 0 for r in m for x in r)
-               for m in rep["connection"].matrices)
+               for m in rep["matrices"])
+
+
+def gl2():
+    """gl(2) on E00, E01, E10, E11: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    names = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    c = [[[int(j == k and z == (i, l)) - int(l == i and z == (k, j))
+           for z in names] for (k, l) in names] for (i, j) in names]
+    return LieAlgebraSC(4, c)
+
+
+@pytest.mark.parametrize("case", ["gl2-borel", "so3-line"])
+def test_bott_connections_share_keys_and_flatness(case):
+    if case == "gl2-borel":
+        g, sub = gl2(), F([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    else:
+        g, sub = so3_lie(), F([[0, 0, 1]])
+    quotient, forms = bott_quotient(g, sub), bott_forms(g, sub)
+    assert quotient.keys() == forms.keys() == {
+        "module_basis", "acting_basis", "matrices", "curvature", "flat"}
+    for rep in (quotient, forms):
+        assert rep["flat"] is all(not any(x for row in m for x in row)
+                                  for m in rep["curvature"].values())
 
 
 def test_bott_quotient_rejects_non_subalgebra():
