@@ -5,14 +5,14 @@ sparse {column: value} dicts of ints or Fractions, and only nonzero
 entries are read.  Each row is scaled to a primitive integer vector and
 a column -> rows index finds the rows each pivot must clear, so a
 mostly-zero matrix costs in proportion to its nonzeros and entries stay
-integers with no common factor.  Two pivot rules share the loop: `rank`
-takes Markowitz pivots and drops each used pivot row, one connected
-component of the rows at a time; `rref` takes the leftmost live column
-and also clears it from the earlier pivot rows, which leaves the unique
-reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`,
-`intersect`, `invert` and `Subspace` (one span reduced once, for
-repeated membership, coordinate and quotient queries) read their answers
-off that form as dense lists; `kernel_coords` needs no elimination.
+integers with no common factor.  One pivot rule serves every caller:
+the leftmost live column, on its shortest live row.  `rank` counts the
+pivots and drops each used pivot row; `rref` also clears each pivot
+column from the earlier pivot rows, which leaves the unique reduced row
+echelon form.  `nullspace`, `solve`, `row_space_basis`, `intersect` and
+`Subspace` (one span reduced once, for repeated membership, coordinate
+and quotient queries) read their answers off that form as dense lists;
+`kernel_coords` needs no elimination.
 
 Every entry of an answer is exact and in one normal form (`exact`): an
 `int` when it is integral, else a `Fraction` whose denominator is not 1.
@@ -71,93 +71,58 @@ def _primitive_rows(rows):
     return live, where
 
 
-def _markowitz_pivot(live, where):
-    """(row id, column) minimising (row length - 1) * (column length - 1)."""
-    best, best_cost = None, None
-    for i, vec in live.items():
-        row_cost = len(vec) - 1
-        for c in vec:
-            cost = row_cost * (len(where[c]) - 1)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = (i, c), cost
-                if cost == 0:
-                    return best
-    return best
+def _eliminate(rows, reduced):
+    """The one elimination loop: (pivot column, pivot row) pairs in
+    pivot order, pivot rows as primitive {column: int} dicts.
 
-
-def _leftmost_pivots(live, where):
-    """Reduced mode's (row id, column) pivots: the leftmost column of a
-    live row, on its shortest live row (the first of those on a tie).
+    The pivot is always the leftmost live column, on its shortest live
+    row (the lowest row id on a tie).  Each step clears the pivot's
+    column from every other indexed row as a*row - b*pivot, a > 0, with
+    gcd(a, b) divided out first, and keeps the updated row primitive.
     A step adds only columns right of its pivot to live rows, so one
-    pass over the columns in order finds every pivot."""
-    for c in sorted(where):
-        rows = [i for i in where[c] if i in live]
-        if rows:
-            yield min(rows, key=lambda i: (len(live[i]), i)), c
-
-
-def _components(live, where):
-    """The connected components of the graph joining rows that share a
-    column, as (row ids, columns) pairs."""
-    seen_rows, seen_cols = set(), set()
-    for start in live:
-        if start in seen_rows:
-            continue
-        seen_rows.add(start)
-        ids, cols, todo = [start], [], [start]
-        while todo:
-            for c in live[todo.pop()]:
-                if c not in seen_cols:
-                    seen_cols.add(c)
-                    cols.append(c)
-                    for j in where[c]:
-                        if j not in seen_rows:
-                            seen_rows.add(j)
-                            ids.append(j)
-                            todo.append(j)
-        yield ids, cols
-
-
-def _eliminate(live, where, reduced):
-    """The one elimination loop over the primitive rows and column index
-    that `_primitive_rows` gives, which it consumes: (pivot column,
-    pivot row) pairs in pivot order, rows as primitive {column: int}
-    dicts.
-
-    Each step clears the pivot's column from every other indexed row as
-    a*row - b*pivot, with gcd(a, b) divided out first, and keeps the
-    updated row primitive.  Unless `reduced`, pivots follow Markowitz
-    and each pivot row leaves the index.  If `reduced`, pivots go
-    leftmost first and pivot rows stay indexed, so each later step
-    clears its column from the earlier pivot rows too.
+    pass over the sorted columns finds every pivot.  Unless `reduced`,
+    each pivot row leaves the index; if `reduced`, pivot rows stay
+    indexed, so each later step clears its column from the earlier
+    pivot rows too, which leaves the reduced row echelon form.
     """
+    live, where = _primitive_rows(rows)
     vecs = dict(live)
-    leftmost = _leftmost_pivots(live, where)
     pivots = []
-    while live:
-        i, c = next(leftmost) if reduced else _markowitz_pivot(live, where)
+    for c in sorted(where):
+        if not live:
+            break
+        ids = [i for i in where[c] if i in live] if reduced else where[c]
+        if not ids:
+            continue
+        i = min(ids, key=lambda i: (len(live[i]), i))
         prow = live.pop(i)
         pivots.append((c, prow))
         for k in (c,) if reduced else prow:
             where[k].discard(i)
         pv = prow[c]
+        rest = [(k, v) for k, v in prow.items() if k != c]
         for j in where.pop(c):
             row = vecs[j]
-            g = gcd(pv, row[c])
-            s, t = pv // g, row[c] // g
+            x = row.pop(c)
+            g = gcd(pv, x)
+            s, t = pv // g, x // g
+            if s < 0:
+                s, t = -s, -t
             if s != 1:
                 for k in row:
                     row[k] *= s
-            for k, v in prow.items():
-                x = row.get(k, 0) - t * v
+            for k, v in rest:
+                x = row.get(k)
+                if x is None:
+                    row[k] = -t * v
+                    where[k].add(j)
+                    continue
+                x -= t * v
                 if x:
-                    if k not in row:
-                        where[k].add(j)
                     row[k] = x
                 else:
                     del row[k]
-                    if k != c:
-                        where[k].discard(j)
+                    where[k].discard(j)
             if row:
                 _divide_content(row)
             else:
@@ -166,16 +131,9 @@ def _eliminate(live, where, reduced):
 
 
 def rank(rows):
-    """Exact rank; the input is not modified.
-
-    The rows split into the connected components of their row-column
-    graph, and each component is eliminated on its own with Markowitz
-    pivots, which keep the fill-in small: a pivot search then scans one
-    component's rows, not the whole matrix's.  The ranks add up."""
-    live, where = _primitive_rows(rows)
-    return sum(len(_eliminate({i: live[i] for i in ids},
-                              {c: where[c] for c in cols}, False))
-               for ids, cols in _components(live, where))
+    """Exact rank, the number of pivots of one elimination; the input
+    is not modified."""
+    return len(_eliminate(rows, False))
 
 
 def _quotient(v, pivot):
@@ -189,7 +147,7 @@ def _reduce(rows):
     column, {column: entry}) pairs by increasing pivot column, entries
     in normal form."""
     return [(c, {k: _quotient(v, row[c]) for k, v in row.items()})
-            for c, row in _eliminate(*_primitive_rows(rows), True)]
+            for c, row in _eliminate(rows, True)]
 
 
 def _width(rows, ncols):
@@ -403,13 +361,3 @@ def identity(n):
 def mat_sub(a, b):
     return [exact_vector(x - y for x, y in zip(ra, rb))
             for ra, rb in zip(a, b)]
-
-
-def invert(mat):
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(mat)
-    red, pivots = rref([{**dict(_entries(row)), n + i: 1}
-                        for i, row in enumerate(mat)], 2 * n)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]

@@ -5,8 +5,9 @@ nonzero coefficients.  Coefficients are exact and come in two types
 only: an integral value is a Python `int`, any other a
 `fractions.Fraction`.  The public constructor and `parse_poly` store
 every integral input as an `int` and reject every other type, floats
-included, so `int` arithmetic stays `int`; a result that touches a
-non-integral value stays a `Fraction`.
+included, so `int` arithmetic stays `int`.  Products and derivatives
+store an integral result as an `int` too, even of `Fraction` factors:
+a non-integral result is a `Fraction`.
 
 Every internal result (sums, products, scalar multiples, derivatives)
 goes through the trusted `_poly`, which takes a finished dict:
@@ -49,21 +50,33 @@ def _poly(n, terms):
     return p
 
 
+def _ints(terms):
+    """terms with every integral `Fraction` stored as an `int`, in
+    place; an all-`int` dict costs one scan of its types."""
+    if Fraction in set(map(type, terms.values())):
+        for e, c in terms.items():
+            if c.denominator == 1:
+                terms[e] = c.numerator
+    return terms
+
+
 def _product(a, b):
     """Terms of the product of two term dicts, zeros dropped."""
     if len(b) == 1:
         (e2, c2), = b.items()
-        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+        return _ints({tuple(map(add, e1, e2)): c1 * c2
+                      for e1, c1 in a.items()})
     if len(a) == 1:
         (e1, c1), = a.items()
-        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+        return _ints({tuple(map(add, e1, e2)): c1 * c2
+                      for e2, c2 in b.items()})
     out = {}
     get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
             out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return _ints({e: c for e, c in out.items() if c})
 
 
 class Poly:
@@ -173,7 +186,7 @@ class Poly:
         k = _exact(other)
         if not k:
             return _poly(self.n, {})
-        return _poly(self.n, {e: c * k for e, c in self.terms.items()})
+        return _poly(self.n, _ints({e: c * k for e, c in self.terms.items()}))
 
     __rmul__ = __mul__
 
@@ -202,7 +215,7 @@ class Poly:
             k = e[i]
             if k:
                 terms[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return _poly(self.n, terms)
+        return _poly(self.n, _ints(terms))
 
     def eval(self, point):
         """Exact evaluation at a rational point."""

@@ -6,7 +6,10 @@ Conventions, fixed once so that both acceptance identities hold
 * matrix(omega) = matrix(p)^{-1}; with p = d0^d1 on the plane this gives
   omega = -dx0^dx1, the choice under which {f,g} * omega^m equals
   m * dg ^ df ^ omega^(m-1).
-* vol = omega^m / m!.
+* vol = omega^m / m! = (-1)^m / Pf(p) dx_0 ^ ... ^ dx_{n-1}, since
+  omega^m / m! = Pf(omega) dx_0 ^ ... ^ dx_{n-1} and
+  Pf(P^{-1}) = (-1)^m / Pf(P).  Pf(p), the top coefficient of p^m / m!,
+  is zero exactly when p is degenerate, so omega itself is never built.
 * The grade-k pairing of forms is the determinant pairing
   <a, b>_k = det[ p(a_i, b_j) ] on decomposables of 1-forms (the
   literal "(a^b)(wedge^k p)" reading dies on top forms; see README).
@@ -22,11 +25,10 @@ Conventions, fixed once so that both acceptance identities hold
 from fractions import Fraction
 from math import factorial
 
-from . import linalg
 from .ratpoly import Poly
-from .multivec import GradeMismatch
-from .forms import Form, form_wedge, interior
-from .analysis import sharp, bivector_matrix_at
+from .multivec import GradeMismatch, Multivector, wedge
+from .forms import Form, interior
+from .analysis import sharp
 
 
 class DegenerateBivector(ValueError):
@@ -57,20 +59,18 @@ class SymplecticContext:
         self.n = p.n
         self.m = p.n // 2
         self.p = p
-        inv = linalg.invert(bivector_matrix_at(p, [0] * p.n))
-        if inv is None:
-            raise DegenerateBivector("bivector matrix is singular")
-        self.omega = Form(self.n, 2, {(i, j): inv[i][j] for i in range(self.n)
-                                      for j in range(i + 1, self.n)})
-        power = Form.from_poly(Poly.const(self.n, 1))
+        power = Multivector.from_poly(Poly.const(self.n, 1))
         for _ in range(self.m):
-            power = form_wedge(power, self.omega)
-        # omega^m = m! Pf(omega) dx_0 ^ ... ^ dx_{n-1} is nonzero, as omega
-        # is invertible; vol's one coefficient is stored as an int when
-        # integral, which keeps every star's arithmetic integer-first
+            power = wedge(power, p)
+        # the top coefficient of p^m is m! Pf(p)
         top = tuple(range(self.n))
+        pf_m = power.coeff(top).constant_term()
+        if not pf_m:
+            raise DegenerateBivector("bivector matrix is singular")
+        # vol's one coefficient is stored as an int when integral, which
+        # keeps every star's arithmetic integer-first
         self.vol = Form.basis(self.n, top, Fraction(
-            power.coeff(top).constant_term(), factorial(self.m)))
+            (-1) ** self.m * factorial(self.m)) / pf_m)
 
     def star(self, a):
         """Symplectic star i_{sharp(a)} vol; grade k -> 2m - k,

@@ -102,6 +102,13 @@ def test_input_from_file(tmp_path):
     assert json.loads(r.stdout)["rank"] == 2
 
 
+@pytest.mark.parametrize("command", ["rank", "integrable"])
+def test_negative_point_attached_with_equals(command):
+    r = run(command, "-i", SO3, "--point=-1,0,2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["point"] == ["-1", "0", "2"]
+
+
 def test_round_trip_through_cli():
     # schouten of [p, p] printed, re-parsed, and re-printed identically
     r = run("schouten", "-i",

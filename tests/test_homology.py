@@ -388,3 +388,32 @@ def test_euler_characteristic_along_weight_orbits():
                 hs += (-1) ** k * rows[key]["dim_H"]
             if complete:
                 assert cs == hs, (w0, cs, hs)
+
+
+def _duality_mismatches(p, max_weight):
+    """(pairs compared, pairs that differ) for unimodular duality
+    H^k(w) = H_{n-k}(w+n), over every grade and weights up to
+    max_weight on the Lichnerowicz side."""
+    n = p.n
+    lich = rows_by_key(poisson_cohomology_dims(p, n, max_weight))
+    can = rows_by_key(canonical_homology_dims(p, n, max_weight + n))
+    pairs = [(k, w) for k, w in lich if (n - k, w + n) in can]
+    return len(pairs), sum(1 for k, w in pairs if lich[k, w]["dim_H"]
+                           != can[n - k, w + n]["dim_H"])
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "jacobian-cubic"])
+def test_unimodular_structures_satisfy_duality(name):
+    # a unimodular Poisson structure on Q^n (zero modular class against
+    # dx_0 ^ ... ^ dx_{n-1}) has H^k(w) = H_{n-k}(w+n) on every block
+    if name == "jacobian-cubic":
+        p = jacobian_structure(seeded_phi(3, 3))
+    else:
+        p = bivector(*STRUCTURES[name])
+    assert _duality_mismatches(p, 4) == (26, 0)
+
+
+def test_duality_fails_on_aff1():
+    # {x0, x1} = x1 is not unimodular: its modular field is a nonzero
+    # multiple of d/dx0
+    assert _duality_mismatches(bivector(2, {(0, 1): "x1"}), 4) == (18, 13)

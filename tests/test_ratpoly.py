@@ -36,6 +36,24 @@ def test_diff_and_eval():
     assert p.eval([Fraction(1), Fraction(2)]) == Fraction(6)
 
 
+def test_integral_products_of_fractions_are_ints():
+    half = Poly.const(2, Fraction(1, 2))
+    p = parse_poly("1/2*x0 + 3/4*x1^2 + 1/3", 2)
+    results = [(half * 2).terms, (2 * half).terms,
+               (half * Poly.const(2, 2)).terms,
+               (p * Poly.const(2, 12)).terms, (p * 12).terms,
+               (p * p * 144).terms, p.diff(1).diff(1).terms]
+    assert results[0] == {(0, 0): 1}
+    assert results[3] == {(1, 0): 6, (0, 2): 9, (0, 0): 4}
+    assert results[6] == {(0, 0): Fraction(3, 2)}
+    for terms in results:
+        for c in terms.values():
+            assert type(c) is int or c.denominator != 1, (terms, c)
+    # the all-int path stays int
+    q = parse_poly("2*x0 - x1 + 3", 2)
+    assert all(type(c) is int for c in (q * q * 5).terms.values())
+
+
 def test_hash_agrees_with_equality():
     # a constant Poly equals its value, so it must hash like it
     for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):

@@ -1,20 +1,47 @@
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from pforge.ratpoly import parse_poly
+from pforge.ratpoly import Poly, parse_poly
 from pforge.forms import Form, form_wedge, form_d, delta
-from pforge.multivec import sort_sign
+from pforge.multivec import Multivector, sort_sign
 from pforge.symplectic import (SymplecticContext, DegenerateBivector,
                                OddDimension, NotConstantCoefficient)
 from conftest import bivector, random_form, rng_for, assert_normal_form
+from test_linalg import oracle_invert
 
 R2 = bivector(2, {(0, 1): "1"})
 R4 = bivector(4, {(0, 1): "1", (2, 3): "1"})
 R4_SKEW = bivector(4, {(0, 1): "2", (2, 3): "-1/3", (0, 3): "1"})
 Q6 = bivector(6, {(0, 1): "1/2", (2, 3): "3", (4, 5): "-2/3", (0, 3): "1/5",
                   (1, 4): "-7/2"})
+
+
+def bivector_matrix(p):
+    pmat = [[0] * p.n for _ in range(p.n)]
+    for (i, j), c in p.terms.items():
+        pmat[i][j], pmat[j][i] = c.constant_term(), -c.constant_term()
+    return pmat
+
+
+def oracle_omega(p):
+    """The 2-form whose matrix is the inverse of p's, by dense
+    elimination, or None when p is degenerate."""
+    inv = oracle_invert(bivector_matrix(p))
+    if inv is None:
+        return None
+    return Form(p.n, 2, {(i, j): inv[i][j] for i in range(p.n)
+                         for j in range(i + 1, p.n)})
+
+
+def form_power(a, k):
+    out = Form.from_poly(parse_poly("1", a.n))
+    for _ in range(k):
+        out = form_wedge(out, a)
+    return out
 
 
 @pytest.mark.parametrize("p", [R2, R4, R4_SKEW])
@@ -53,25 +80,44 @@ def test_delta_via_star_conjugation(p):
 def test_bracket_volume_identity(p):
     # {f,g} omega^m = m dg ^ df ^ omega^(m-1)
     from pforge.forms import pbracket_of, d_poly
-    ctx = SymplecticContext(p)
+    omega = oracle_omega(p)
     m = p.n // 2
     rng = rng_for(23)
     from conftest import random_poly
-
-    def omega_power(k):
-        out = Form.from_poly(parse_poly("1", p.n))
-        for _ in range(k):
-            out = form_wedge(out, ctx.omega)
-        return out
 
     for _ in range(8):
         f = random_poly(p.n, rng)
         g = random_poly(p.n, rng)
         lhs = form_wedge(Form.from_poly(pbracket_of(p, f, g)),
-                         omega_power(m))
+                         form_power(omega, m))
         rhs = form_wedge(form_wedge(d_poly(g), d_poly(f)),
-                         omega_power(m - 1)).scale(m)
+                         form_power(omega, m - 1)).scale(m)
         assert lhs == rhs
+
+
+def test_volume_is_omega_power_over_m_factorial():
+    # vol comes from Pf(p); omega = P^{-1} from a dense inverse must give
+    # the same vol = omega^m / m!, and p is degenerate exactly when P
+    # has no inverse
+    rng = random.Random(9090)
+    degenerate = 0
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        p = Multivector(2 * m, 2, {
+            (i, j): Poly.const(2 * m, Fraction(rng.randint(-2, 2),
+                                               rng.randint(1, 3)))
+            for i in range(2 * m) for j in range(i + 1, 2 * m)
+            if rng.random() < 0.4})
+        omega = oracle_omega(p)
+        if omega is None:
+            degenerate += 1
+            with pytest.raises(DegenerateBivector):
+                SymplecticContext(p)
+            continue
+        vol = SymplecticContext(p).vol
+        assert vol == form_power(omega, m).scale(Fraction(1, factorial(m)))
+        assert_normal_form(vol.coeff(range(p.n)).constant_term())
+    assert 0 < degenerate < 80
 
 
 def test_degenerate_rejected():
