@@ -16,7 +16,10 @@ formatting.  The text-format `rank`, `bott-quotient` and `bott-forms`
 jobs and the `ideal` jobs without generators or with an undecided
 verdict were recorded while `rank_at` returned a report object with its
 own stringifying and the Bott connections returned a connection table,
-so they pin the plain-dict results to that output.
+so they pin the plain-dict results to that output.  The `cohomology`
+jobs on e(3), on a Jacobian cubic with non-integral coefficients and on
+a constant symplectic Q^4 were recorded while every block was ranked in
+full, so they pin the cleared ranks to it.
 """
 
 import contextlib
@@ -70,6 +73,24 @@ SYMP = {"n": N, "grade": 2, "terms": [
 # the constant symplectic plane, on which x0^2 + x1^2 is not an ideal
 # that a bounded search can decide
 PLANE = {"n": 2, "grade": 2, "terms": [{"idx": [0, 1], "coeff": "1"}]}
+# e(3) = so(3) semidirect Q^3 on J = x0..x2, P = x3..x5: indecomposable
+E3 = {"n": N, "grade": 2, "terms": [
+    {"idx": [0, 1], "coeff": "x2"}, {"idx": [1, 2], "coeff": "x0"},
+    {"idx": [0, 2], "coeff": "-x1"}, {"idx": [0, 4], "coeff": "x5"},
+    {"idx": [0, 5], "coeff": "-x4"}, {"idx": [1, 3], "coeff": "-x5"},
+    {"idx": [1, 5], "coeff": "x3"}, {"idx": [2, 3], "coeff": "x4"},
+    {"idx": [2, 4], "coeff": "-x3"}]}
+# {x_i, x_j} = eps_ijk dphi/dx_k on Q^3 for the cubic
+# phi = 1/2 x0^3 - 2/3 x1^3 + 3/4 x2^3 + 5/3 x0 x1 x2
+JAC3 = {"n": 3, "grade": 2, "terms": [
+    {"idx": [0, 1], "coeff": "9/4*x2^2 + 5/3*x0*x1"},
+    {"idx": [1, 2], "coeff": "3/2*x0^2 + 5/3*x1*x2"},
+    {"idx": [0, 2], "coeff": "2*x1^2 - 5/3*x0*x2"}]}
+# a constant symplectic bivector on Q^4: d = 0, so each differential
+# shifts the weight by -2
+SYMP4 = {"n": 4, "grade": 2, "terms": [
+    {"idx": [0, 1], "coeff": "1/2"}, {"idx": [2, 3], "coeff": "3"},
+    {"idx": [0, 2], "coeff": "-2/3"}]}
 
 
 def dumps(obj):
@@ -115,6 +136,27 @@ JOBS = {
     "cohomology-can": (["cohomology", "-i", dumps(LP), "--complex", "can",
                         "--max-grade", "2", "--max-weight", "2"],
                        "5b650407c32f293211c6297e0768e959a39dc92a146dde94651e6db7ae0a9d50"),
+    "cohomology-e3-lich": (["cohomology", "-i", dumps(E3), "--complex",
+                            "lich", "--max-grade", "2", "--max-weight", "1"],
+                           "c2005f26d756dd208f32bca611019fb2404035fd10f3abf9573c20ce8f953f87"),
+    "cohomology-e3-can": (["cohomology", "-i", dumps(E3), "--complex", "can",
+                           "--max-grade", "2", "--max-weight", "2"],
+                          "0b29c0a572416b626fb544675b954d86bcc1c000d57fe41b78ab6251c0b2e657"),
+    "cohomology-jac3-lich": (["cohomology", "-i", dumps(JAC3), "--complex",
+                              "lich", "--max-grade", "3", "--max-weight",
+                              "3"],
+                             "c4e5a22a92f0810bbe5af98ef44bac8b1137fe7a18ea978bbb0a90f26422cca0"),
+    "cohomology-jac3-can": (["cohomology", "-i", dumps(JAC3), "--complex",
+                             "can", "--max-grade", "3", "--max-weight", "6"],
+                            "f9e9dfa2e24e97e0fba8bb7c8a29f8bd1232bcc4eaded88afcf0958abbd1aa66"),
+    "cohomology-symp4-lich": (["cohomology", "-i", dumps(SYMP4), "--complex",
+                               "lich", "--max-grade", "4", "--max-weight",
+                               "2"],
+                              "a9d95f90bd287c08d342e50036698554ec37d01dc7238588cf3a48d606b66be8"),
+    "cohomology-symp4-can": (["cohomology", "-i", dumps(SYMP4), "--complex",
+                              "can", "--max-grade", "4", "--max-weight",
+                              "6"],
+                             "8c65d5eb8252e168c9a4a7f2b57563d717bb1664b2f1d62aff7e5613d33bc681"),
     "casimir-basis": (["casimir", "-i", dumps(LP), "--max-degree", "2"],
                       "a3e2e0598b1dd91d6d2727f42a2f4707d5e5e5bd848fad6f8e867d3f848b6cee"),
     "casimir-function": (["casimir", "-i", dumps(LP), "--function",

@@ -6,9 +6,13 @@ import pytest
 
 from pforge import linalg
 from pforge.homology import (block_matrix, poisson_cohomology_dims,
+                             canonical_homology_dims, structure_degree,
                              LICHNEROWICZ, CANONICAL)
-from conftest import assert_normal_form, bivector
-from test_homology import _lie_poisson_h
+from pforge.multivec import Multivector
+from pforge.ratpoly import Poly
+from conftest import assert_normal_form, bivector, rng_for
+from test_homology import (_lie_poisson_h, STRUCTURES, jacobian_structure,
+                           seeded_phi)
 
 
 def F(rows):
@@ -169,6 +173,70 @@ def test_rank_matches_bareiss_on_blocks(name, request):
                 m = blk.matrix
                 assert linalg.rank(blk.columns) == bareiss_rank(m) \
                     == linalg.rank(m), (kind, k, w)
+
+
+def _log_canonical(rng, n):
+    """{x_i, x_j} = c_ij x_i x_j with seeded c_ij = a/b: Poisson for
+    every choice of the c_ij."""
+    terms = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if c:
+                e = tuple(int(v in (i, j)) for v in range(n))
+                terms[(i, j)] = Poly(n, {e: c})
+    return Multivector(n, 2, terms)
+
+
+def _rank_oracle_cases():
+    """(name, p, max grade, max weight) over the catalog, Jacobian
+    structures, e(3) and seeded log-canonical and Jacobian structures."""
+    cases = [(name, bivector(*STRUCTURES[name]), 2, 0) if name == "so3+sl2"
+             else (name, bivector(*STRUCTURES[name]), 4, 2)
+             for name in STRUCTURES]
+    e3 = bivector(6, {(0, 1): "x2", (1, 2): "x0", (0, 2): "-x1",
+                      (0, 4): "x5", (0, 5): "-x4", (1, 3): "-x5",
+                      (1, 5): "x3", (2, 3): "x4", (2, 4): "-x3"})
+    cases.append(("e3", e3, 2, 1))
+    for degree in (3, 4):
+        cases.append(("jacobian-%d" % degree,
+                      jacobian_structure(seeded_phi(degree, degree)), 3, 3))
+    for seed in (1, 2):
+        rng = rng_for(seed)
+        cases.append(("seeded-jacobian-%d" % seed,
+                      jacobian_structure(seeded_phi(seed + 10, 3)), 3, 3))
+        for n in (3, 4):
+            cases.append(("seeded-log-canonical-q%d-%d" % (n, seed),
+                          _log_canonical(rng, n), n, 2))
+    return cases
+
+
+@pytest.mark.parametrize("name,p,max_grade,max_weight", _rank_oracle_cases(),
+                         ids=[c[0] for c in _rank_oracle_cases()])
+def test_dims_ranks_match_the_full_block_ranks(name, p, max_grade,
+                                               max_weight):
+    # every rank of a dimension row equals the rank of the whole block,
+    # and the dense Bareiss rank on blocks of up to 400 cells: a rank
+    # error common to both complexes passes the duality tests, not this
+    shift = structure_degree(p) - 2
+
+    def block_rank(kind, k, w):
+        if k < 0:
+            return 0
+        blk = block_matrix(p, kind, k, w)
+        got = linalg.rank(blk.columns)
+        if len(blk.basis) * len(blk.target_basis) <= 400:
+            assert got == bareiss_rank(blk.matrix), (name, kind, k, w)
+        return got
+
+    for dims, kind, step in ((poisson_cohomology_dims, LICHNEROWICZ, 1),
+                             (canonical_homology_dims, CANONICAL, -1)):
+        weight = max_weight if step == 1 else max_weight + p.n
+        for r in dims(p, max_grade, weight):
+            k, w = r["grade"], r["weight"]
+            assert r["rank_out"] == block_rank(kind, k, w), (name, r)
+            assert r["rank_in"] == block_rank(kind, k - step, w - shift), \
+                (name, r)
 
 
 def dense_rref(mat):
