@@ -7,8 +7,10 @@ questions are decided by exact rank comparisons, and every verdict
 carries enough data to re-check it.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
+from operator import lshift
 
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
@@ -57,14 +59,21 @@ def sharp(p, a):
 
 def _wedge_field(pu, px):
     """Packed u ^ X for a packed vector field X: each d_j of X moves left
-    past the indices of u above j."""
+    past the indices of u above j.  A product of two one-term
+    coefficients, as of a constant p, is added inline."""
     acc = {}
     for iu, cu in pu.items():
         for (j,), cx in px.items():
-            if j not in iu:
-                b = sum(i < j for i in iu)
-                add_term(acc, iu[:b] + (j,) + iu[b:],
-                         -1 if (len(iu) - b) & 1 else 1, cu, cx)
+            b = bisect_left(iu, j)
+            if b < len(iu) and iu[b] == j:
+                continue
+            key, sign = iu[:b] + (j,) + iu[b:], -1 if (len(iu) - b) & 1 else 1
+            if len(cu) == len(cx) == 1:
+                (e1, c1), (e2, c2) = *cu.items(), *cx.items()
+                out = acc.setdefault(key, {})
+                out[e1 + e2] = out.get(e1 + e2, 0) + sign * c1 * c2
+            else:
+                add_term(acc, key, sign, cu, cx)
     return acc
 
 
@@ -146,9 +155,11 @@ def casimir_basis(p, max_degree):
     mons = [e for deg in range(max_degree + 1) for e in monomials(n, deg)]
     w = _width(max_degree + _degree(p))
     table = _leibniz_tables(p, LICHNEROWICZ, 0, w)[()]
+    shifts = range(0, w * n, w)
     rows = {}
     for j, e in enumerate(mons):
-        for key, v in _column(table, e, w).items():
+        for key, v in _column(table, e, sum(map(lshift, e, shifts)),
+                              w).items():
             if v:
                 rows.setdefault(key, {})[j] = v
     return [Poly(n, {e: c for e, c in zip(mons, v) if c})

@@ -10,7 +10,11 @@ Both differentials shift the weight by d - 2, which is asserted when
 blocks are assembled.  The two complexes differ only in the grade step
 of their differential (`_STEP`), so one driver serves both.  Dimensions
 of (co)homology come out of exact kernel/rank counts on the block
-matrices; nothing is ever estimated.
+matrices; nothing is ever estimated.  The driver clears (Chen, Kerber
+2011): the image of a block's incoming differential lies in its kernel
+(d^2 = 0, by the Jacobi identity, which it checks), and the unit vectors
+off the pivot positions of that image (`linalg.pivots`) span a
+complement of it, so the block's other columns have its rank.
 
 Blocks are read off Leibniz tables of the differential D, one per
 (complex, grade).  D is first order: with the coordinates' Hamiltonian
@@ -26,7 +30,7 @@ of d + 1 (table entries reach degree d): a dimension table fixes one w
 for all its blocks, and a standalone `block_matrix` uses its own.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import lshift
 
 from . import linalg
@@ -88,19 +92,12 @@ def _source_degree(complex_kind, grade, weight):
     return weight + _STEP[complex_kind] * grade
 
 
-def _block_parts(n, complex_kind, grade, weight):
-    """The index tuples and the exponent tuples whose products span
-    block (grade, weight), each in canonical order."""
-    deg = _source_degree(complex_kind, grade, weight)
-    if deg < 0 or grade < 0 or grade > n:
-        return [], []
-    return all_index_tuples(n, grade), monomials(n, deg)
-
-
 def block_basis(n, complex_kind, grade, weight):
     """Ordered (index tuple, exponent tuple) pairs spanning block (k, w)."""
-    idxs, mons = _block_parts(n, complex_kind, grade, weight)
-    return [(idx, e) for idx in idxs for e in mons]
+    mons = monomials(n, _source_degree(complex_kind, grade, weight))
+    if grade < 0:
+        return []
+    return [(idx, e) for idx in all_index_tuples(n, grade) for e in mons]
 
 
 class WeightBlock:
@@ -172,12 +169,13 @@ def _leibniz_tables(p, complex_kind, grade, w):
     return tables
 
 
-def _column(table, e, w):
+def _column(table, e, pe, w):
     """D(x^e e_I) from the table entry (T0, [T_j]) of e_I, as a
     {packed key: value} dict that may hold zeros: T0 shifted by e, plus
-    e_j T_j shifted by e - 1_j for every j with e_j > 0."""
+    e_j T_j shifted by e - 1_j for every j with e_j > 0.  pe is e packed
+    at width w, which only the result's exponents must fit: for d = 0,
+    x^e has a higher degree than the result, and pe may carry."""
     t0, firsts = table
-    pe = sum(map(lshift, e, range(0, w * len(e), w)))
     col = {key + pe: v for key, v in t0.items()}
     for j, ej in enumerate(e):
         if ej:
@@ -188,59 +186,80 @@ def _column(table, e, w):
     return col
 
 
-def block_matrix(p, complex_kind, grade, weight, _tables=None,
-                 _min_width=None):
-    """Exact differential on block (grade, weight), as sparse columns.
+class _Blocks:
+    """The blocks of one p and complex at packing width w.  Index tuples,
+    packed monomials, target position maps and Leibniz tables are built
+    on first use and kept, so a dimension table builds each once."""
 
-    Columns are indexed by the source block basis, their entries by the
-    target basis.  The column of x^e e_I is read off the Leibniz tables
-    of the grade (`_leibniz_tables`, `_column`).  Keys, shifts and the
-    target position map are packed at one width, so each shift is one
-    int add.  The width is the block's own (from its target
-    degree), or the larger `_min_width` that a dimension table fixes for
-    all its blocks.  `_tables` is a {(grade, width): tables} dict that keeps
-    the tables across the blocks of one p and complex.  The Jacobi
-    identity is not checked here.
-    """
-    d = _bivector_degree(p)
-    n = p.n
-    idxs, mons = _block_parts(n, complex_kind, grade, weight)
-    basis = [(idx, e) for idx in idxs for e in mons]
-    tgrade = grade + _STEP[complex_kind]
-    tweight = weight + d - 2
-    tidxs, tmons = _block_parts(n, complex_kind, tgrade, tweight)
-    target = [(t, e) for t in tidxs for e in tmons]
-    if not basis:
-        return WeightBlock(grade, weight, basis, target, [])
-    deg = _source_degree(complex_kind, grade, weight)
-    w = max(_table_width(d, deg + d - 1), _min_width or 0)
-    if _tables is None:
-        _tables = {}
-    tables = _tables.get((grade, w))
-    if tables is None:
-        tables = _tables[grade, w] = _leibniz_tables(p, complex_kind,
-                                                     grade, w)
-    shifts = range(0, w * n, w)
-    high = _index_keys(n, tgrade, w)
-    packed = [sum(map(lshift, e, shifts)) for e in tmons]
-    pos = {}
-    for t in tidxs:
-        for pe in packed:
-            pos[high[t] + pe] = len(pos)
-    cols = []
-    for idx in idxs:
-        for e in mons:
-            col = _column(tables[idx], e, w)
+    def __init__(self, p, complex_kind, d, w):
+        self.p, self.kind, self.shift, self.w = p, complex_kind, d - 2, w
+        self._idxs, self._mons, self._pos, self._tables = {}, {}, {}, {}
+
+    def parts(self, grade, weight):
+        """The index tuples and (exponent tuple, packed monomial) pairs
+        whose products span block (grade, weight), in canonical order."""
+        n, deg = self.p.n, _source_degree(self.kind, grade, weight)
+        if grade < 0:
+            return (), ()
+        if grade not in self._idxs:
+            self._idxs[grade] = all_index_tuples(n, grade)
+        if deg not in self._mons:
+            shifts = range(0, self.w * n, self.w)
+            self._mons[deg] = [(e, sum(map(lshift, e, shifts)))
+                               for e in monomials(n, deg)]
+        return self._idxs[grade], self._mons[deg]
+
+    def columns(self, grade, weight, skip=()):
+        """The columns of block (grade, weight) in the order of its
+        basis, but for the source positions in `skip`, as sparse {target
+        position: value} dicts: `_column` of each basis element, its
+        packed keys looked up in the target block's position map."""
+        idxs, mons = self.parts(grade, weight)
+        if not (idxs and mons):
+            return []
+        n, w, tkey = self.p.n, self.w, (grade + _STEP[self.kind],
+                                        weight + self.shift)
+        if tkey not in self._pos:
+            high = _index_keys(n, tkey[0], w)
+            self._pos[tkey] = {high[t] + pe: i for i, (t, (_, pe))
+                               in enumerate(product(*self.parts(*tkey)))}
+        if grade not in self._tables:
+            self._tables[grade] = _leibniz_tables(self.p, self.kind, grade, w)
+        pos, tables, cols = self._pos[tkey], self._tables[grade], []
+        for j, (idx, (e, pe)) in enumerate(product(idxs, mons)):
+            if j in skip:
+                continue
             try:
                 # zeros are dropped before their key is looked up
-                cols.append({pos[key]: v for key, v in col.items() if v})
+                cols.append({pos[key]: v for key, v in
+                             _column(tables[idx], e, pe, w).items() if v})
             except KeyError as exc:
                 raise AssertionError(
                     "differential left the expected (grade, weight) "
                     "block at %r (%s, k=%d, w=%d)"
-                    % (_unpack_key(exc.args[0], n, tgrade, w),
-                       complex_kind, grade, weight))
-    return WeightBlock(grade, weight, basis, target, cols)
+                    % (_unpack_key(exc.args[0], n, tkey[0], w),
+                       self.kind, grade, weight))
+        return cols
+
+
+def block_matrix(p, complex_kind, grade, weight):
+    """Exact differential on block (grade, weight), as sparse columns.
+
+    Columns are indexed by the source block basis, their entries by the
+    target basis: every column in full, at the block's own packing
+    width (from its target degree).  The dimension tables rank the same
+    columns through `_Blocks`, without the cleared ones.  The Jacobi
+    identity is not checked here.
+    """
+    d = _bivector_degree(p)
+    deg = _source_degree(complex_kind, grade, weight)
+    blocks = _Blocks(p, complex_kind, d, _table_width(d, deg + d - 1))
+    return WeightBlock(grade, weight,
+                       block_basis(p.n, complex_kind, grade, weight),
+                       block_basis(p.n, complex_kind,
+                                   grade + _STEP[complex_kind],
+                                   weight + d - 2),
+                       blocks.columns(grade, weight))
 
 
 def _unpack_key(key, n, grade, w):
@@ -257,32 +276,32 @@ def _dims(p, complex_kind, max_grade, max_weight):
     coefficients are constant.  rank_in is the rank of the block one
     grade step back, at weight w - (d - 2), when that grade exists.
 
-    Each block is assembled and ranked once.  One packing width, from
-    the largest source coefficient degree of the table, serves every
-    block, so the tables of each grade are built once."""
+    Each block is assembled and ranked once, cleared (see the module
+    docstring), from one `_Blocks` at the packing width of the
+    table's largest source coefficient degree."""
     d = check_structure(p)
     step, shift = _STEP[complex_kind], d - 2
     # source coefficient degrees reach max_weight (plus max_grade for
     # multivectors), and one more in the rank_in blocks of a constant p
     top = max_weight + max(step * max_grade, 0) + int(d == 0)
-    w_min = _table_width(d, top + d - 1)
-    memo, tables = {}, {}
-
-    def dim_rank(grade, weight):
-        if (grade, weight) not in memo:
-            blk = block_matrix(p, complex_kind, grade, weight,
-                               _tables=tables, _min_width=w_min)
-            memo[grade, weight] = len(blk.basis), linalg.rank(blk.columns)
-        return memo[grade, weight]
-
+    blocks = _Blocks(p, complex_kind, d, _table_width(d, top + d - 1))
+    cells = [(k, w) for k in range(max_grade + 1)
+             for w in range(-step * k, max_weight + 1)]
+    need = set(cells) | {(k - step, w - shift) for k, w in cells if k >= step}
+    # along each weight line in the differential's direction, so that a
+    # block's incoming block, when needed, is ranked first
+    pivots = {}
+    for k, w in sorted(need, key=lambda kw: (step * kw[0], kw[1])):
+        skip = pivots.get((k - step, w - shift), ())
+        pivots[k, w] = set(linalg.pivots(blocks.columns(k, w, skip)))
     rows = []
-    for k in range(max_grade + 1):
-        for w in range(-step * k, max_weight + 1):
-            dim_c, rank_out = dim_rank(k, w)
-            rank_in = dim_rank(k - step, w - shift)[1] if k - step >= 0 else 0
-            rows.append({"grade": k, "weight": w, "dim_C": dim_c,
-                         "rank_in": rank_in, "rank_out": rank_out,
-                         "dim_H": dim_c - rank_out - rank_in})
+    for k, w in cells:
+        idxs, mons = blocks.parts(k, w)
+        dim_c, rank_out = len(idxs) * len(mons), len(pivots[k, w])
+        rank_in = len(pivots.get((k - step, w - shift), ()))
+        rows.append({"grade": k, "weight": w, "dim_C": dim_c,
+                     "rank_in": rank_in, "rank_out": rank_out,
+                     "dim_H": dim_c - rank_out - rank_in})
     return rows
 
 

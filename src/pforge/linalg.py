@@ -6,10 +6,10 @@ entries are read.  Each row is scaled to a primitive integer vector and
 a column -> rows index finds the rows each pivot must clear, so a
 mostly-zero matrix costs in proportion to its nonzeros and entries stay
 integers with no common factor.  One pivot rule serves every caller:
-the leftmost live column, on its shortest live row.  `rank` counts the
-pivots and drops each used pivot row; `rref` also clears each pivot
-column from the earlier pivot rows, which leaves the unique reduced row
-echelon form.  `nullspace`, `solve`, `row_space_basis`, `intersect` and
+the leftmost live column, on its shortest live row.  `pivots` lists the
+pivot columns, `rank` counts them, and both drop each used pivot row;
+`rref` also clears each pivot column from the earlier pivot rows, which
+leaves the unique reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`, `intersect` and
 `Subspace` (one span reduced once, for repeated membership, coordinate
 and quotient queries) read their answers off that form as dense lists;
 `kernel_coords` needs no elimination.
@@ -130,10 +130,16 @@ def _eliminate(rows, reduced):
     return pivots
 
 
+def pivots(rows):
+    """The pivot columns of one non-reduced elimination, in pivot order;
+    the input is not modified.  The pivot rows are an echelon basis of
+    the row span, so the unit vectors off these columns complement it."""
+    return [c for c, _ in _eliminate(rows, False)]
+
+
 def rank(rows):
-    """Exact rank, the number of pivots of one elimination; the input
-    is not modified."""
-    return len(_eliminate(rows, False))
+    """Exact rank, the number of `pivots`."""
+    return len(pivots(rows))
 
 
 def _quotient(v, pivot):

@@ -42,7 +42,7 @@ monomial once.  `Poly` keeps its exponent-tuple keys throughout.
 from itertools import combinations
 from operator import lshift
 
-from .ratpoly import Poly, DimensionMismatch, _poly
+from .ratpoly import Poly, DimensionMismatch, _poly, _ints
 
 
 class GradeMismatch(ValueError):
@@ -187,7 +187,7 @@ class Graded:
         for idx, terms in acc.items():
             terms = {expts[e]: c for e, c in terms.items() if c}
             if terms:
-                polys[idx] = _poly(n, terms)
+                polys[idx] = _poly(n, _ints(terms))
         return cls._trusted(n, grade, polys)
 
     @classmethod

@@ -5,9 +5,9 @@ nonzero coefficients.  Coefficients are exact and come in two types
 only: an integral value is a Python `int`, any other a
 `fractions.Fraction`.  The public constructor and `parse_poly` store
 every integral input as an `int` and reject every other type, floats
-included, so `int` arithmetic stays `int`.  Products and derivatives
-store an integral result as an `int` too, even of `Fraction` factors:
-a non-integral result is a `Fraction`.
+included, so `int` arithmetic stays `int`.  Sums, products and
+derivatives store an integral result as an `int` too, even of
+`Fraction` operands: a non-integral result is a `Fraction`.
 
 Every internal result (sums, products, scalar multiples, derivatives)
 goes through the trusted `_poly`, which takes a finished dict:
@@ -166,7 +166,7 @@ class Poly:
                 terms[e] = c
             else:
                 del terms[e]
-        return _poly(self.n, terms)
+        return _poly(self.n, _ints(terms))
 
     def __neg__(self):
         return _poly(self.n, {e: -c for e, c in self.terms.items()})

@@ -126,35 +126,41 @@ def test_leibniz_columns_match_the_per_column_route(name):
         p = Multivector(3, 2)
     else:
         p = bivector(*STRUCTURES[name])
-    check_structure(p)
+    d = check_structure(p)
     max_grade = 2 if name == "so3+sl2" else p.n
     for kind in (LICHNEROWICZ, CANONICAL):
-        tables = {}
+        # one engine for every block, at a width that fits them all, as
+        # a dimension table uses
+        shared = homology._Blocks(p, kind, d, homology._table_width(
+            d, 6 + max_grade + d - 1))
         for k in range(max_grade + 1):
             for w in range(-k, 7):
                 want = oracle_columns(p, kind, k, w)
-                for blk in (block_matrix(p, kind, k, w),
-                            block_matrix(p, kind, k, w, _tables=tables)):
-                    assert blk.columns == want, (name, kind, k, w)
-                    assert blk.basis == block_basis(p.n, kind, k, w)
+                blk = block_matrix(p, kind, k, w)
+                assert blk.columns == want, (name, kind, k, w)
+                assert blk.basis == block_basis(p.n, kind, k, w)
+                assert shared.columns(k, w) == want, (name, kind, k, w)
 
 
 def test_so3_blocks_match_the_per_column_route_across_widths():
     # W = 14 takes the target degree of so(3)'s blocks to 17, so the
-    # packing width of a standalone block grows from 2 to 5 bits; a
-    # table shared across those weights must never be read at a stale
-    # width
+    # packing width of a standalone block grows from 2 to 5 bits; one
+    # engine at the widest of them, as a dimension table uses, must
+    # give every block's columns too
     p = bivector(*STRUCTURES["so3"])
     for kind, widths in ((LICHNEROWICZ, {2, 3, 4, 5}),
                          (CANONICAL, {2, 3, 4})):
-        tables = {}
+        shared = homology._Blocks(p, kind, 1, max(widths))
+        seen = set()
         for k in range(p.n + 1):
             for w in range(-k, 15):
                 want = oracle_columns(p, kind, k, w)
-                for blk in (block_matrix(p, kind, k, w),
-                            block_matrix(p, kind, k, w, _tables=tables)):
-                    assert blk.columns == want, (kind, k, w)
-        assert {width for _, width in tables} == widths
+                assert block_matrix(p, kind, k, w).columns == want, \
+                    (kind, k, w)
+                assert shared.columns(k, w) == want, (kind, k, w)
+                seen.add(homology._table_width(
+                    1, homology._source_degree(kind, k, w)))
+        assert seen == widths
 
 
 def _seeded_bivector(rng, n):
@@ -257,18 +263,19 @@ def test_dims_build_each_grade_table_once_at_one_width(so3, monkeypatch):
 def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
                                                             monkeypatch):
     jacobiators, blocks = [], []
-    real_jacobiator, real_block = homology.jacobiator, homology.block_matrix
+    real_jacobiator = homology.jacobiator
+    real_columns = homology._Blocks.columns
 
     def counted_jacobiator(p):
         jacobiators.append(p)
         return real_jacobiator(p)
 
-    def counted_block(p, kind, grade, weight, **private):
+    def counted_columns(self, grade, weight, skip=()):
         blocks.append((grade, weight))
-        return real_block(p, kind, grade, weight, **private)
+        return real_columns(self, grade, weight, skip)
 
     monkeypatch.setattr(homology, "jacobiator", counted_jacobiator)
-    monkeypatch.setattr(homology, "block_matrix", counted_block)
+    monkeypatch.setattr(homology._Blocks, "columns", counted_columns)
     # so(3) is linear: each differential shifts the weight by -1, so
     # rank_in comes from the neighbouring grade at weight w + 1
     for dims, step in ((poisson_cohomology_dims, -1),

@@ -14,6 +14,15 @@ def mv(n, grade, table):
     return Multivector(n, grade, {k: parse_poly(v, n) for k, v in table.items()})
 
 
+def test_packed_operators_store_integral_coefficients_as_ints():
+    # 1/2 x0 d0 ^ 2 x1 d1 = x0 x1 d0^d1: the packed accumulator holds
+    # Fraction(1, 1), which `Graded.build` stores as 1
+    u = Multivector(2, 1, {(0,): Poly(2, {(1, 0): Fraction(1, 2)})})
+    v = Multivector(2, 1, {(1,): Poly(2, {(0, 1): 2})})
+    got = wedge(u, v).terms[(0, 1)].terms
+    assert got == {(1, 1): 1} and type(got[(1, 1)]) is int
+
+
 def test_wedge_graded_commutativity():
     rng = rng_for(5)
     for _ in range(20):

@@ -54,6 +54,18 @@ def test_integral_products_of_fractions_are_ints():
     assert all(type(c) is int for c in (q * q * 5).terms.values())
 
 
+def test_integral_sums_of_fractions_are_ints():
+    half = Poly.const(2, Fraction(1, 2))
+    p = parse_poly("1/2*x0 + 1/3*x1 - 5/2", 2)
+    q = parse_poly("1/2*x0 + 2/3*x1 + 1/2", 2)
+    assert (half + half).terms == {(0, 0): 1}
+    assert (half - (-half)).terms == {(0, 0): 1}
+    assert (p + q).terms == {(1, 0): 1, (0, 1): 1, (0, 0): -2}
+    for terms in ((half + half).terms, (p + q).terms, (p - q).terms):
+        for c in terms.values():
+            assert type(c) is int or c.denominator != 1, (terms, c)
+
+
 def test_hash_agrees_with_equality():
     # a constant Poly equals its value, so it must hash like it
     for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
