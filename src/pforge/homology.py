@@ -10,10 +10,10 @@ Both differentials shift the weight by d - 2, which is asserted when
 blocks are assembled.  The two complexes differ only in the grade step
 of their differential (`_STEP`), so one driver serves both.  Dimensions
 of (co)homology come out of exact kernel/rank counts on the block
-matrices; nothing is ever estimated.  The driver clears (Chen, Kerber
-2011): the image of a block's incoming differential lies in its kernel
-(d^2 = 0, by the Jacobi identity, which it checks), and the unit vectors
-off the pivot positions of that image (`linalg.pivots`) span a
+matrices; nothing is ever estimated.  The dimension tables clear (Chen,
+Kerber 2011): the image of a block's incoming differential lies in its
+kernel (d^2 = 0, by the Jacobi identity, which they check), and the unit
+vectors off the pivot positions of that image (`linalg.pivots`) span a
 complement of it, so the block's other columns have its rank.
 
 Blocks are read off Leibniz tables of the differential D, one per
