@@ -10,7 +10,6 @@ carries enough data to re-check it.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from operator import lshift
 
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
@@ -18,7 +17,8 @@ from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
                        GradeMismatch, add_term, _width, _degree, _pack,
                        _coordinate_fields)
 from .forms import pbracket_of as pbracket, _check_pair
-from .homology import monomials, LICHNEROWICZ, _leibniz_tables, _column
+from .homology import (monomials, LICHNEROWICZ, _leibniz_tables,
+                       _packed_monomials, _column)
 
 
 def sharp(p, a):
@@ -59,21 +59,15 @@ def sharp(p, a):
 
 def _wedge_field(pu, px):
     """Packed u ^ X for a packed vector field X: each d_j of X moves left
-    past the indices of u above j.  A product of two one-term
-    coefficients, as of a constant p, is added inline."""
+    past the indices of u above j, found by bisection in the sorted iu."""
     acc = {}
     for iu, cu in pu.items():
         for (j,), cx in px.items():
             b = bisect_left(iu, j)
             if b < len(iu) and iu[b] == j:
                 continue
-            key, sign = iu[:b] + (j,) + iu[b:], -1 if (len(iu) - b) & 1 else 1
-            if len(cu) == len(cx) == 1:
-                (e1, c1), (e2, c2) = *cu.items(), *cx.items()
-                out = acc.setdefault(key, {})
-                out[e1 + e2] = out.get(e1 + e2, 0) + sign * c1 * c2
-            else:
-                add_term(acc, key, sign, cu, cx)
+            add_term(acc, iu[:b] + (j,) + iu[b:],
+                     -1 if (len(iu) - b) & 1 else 1, cu, cx)
     return acc
 
 
@@ -152,17 +146,16 @@ def casimir_basis(p, max_degree):
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector")
     n = p.n
-    mons = [e for deg in range(max_degree + 1) for e in monomials(n, deg)]
     w = _width(max_degree + _degree(p))
+    mons = [m for deg in range(max_degree + 1)
+            for m in _packed_monomials(n, deg, w)]
     table = _leibniz_tables(p, LICHNEROWICZ, 0, w)[()]
-    shifts = range(0, w * n, w)
     rows = {}
-    for j, e in enumerate(mons):
-        for key, v in _column(table, e, sum(map(lshift, e, shifts)),
-                              w).items():
+    for j, (e, pe) in enumerate(mons):
+        for key, v in _column(table, e, pe, w).items():
             if v:
                 rows.setdefault(key, {})[j] = v
-    return [Poly(n, {e: c for e, c in zip(mons, v) if c})
+    return [Poly(n, {e: c for (e, _), c in zip(mons, v) if c})
             for v in linalg.nullspace(list(rows.values()), ncols=len(mons))]
 
 

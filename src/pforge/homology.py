@@ -169,6 +169,14 @@ def _leibniz_tables(p, complex_kind, grade, w):
     return tables
 
 
+def _packed_monomials(n, deg, w):
+    """(exponent tuple, the tuple packed at width w) of every monomial
+    of degree deg, in canonical order: the `e, pe` that `_column`
+    takes."""
+    shifts = range(0, w * n, w)
+    return [(e, sum(map(lshift, e, shifts))) for e in monomials(n, deg)]
+
+
 def _column(table, e, pe, w):
     """D(x^e e_I) from the table entry (T0, [T_j]) of e_I, as a
     {packed key: value} dict that may hold zeros: T0 shifted by e, plus
@@ -204,9 +212,7 @@ class _Blocks:
         if grade not in self._idxs:
             self._idxs[grade] = all_index_tuples(n, grade)
         if deg not in self._mons:
-            shifts = range(0, self.w * n, self.w)
-            self._mons[deg] = [(e, sum(map(lshift, e, shifts)))
-                               for e in monomials(n, deg)]
+            self._mons[deg] = _packed_monomials(n, deg, self.w)
         return self._idxs[grade], self._mons[deg]
 
     def columns(self, grade, weight, skip=()):
@@ -254,11 +260,11 @@ def block_matrix(p, complex_kind, grade, weight):
     d = _bivector_degree(p)
     deg = _source_degree(complex_kind, grade, weight)
     blocks = _Blocks(p, complex_kind, d, _table_width(d, deg + d - 1))
-    return WeightBlock(grade, weight,
-                       block_basis(p.n, complex_kind, grade, weight),
-                       block_basis(p.n, complex_kind,
-                                   grade + _STEP[complex_kind],
-                                   weight + d - 2),
+
+    def basis(k, w):
+        return [(idx, e) for idx, (e, _) in product(*blocks.parts(k, w))]
+    return WeightBlock(grade, weight, basis(grade, weight),
+                       basis(grade + _STEP[complex_kind], weight + d - 2),
                        blocks.columns(grade, weight))
 
 

@@ -9,10 +9,11 @@ integers with no common factor.  One pivot rule serves every caller:
 the leftmost live column, on its shortest live row.  `pivots` lists the
 pivot columns, `rank` counts them, and both drop each used pivot row;
 `rref` also clears each pivot column from the earlier pivot rows, which
-leaves the unique reduced row echelon form.  `nullspace`, `solve`, `row_space_basis`, `intersect` and
-`Subspace` (one span reduced once, for repeated membership, coordinate
-and quotient queries) read their answers off that form as dense lists;
-`kernel_coords` needs no elimination.
+leaves the unique reduced row echelon form.  `nullspace`, `solve`,
+`row_space_basis`, `intersect` and `Subspace` (one span reduced once,
+for repeated membership, coordinate and quotient queries) read their
+answers off that form as dense lists; `kernel_coords` needs no
+elimination.
 
 Every entry of an answer is exact and in one normal form (`exact`): an
 `int` when it is integral, else a `Fraction` whose denominator is not 1.

@@ -142,25 +142,32 @@ def test_leibniz_columns_match_the_per_column_route(name):
                 assert shared.columns(k, w) == want, (name, kind, k, w)
 
 
-def test_so3_blocks_match_the_per_column_route_across_widths():
+def test_so3_blocks_match_the_per_column_route_across_widths(monkeypatch):
     # W = 14 takes the target degree of so(3)'s blocks to 17, so the
     # packing width of a standalone block grows from 2 to 5 bits; one
     # engine at the widest of them, as a dimension table uses, must
     # give every block's columns too
+    seen = set()
+    real = homology._leibniz_tables
+
+    def recorded(p, kind, grade, w):
+        seen.add(w)
+        return real(p, kind, grade, w)
+    monkeypatch.setattr(homology, "_leibniz_tables", recorded)
     p = bivector(*STRUCTURES["so3"])
     for kind, widths in ((LICHNEROWICZ, {2, 3, 4, 5}),
                          (CANONICAL, {2, 3, 4})):
-        shared = homology._Blocks(p, kind, 1, max(widths))
-        seen = set()
+        seen.clear()
         for k in range(p.n + 1):
             for w in range(-k, 15):
-                want = oracle_columns(p, kind, k, w)
-                assert block_matrix(p, kind, k, w).columns == want, \
-                    (kind, k, w)
-                assert shared.columns(k, w) == want, (kind, k, w)
-                seen.add(homology._table_width(
-                    1, homology._source_degree(kind, k, w)))
+                assert block_matrix(p, kind, k, w).columns == \
+                    oracle_columns(p, kind, k, w), (kind, k, w)
         assert seen == widths
+        shared = homology._Blocks(p, kind, 1, max(widths))
+        for k in range(p.n + 1):
+            for w in range(-k, 15):
+                assert shared.columns(k, w) == \
+                    oracle_columns(p, kind, k, w), (kind, k, w)
 
 
 def _seeded_bivector(rng, n):
