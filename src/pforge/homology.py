@@ -13,8 +13,9 @@ of (co)homology come out of exact kernel/rank counts on the block
 matrices; nothing is ever estimated.  The dimension tables clear (Chen,
 Kerber 2011): the image of a block's incoming differential lies in its
 kernel (d^2 = 0, by the Jacobi identity, which they check), and the unit
-vectors off the pivot positions of that image (`linalg.pivots`) span a
-complement of it, so the block's other columns have its rank.
+vectors off the pivot positions of that image span a complement of it,
+so the block's other columns have its rank.  With p scaled to integral
+coefficients, `linalg._pivots_in_place` ranks the fresh int columns.
 
 Blocks are read off Leibniz tables of the differential D, one per
 (complex, grade).  D is first order: with the coordinates' Hamiltonian
@@ -31,6 +32,7 @@ for all its blocks, and a standalone `block_matrix` uses its own.
 """
 
 from itertools import combinations_with_replacement, product
+from math import lcm
 from operator import lshift
 
 from . import linalg
@@ -94,9 +96,9 @@ def _source_degree(complex_kind, grade, weight):
 
 def block_basis(n, complex_kind, grade, weight):
     """Ordered (index tuple, exponent tuple) pairs spanning block (k, w)."""
-    mons = monomials(n, _source_degree(complex_kind, grade, weight))
-    if grade < 0:
+    if not 0 <= grade <= n:
         return []
+    mons = monomials(n, _source_degree(complex_kind, grade, weight))
     return [(idx, e) for idx in all_index_tuples(n, grade) for e in mons]
 
 
@@ -207,7 +209,7 @@ class _Blocks:
         """The index tuples and (exponent tuple, packed monomial) pairs
         whose products span block (grade, weight), in canonical order."""
         n, deg = self.p.n, _source_degree(self.kind, grade, weight)
-        if grade < 0:
+        if not 0 <= grade <= n:
             return (), ()
         if grade not in self._idxs:
             self._idxs[grade] = all_index_tuples(n, grade)
@@ -280,26 +282,28 @@ def _dims(p, complex_kind, max_grade, max_weight):
     """Rows {grade, weight, dim_C, rank_in, rank_out, dim_H} of one
     complex, in canonical order.  Weights start where the grade's
     coefficients are constant.  rank_in is the rank of the block one
-    grade step back, at weight w - (d - 2), when that grade exists.
+    grade step back, at weight w - (d - 2), when both grades are in 0..n.
 
     Each block is assembled and ranked once, cleared (see the module
     docstring), from one `_Blocks` at the packing width of the
     table's largest source coefficient degree."""
-    d = check_structure(p)
+    d, p = check_structure(p), p.scale(lcm(*(
+        c.denominator for f in p.terms.values() for c in f.terms.values())))
     step, shift = _STEP[complex_kind], d - 2
-    # source coefficient degrees reach max_weight (plus max_grade for
-    # multivectors), and one more in the rank_in blocks of a constant p
-    top = max_weight + max(step * max_grade, 0) + int(d == 0)
+    # source coefficient degrees reach max_weight (plus the top grade
+    # for multivectors), and one more in rank_in blocks of a constant p
+    top = max_weight + max(step * min(max_grade, p.n), 0) + int(d == 0)
     blocks = _Blocks(p, complex_kind, d, _table_width(d, top + d - 1))
     cells = [(k, w) for k in range(max_grade + 1)
              for w in range(-step * k, max_weight + 1)]
-    need = set(cells) | {(k - step, w - shift) for k, w in cells if k >= step}
+    need = set(cells) | {(k - step, w - shift) for k, w in cells
+                         if step <= k <= p.n}
     # along each weight line in the differential's direction, so that a
     # block's incoming block, when needed, is ranked first
     pivots = {}
     for k, w in sorted(need, key=lambda kw: (step * kw[0], kw[1])):
-        skip = pivots.get((k - step, w - shift), ())
-        pivots[k, w] = set(linalg.pivots(blocks.columns(k, w, skip)))
+        cols = blocks.columns(k, w, pivots.get((k - step, w - shift), ()))
+        pivots[k, w] = set(linalg._pivots_in_place(cols))
     rows = []
     for k, w in cells:
         idxs, mons = blocks.parts(k, w)

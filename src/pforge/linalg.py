@@ -2,18 +2,20 @@
 
 One sparse exact engine does every elimination.  Rows are sequences or
 sparse {column: value} dicts of ints or Fractions, and only nonzero
-entries are read.  Each row is scaled to a primitive integer vector and
-a column -> rows index finds the rows each pivot must clear, so a
-mostly-zero matrix costs in proportion to its nonzeros and entries stay
-integers with no common factor.  One pivot rule serves every caller:
-the leftmost live column, on its shortest live row.  `pivots` lists the
-pivot columns, `rank` counts them, and both drop each used pivot row;
-`rref` also clears each pivot column from the earlier pivot rows, which
-leaves the unique reduced row echelon form.  `nullspace`, `solve`,
-`row_space_basis`, `intersect` and `Subspace` (one span reduced once,
-for repeated membership, coordinate and quotient queries) read their
-answers off that form as dense lists; `kernel_coords` needs no
-elimination.
+entries are read.  Every public entry leaves its input unmodified: it
+eliminates copies scaled to primitive integer vectors.  Only
+`_pivots_in_place` consumes its rows, the fresh {column: int} columns
+of the (co)homology tables.  A column -> rows index finds the rows each
+pivot must clear, so a mostly-zero matrix costs in proportion to its
+nonzeros and entries stay integers with no common factor.  One pivot
+rule serves every caller: the leftmost live column, on its shortest
+live row.  `pivots` lists the pivot columns, `rank` counts them, and
+both drop each used pivot row; `rref` also clears each pivot column
+from the earlier pivot rows, leaving the unique reduced row echelon
+form, off which `nullspace`, `solve`, `row_space_basis`, `intersect`
+and `Subspace` (one span reduced once, for repeated membership,
+coordinate and quotient queries) read dense answers; `kernel_coords`
+needs no elimination.
 
 Every entry of an answer is exact and in one normal form (`exact`): an
 `int` when it is integral, else a `Fraction` whose denominator is not 1.
@@ -54,40 +56,39 @@ def _entries(row):
 
 
 def _primitive_rows(rows):
-    """Nonzero rows as {column: int} dicts with coprime entries, keyed
-    by position, and the column -> row ids index over them."""
-    live, where = {}, {}
+    """{position: fresh primitive {column: int} dict} of nonzero rows."""
+    live = {}
     for i, row in enumerate(rows):
-        vec = {c: x for c, x in _entries(row) if x}
-        if not vec:
-            continue
-        if any(type(x) is not int for x in vec.values()):
-            den = lcm(*(x.denominator for x in vec.values()))
-            for c, x in vec.items():
-                vec[c] = x.numerator * (den // x.denominator)
-        _divide_content(vec)
-        live[i] = vec
-        for c in vec:
-            where.setdefault(c, set()).add(i)
-    return live, where
+        if vec := {c: x for c, x in _entries(row) if x}:
+            if any(type(x) is not int for x in vec.values()):
+                den = lcm(*(x.denominator for x in vec.values()))
+                for c, x in vec.items():
+                    vec[c] = x.numerator * (den // x.denominator)
+            _divide_content(vec)
+            live[i] = vec
+    return live
 
 
-def _eliminate(rows, reduced):
+def _eliminate(live, reduced=False):
     """The one elimination loop: (pivot column, pivot row) pairs in
-    pivot order, pivot rows as primitive {column: int} dicts.
+    pivot order, pivot rows as {column: int} dicts.
 
-    The pivot is always the leftmost live column, on its shortest live
-    row (the lowest row id on a tie).  Each step clears the pivot's
-    column from every other indexed row as a*row - b*pivot, a > 0, with
-    gcd(a, b) divided out first, and keeps the updated row primitive.
-    A step adds only columns right of its pivot to live rows, so one
-    pass over the sorted columns finds every pivot.  Unless `reduced`,
-    each pivot row leaves the index; if `reduced`, pivot rows stay
-    indexed, so each later step clears its column from the earlier
-    pivot rows too, which leaves the reduced row echelon form.
+    `live` maps row ids to nonempty, zero-free {column: int} dicts, which
+    it updates in place.  The pivot is the leftmost live column, on its
+    shortest live row (the lowest id on a tie).  Each step clears the
+    pivot's column from every other indexed row as a*row - b*pivot,
+    a > 0, gcd(a, b) divided out first, and keeps the updated row
+    primitive; scaling a row changes no support, so the pivots do not
+    depend on the rows being primitive.  A step adds only columns right
+    of its pivot to live rows, so one pass over the sorted columns finds
+    every pivot.  Unless `reduced`, each pivot row leaves the index; if
+    `reduced`, pivot rows stay indexed and each later step clears its
+    column from the earlier pivot rows too: the reduced echelon form.
     """
-    live, where = _primitive_rows(rows)
-    vecs = dict(live)
+    where, vecs = {}, dict(live)
+    for i, row in live.items():
+        for c in row:
+            where.setdefault(c, set()).add(i)
     pivots = []
     for c in sorted(where):
         if not live:
@@ -132,10 +133,15 @@ def _eliminate(rows, reduced):
 
 
 def pivots(rows):
-    """The pivot columns of one non-reduced elimination, in pivot order;
-    the input is not modified.  The pivot rows are an echelon basis of
-    the row span, so the unit vectors off these columns complement it."""
-    return [c for c, _ in _eliminate(rows, False)]
+    """Pivot columns, in pivot order, of one non-reduced elimination of
+    a copy of the rows (`_pivots_in_place` eliminates them in place):
+    the unit vectors off these columns complement the row span."""
+    return [c for c, _ in _eliminate(_primitive_rows(rows))]
+
+
+def _pivots_in_place(rows):
+    """`pivots` of zero-free {column: int} dicts, which it consumes."""
+    return [c for c, _ in _eliminate(dict(enumerate(filter(None, rows))))]
 
 
 def rank(rows):
@@ -154,7 +160,7 @@ def _reduce(rows):
     column, {column: entry}) pairs by increasing pivot column, entries
     in normal form."""
     return [(c, {k: _quotient(v, row[c]) for k, v in row.items()})
-            for c, row in _eliminate(rows, True)]
+            for c, row in _eliminate(_primitive_rows(rows), True)]
 
 
 def _width(rows, ncols):

@@ -267,6 +267,42 @@ def test_dims_build_each_grade_table_once_at_one_width(so3, monkeypatch):
     assert len({w for _, w in built}) == 1
 
 
+@pytest.mark.parametrize("name", ["so3", "symplectic-q4"])
+def test_dims_above_the_top_grade_add_zero_rows_and_no_monomials(
+        name, monkeypatch):
+    # grades past n have no index tuples, so their rows are all zero,
+    # and no monomial of their coefficient degrees may be enumerated
+    built = []
+    real = homology.monomials
+
+    def recorded(n, deg):
+        built.append(deg)
+        return real(n, deg)
+    monkeypatch.setattr(homology, "monomials", recorded)
+    p = bivector(*STRUCTURES[name])
+    n = p.n
+    for dims, weight in ((poisson_cohomology_dims, 2),
+                         (canonical_homology_dims, 2 + n + 3)):
+        del built[:]
+        top = dims(p, n, weight)
+        top_built = set(built)
+        del built[:]
+        above = dims(p, n + 3, weight)
+        assert above[:len(top)] == top, name
+        extra = above[len(top):]
+        assert {r["grade"] for r in extra} == {n + 1, n + 2, n + 3}, name
+        for r in extra:
+            assert r == {"grade": r["grade"], "weight": r["weight"],
+                         "dim_C": 0, "rank_in": 0, "rank_out": 0,
+                         "dim_H": 0}, (name, r)
+        assert set(built) == top_built, name
+    del built[:]
+    for kind in (LICHNEROWICZ, CANONICAL):
+        for k in (-1, n + 1):
+            assert block_basis(n, kind, k, 0) == []
+    assert not built
+
+
 def test_dims_check_jacobi_once_and_assemble_each_block_once(so3,
                                                             monkeypatch):
     jacobiators, blocks = [], []

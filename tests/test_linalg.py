@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -134,8 +135,9 @@ def test_rank_splits_hidden_block_diagonal_matrices():
         want = sum(bareiss_rank(b) for b in blocks)
         assert bareiss_rank(m) == want
         snapshot = [list(row) for row in m]
-        assert linalg.rank(m) == linalg.rank(_as_dicts(m)) == want, m
-        assert m == snapshot
+        dicts = _as_dicts(m)
+        assert linalg.rank(m) == linalg.rank(dicts) == want, m
+        assert m == snapshot and dicts == _as_dicts(snapshot)
 
 
 def _so3_copies(copies):
@@ -171,8 +173,11 @@ def test_rank_matches_bareiss_on_blocks(name, request):
             for w in range(-k, 5):
                 blk = block_matrix(p, kind, k, w)
                 m = blk.matrix
+                snapshot = copy.deepcopy(blk.columns)
                 assert linalg.rank(blk.columns) == bareiss_rank(m) \
                     == linalg.rank(m), (kind, k, w)
+                linalg.nullspace(blk.columns, len(blk.target_basis))
+                assert blk.columns == snapshot, (kind, k, w)
 
 
 def _log_canonical(rng, n):
@@ -238,6 +243,44 @@ def test_dims_ranks_match_the_full_block_ranks(name, p, max_grade,
             assert r["rank_out"] == block_rank(kind, k, w), (name, r)
             assert r["rank_in"] == block_rank(kind, k - step, w - shift), \
                 (name, r)
+
+
+@pytest.mark.parametrize("name,p,max_grade,max_weight", _rank_oracle_cases(),
+                         ids=[c[0] for c in _rank_oracle_cases()])
+def test_dims_hand_over_int_columns_with_the_copying_pivots(
+        name, p, max_grade, max_weight, monkeypatch):
+    # every block the dimension tables rank reaches the elimination as
+    # dicts of nonzero ints, Fraction coefficients of p included, and
+    # the copying route gives the same pivot positions on a deep copy
+    real = linalg._pivots_in_place
+    ranked = []
+
+    def checked(rows):
+        assert all(type(col) is dict and all(type(x) is int and x
+                                             for x in col.values())
+                   for col in rows), name
+        want = linalg.pivots(copy.deepcopy(rows))
+        got = real(rows)
+        assert got == want, name
+        ranked.append(got)
+        return got
+    monkeypatch.setattr(linalg, "_pivots_in_place", checked)
+    for dims, step in ((poisson_cohomology_dims, 1),
+                       (canonical_homology_dims, -1)):
+        del ranked[:]
+        weight = max_weight if step == 1 else max_weight + p.n
+        dims(p, max_grade, weight)
+        assert any(ranked), name
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), -3, Fraction(7, 5)])
+def test_dims_are_invariant_under_scaling_p(c):
+    # c p has the differentials of p times c, so every rank holds; the
+    # dimension tables clear the denominators of p before they rank
+    for p in (bivector(*STRUCTURES["so3"]), _log_canonical(rng_for(3), 4)):
+        for dims, weight in ((poisson_cohomology_dims, 2),
+                             (canonical_homology_dims, 2 + p.n)):
+            assert dims(p.scale(c), p.n, weight) == dims(p, p.n, weight)
 
 
 def dense_rref(mat):
