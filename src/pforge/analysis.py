@@ -14,7 +14,7 @@ from itertools import product
 from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
-                       GradeMismatch, add_term, _width, _degree, _pack,
+                       check_bivector, add_term, _width, _degree, _pack,
                        _coordinate_fields)
 from .forms import pbracket_of as pbracket, _check_pair
 from .homology import (monomials, LICHNEROWICZ, _leibniz_tables,
@@ -27,9 +27,7 @@ def sharp(p, a):
     On functions it is the identity; on dx_i it gives the field
     S_i = sum_j {x_i, x_j} d_j; on higher forms the wedge of those.
     """
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector")
-    _check_pair(a, p)
+    _check_pair(a, check_bivector(p))
     n = p.n
     if a.grade == 0:
         return Multivector.from_poly(a.as_poly())
@@ -101,17 +99,16 @@ def _wedge_power_rank(p, point):
 
 
 def rank_at(p, point):
-    """Pointwise rank by both the wedge-power criterion and matrix rank,
-    with the image of p(x) and whether p is involutive at x."""
+    """Pointwise rank by both the wedge-power criterion and matrix rank
+    (the length of the reduced echelon basis of p(x)'s image), with that
+    basis and whether p is involutive at x."""
     point = linalg.exact_vector(point)
-    m = bivector_matrix_at(p, point)
-    r_matrix = linalg.rank(m)
-    r_wedge = _wedge_power_rank(p, point)
-    if r_matrix != r_wedge:
+    image = linalg.row_space_basis(bivector_matrix_at(p, point))
+    rank, r_wedge = len(image), _wedge_power_rank(p, point)
+    if rank != r_wedge:
         raise AssertionError(
-            "rank criteria disagree: matrix %d vs wedge %d" % (r_matrix, r_wedge))
-    return {"point": point, "rank": r_matrix,
-            "image_basis": linalg.row_space_basis(m),
+            "rank criteria disagree: matrix %d vs wedge %d" % (rank, r_wedge))
+    return {"point": point, "rank": rank, "image_basis": image,
             "integrable_here": integrability_at(p, point)}
 
 
@@ -143,9 +140,7 @@ def casimir_basis(p, max_degree):
     each monomial x^e is read off the grade-0 Leibniz table of [p, .]
     (`homology._column`), and its packed keys are the nullspace rows.
     p need not be homogeneous."""
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector")
-    n = p.n
+    n = check_bivector(p).n
     w = _width(max_degree + _degree(p))
     mons = [m for deg in range(max_degree + 1)
             for m in _packed_monomials(n, deg, w)]

@@ -12,11 +12,11 @@ import os
 import sys
 from functools import cache
 
-from . import serialize
+from . import forms, multivec, serialize
 from .serialize import InputError, dump, str_fractions
 from .ratpoly import parse_poly, PolyParseError, DimensionMismatch
-from .multivec import jacobiator, schouten, lichnerowicz_dp, GradeMismatch
-from .forms import delta, form_bracket, NonInvolutive
+from .multivec import jacobiator, GradeMismatch
+from .forms import NonInvolutive
 from .symplectic import (SymplecticContext, DegenerateBivector, OddDimension,
                          NotConstantCoefficient)
 from .homology import (poisson_cohomology_dims, canonical_homology_dims,
@@ -29,25 +29,39 @@ from .ncalg import (validate_algebra, derivations, submanifold_check,
                     quotient_check, bott_quotient, bott_forms, bott_integral,
                     BadAlgebra, BadLieAlgebra, NotAnIdeal, NotASubalgebra)
 
-_PRECONDITION_KINDS = [
-    (DegenerateBivector, "degenerate-bivector"),
-    (OddDimension, "odd-dimension"),
-    (NotConstantCoefficient, "non-constant-coefficient"),
-    (NonInvolutive, "non-involutive"),
-    (NonInvolutiveElement, "non-involutive"),
-    (NonHomogeneous, "non-homogeneous"),
-    (NotAnIdeal, "not-an-ideal"),
-    (NotASubalgebra, "not-a-subalgebra"),
-    (BadAlgebra, "bad-algebra"),
-    (BadLieAlgebra, "bad-lie-algebra"),
+# (exception, kind, exit code), in the order an error is matched
+_ERRORS = [
+    (InputError, "bad-input", 1),
+    (PolyParseError, "parse-error", 1),
+    (DimensionMismatch, "dimension-mismatch", 1),
+    (GradeMismatch, "grade-mismatch", 1),
+    (OSError, "io-error", 1),
+    (DegenerateBivector, "degenerate-bivector", 2),
+    (OddDimension, "odd-dimension", 2),
+    (NotConstantCoefficient, "non-constant-coefficient", 2),
+    (NonInvolutive, "non-involutive", 2),
+    (NonInvolutiveElement, "non-involutive", 2),
+    (NonHomogeneous, "non-homogeneous", 2),
+    (NotAnIdeal, "not-an-ideal", 2),
+    (NotASubalgebra, "not-a-subalgebra", 2),
+    (BadAlgebra, "bad-algebra", 2),
+    (BadLieAlgebra, "bad-lie-algebra", 2),
+    # a self-check of the library failed: a bug, not a bad input
+    (AssertionError, "internal-error", 3),
 ]
 
-_INPUT_KINDS = [
-    (InputError, "bad-input"),
-    (PolyParseError, "parse-error"),
-    (DimensionMismatch, "dimension-mismatch"),
-    (GradeMismatch, "grade-mismatch"),
-]
+# the commands that apply one operator to fields of the input object:
+# (module, operator name, [(field, kind)] in the operator's argument
+# order); the operator is looked up when the job runs, as a handler is
+_OPERATORS = {
+    "schouten": (multivec, "schouten", [("u", "multivector"),
+                                        ("v", "multivector")]),
+    "dp": (multivec, "lichnerowicz_dp", [("p", "bivector"),
+                                         ("u", "multivector")]),
+    "delta": (forms, "delta", [("p", "bivector"), ("form", "form")]),
+    "bracket": (forms, "form_bracket", [("p", "bivector"), ("a", "form"),
+                                        ("b", "form")]),
+}
 
 
 def _load_json(source, what="input"):
@@ -109,33 +123,16 @@ def cmd_check(args):
     return _emit(args, {"jacobiator_zero": j.is_zero(), "jacobiator": j})
 
 
-def cmd_schouten(args):
+def cmd_operator(args):
+    """schouten, dp, delta and bracket: the command's operator on the
+    fields that `_OPERATORS` lists, each read as its kind."""
     obj = _load_json(args.input)
-    u = serialize.multivector_from_json(_need(obj, "u", "multivector"))
-    v = serialize.multivector_from_json(_need(obj, "v", "multivector"))
-    return _emit(args, {"result": schouten(u, v)})
-
-
-def cmd_dp(args):
-    obj = _load_json(args.input)
-    p = _bivector(_need(obj, "p", "bivector"))
-    u = serialize.multivector_from_json(_need(obj, "u", "multivector"))
-    return _emit(args, {"result": lichnerowicz_dp(p, u)})
-
-
-def cmd_delta(args):
-    obj = _load_json(args.input)
-    p = _bivector(_need(obj, "p", "bivector"))
-    a = serialize.form_from_json(_need(obj, "form", "form"))
-    return _emit(args, {"result": delta(p, a)})
-
-
-def cmd_bracket(args):
-    obj = _load_json(args.input)
-    p = _bivector(_need(obj, "p", "bivector"))
-    a = serialize.form_from_json(_need(obj, "a", "form"))
-    b = serialize.form_from_json(_need(obj, "b", "form"))
-    return _emit(args, {"result": form_bracket(p, a, b)})
+    read = {"bivector": _bivector,
+            "multivector": serialize.multivector_from_json,
+            "form": serialize.form_from_json}
+    module, name, inputs = _OPERATORS[args.command]
+    return _emit(args, {"result": getattr(module, name)(
+        *(read[kind](_need(obj, field, kind)) for field, kind in inputs))})
 
 
 def cmd_star(args):
@@ -340,11 +337,11 @@ def build_parser():
         return sp
 
     sub(subs, "check", cmd_check, help="jacobiator of a bivector")
-    sub(subs, "schouten", cmd_schouten,
+    sub(subs, "schouten", cmd_operator,
         help="graded bracket of two multivectors")
-    sub(subs, "dp", cmd_dp, help="coboundary [p, u]")
-    sub(subs, "delta", cmd_delta, help="canonical boundary of a form")
-    sub(subs, "bracket", cmd_bracket, help="graded bracket of two forms")
+    sub(subs, "dp", cmd_operator, help="coboundary [p, u]")
+    sub(subs, "delta", cmd_operator, help="canonical boundary of a form")
+    sub(subs, "bracket", cmd_operator, help="graded bracket of two forms")
     sub(subs, "star", cmd_star, help="symplectic star of a form")
 
     sp = sub(subs, "cohomology", cmd_cohomology,
@@ -413,17 +410,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return globals()[args.func](args)
-    except tuple(e for e, _ in _INPUT_KINDS) as exc:
-        kind = next(k for e, k in _INPUT_KINDS if isinstance(exc, e))
-        return _error(args, kind, exc, 1)
-    except OSError as exc:
-        return _error(args, "io-error", exc, 1)
-    except tuple(e for e, _ in _PRECONDITION_KINDS) as exc:
-        kind = next(k for e, k in _PRECONDITION_KINDS if isinstance(exc, e))
-        return _error(args, kind, exc, 2)
-    except AssertionError as exc:
-        # a self-check of the library failed: a bug, not a bad input
-        return _error(args, "internal-error", exc, 3)
+    except tuple(e for e, _, _ in _ERRORS) as exc:
+        kind, code = next((k, c) for e, k, c in _ERRORS if isinstance(exc, e))
+        return _error(args, kind, exc, code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ between.
 
 from .ratpoly import Poly
 from .multivec import (Graded, Multivector, add_term, sort_sign,
-                       GradeMismatch, wedge, _width, _degree, _pack, _diff)
+                       GradeMismatch, check_bivector, wedge, _width, _degree,
+                       _pack, _diff)
 
 
 class NonInvolutive(ValueError):
@@ -104,9 +105,7 @@ def pair(a, u):
 
 def delta(p, a):
     """Koszul-Brylinski boundary delta = i_p d - d i_p; grade -1."""
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector (grade 2)")
-    _check_pair(a, p)
+    _check_pair(a, check_bivector(p))
     if a.grade == 0:
         return Form.zero(a.n, 0)
     w = _width(_degree(p) + _degree(a))

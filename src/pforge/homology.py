@@ -36,7 +36,7 @@ from math import lcm
 from operator import lshift
 
 from . import linalg
-from .multivec import (all_index_tuples, jacobiator, GradeMismatch, _width,
+from .multivec import (all_index_tuples, jacobiator, check_bivector, _width,
                        _pack, _schouten, _wedge, _coordinate_fields)
 from .forms import NonInvolutive, _delta, _interior
 
@@ -60,14 +60,8 @@ def structure_degree(p):
     return degs.pop() if degs else 0
 
 
-def _bivector_degree(p):
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector")
-    return structure_degree(p)
-
-
 def check_structure(p):
-    d = _bivector_degree(p)
+    d = structure_degree(check_bivector(p))
     if not jacobiator(p).is_zero():
         raise NonInvolutive("bivector is not involutive")
     return d
@@ -259,7 +253,7 @@ def block_matrix(p, complex_kind, grade, weight):
     columns through `_Blocks`, without the cleared ones.  The Jacobi
     identity is not checked here.
     """
-    d = _bivector_degree(p)
+    d = structure_degree(check_bivector(p))
     deg = _source_degree(complex_kind, grade, weight)
     blocks = _Blocks(p, complex_kind, d, _table_width(d, deg + d - 1))
 

@@ -367,20 +367,26 @@ def _schouten(pu, pv, w, acc, scale=1):
     return acc
 
 
-def lichnerowicz_dp(p, u):
-    """Coboundary [p, .] of the bivector p; squares to zero when [p,p]=0."""
-    p._check(p, Multivector)
+def check_bivector(p):
+    """p, the precondition of every construction from a Poisson
+    bivector: raises TypeError unless p is a `Multivector`, and
+    GradeMismatch unless its grade is 2."""
+    if not isinstance(p, Multivector):
+        raise TypeError("%s operand where a Multivector is needed"
+                        % type(p).__name__)
     if p.grade != 2:
         raise GradeMismatch("p must be a bivector (grade 2)")
-    return schouten(p, u)
+    return p
+
+
+def lichnerowicz_dp(p, u):
+    """Coboundary [p, .] of the bivector p; squares to zero when [p,p]=0."""
+    return schouten(check_bivector(p), u)
 
 
 def jacobiator(p):
     """[p, p]; vanishes iff the induced bracket satisfies Jacobi."""
-    p._check(p, Multivector)
-    if p.grade != 2:
-        raise GradeMismatch("p must be a bivector (grade 2)")
-    return schouten(p, p)
+    return lichnerowicz_dp(p, p)
 
 
 def all_index_tuples(n, k):

@@ -528,9 +528,8 @@ def _new_directions(base, vecs, n):
     """Positions of the vecs not in the span of base and the vecs before
     them: the pivot columns past base of the matrix with these columns."""
     cols = base + vecs
-    _, pivots = linalg.rref([{j: v[r] for j, v in enumerate(cols) if v[r]}
-                             for r in range(n)], len(cols))
-    return [p - len(base) for p in pivots if p >= len(base)]
+    rows = [{j: v[r] for j, v in enumerate(cols) if v[r]} for r in range(n)]
+    return [p - len(base) for p in linalg.pivots(rows) if p >= len(base)]
 
 
 def bott_integral(A, D_ops, I_rows):

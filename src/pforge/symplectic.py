@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .ratpoly import Poly
-from .multivec import GradeMismatch, Multivector, wedge
+from .multivec import Multivector, check_bivector, wedge
 from .forms import Form, interior
 from .analysis import sharp
 
@@ -48,9 +48,7 @@ class SymplecticContext:
     rejects degenerate, odd-dimensional or non-constant bivectors."""
 
     def __init__(self, p):
-        if p.grade != 2:
-            raise GradeMismatch("need a bivector")
-        if p.n % 2 != 0:
+        if check_bivector(p).n % 2 != 0:
             raise OddDimension("symplectic dimension must be even")
         for (i, j), c in p.terms.items():
             if not c.is_constant():

@@ -34,6 +34,28 @@ def test_check_structure_rejects_non_involutive():
         check_structure(p)
 
 
+def test_a_column_outside_its_block_names_the_key_that_left():
+    # X_{x1} = -(1 + x0) d0 for p = (1 + x0) d0^d1: as if p were
+    # homogeneous of degree 1, the column of x1 in block (0, 1) must land
+    # in degree 1, and its constant term leaves at (d0, x^(0, 0))
+    p = bivector(2, {(0, 1): "1 + x0"})
+    blocks = homology._Blocks(p, LICHNEROWICZ, 1, homology._table_width(1, 1))
+    with pytest.raises(AssertionError, match=r"left the expected \(grade, "
+                       r"weight\) block at \(\(0,\), \(0, 0\)\) "
+                       r"\(lichnerowicz, k=0, w=1\)"):
+        blocks.columns(0, 1)
+
+
+def test_unpack_key_inverts_the_packed_block_keys():
+    n, w = 3, 3
+    for grade in range(n + 1):
+        high = homology._index_keys(n, grade, w)
+        for idx in all_index_tuples(n, grade):
+            for e, pe in homology._packed_monomials(n, 2, w):
+                assert homology._unpack_key(high[idx] + pe, n, grade,
+                                            w) == (idx, e)
+
+
 def test_monomials():
     assert monomials(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert monomials(3, 0) == [(0, 0, 0)]

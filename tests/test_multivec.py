@@ -6,6 +6,11 @@ import pytest
 from pforge.ratpoly import Poly, parse_poly
 from pforge.multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
                              jacobiator, sort_sign, GradeMismatch)
+from pforge.forms import Form, delta
+from pforge.analysis import sharp, casimir_basis
+from pforge.homology import (block_matrix, poisson_cohomology_dims,
+                             canonical_homology_dims, LICHNEROWICZ)
+from pforge.symplectic import SymplecticContext
 from reference_routes import vf_bracket, evaluate_on_functions
 from conftest import bivector, random_multivector, rng_for
 
@@ -110,6 +115,34 @@ def test_brackets_refuse_form_operands():
         with pytest.raises(TypeError, match="Form operand where a "
                                             "Multivector is needed"):
             call()
+
+
+_N = 3
+_TWO_FORM = Form(_N, 2, {k: parse_poly(v, _N) for k, v in
+                         {(0, 1): "x2", (0, 2): "-x1", (1, 2): "x0"}.items()})
+_THREE_VECTOR = mv(_N, 3, {(0, 1, 2): "x0"})
+_U, _A = mv(_N, 1, {(0,): "x1"}), Form(_N, 1, {(2,): parse_poly("x0", _N)})
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: lichnerowicz_dp(p, _U),
+    jacobiator,
+    lambda p: delta(p, _A),
+    lambda p: sharp(p, _A),
+    lambda p: casimir_basis(p, 2),
+    lambda p: block_matrix(p, LICHNEROWICZ, 0, 1),
+    lambda p: poisson_cohomology_dims(p, 1, 1),
+    lambda p: canonical_homology_dims(p, 1, 1),
+    SymplecticContext,
+], ids=["lichnerowicz_dp", "jacobiator", "delta", "sharp", "casimir_basis",
+        "block_matrix", "poisson_cohomology_dims", "canonical_homology_dims",
+        "SymplecticContext"])
+def test_every_bivector_entry_checks_its_bivector(entry):
+    with pytest.raises(TypeError, match="Form operand where a "
+                                        "Multivector is needed"):
+        entry(_TWO_FORM)
+    with pytest.raises(GradeMismatch, match="bivector"):
+        entry(_THREE_VECTOR)
 
 
 # -- reference oracle: the full double sum over simple factors ---------

@@ -1,0 +1,106 @@
+"""Static rules on the source of `src/pforge`, read with `ast` and `re`.
+
+Each rule fails with the file, line and name that break it.
+"""
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pforge"
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
+def _grep(pattern, skip=()):
+    """"path:line: text" of every source line matching pattern."""
+    return ["%s:%d: %s" % (path, k, line)
+            for path in SOURCES if path.name not in skip
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_sources_are_found():
+    assert SRC / "ratpoly.py" in SOURCES
+
+
+def test_no_float_in_the_exact_kernel():
+    # pforge is exact over int and Fraction; any use of float fails
+    assert _grep(r"\bfloat\b") == []
+
+
+def test_no_fraction_zero_or_one_outside_ratpoly():
+    # pforge stores integral values as int, so a Fraction zero or one
+    # brings back Fraction arithmetic; only ratpoly's Poly.eval
+    # accumulates in Fraction(0), by design
+    assert _grep(r"Fraction\((0|1)\)", skip={"ratpoly.py"}) == []
+
+
+def test_no_unused_imports():
+    # a name that a module imports and never reads makes it look
+    # coupled to a module it does not use
+    unused = []
+    for path, tree in _trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append("%s:%d: %s" % (path, node.lineno, name))
+    assert unused == []
+
+
+def test_no_dead_private_helpers():
+    # a module-level _name that nothing in src/pforge reads outside its
+    # own definition is left over from a deleted route
+    trees = _trees()
+    refs = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, node.name))
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(n == name and not (p == path and node.lineno
+                                              <= line <= node.end_lineno)
+                           for p, line, n in refs):
+                    dead.append("%s:%d: %s" % (path, node.lineno, name))
+    assert dead == []
+
+
+def test_in_place_elimination_only_from_the_dimension_tables():
+    # linalg._pivots_in_place updates the rows it is given, so only
+    # homology._dims, which builds its columns fresh and reads them no
+    # more, may hand rows to it
+    uses = []
+    for path, tree in _trees().items():
+        if path.name in ("linalg.py", "homology.py"):
+            continue
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name == "_pivots_in_place":
+                uses.append("%s:%d: _pivots_in_place" % (path, node.lineno))
+    assert uses == []
