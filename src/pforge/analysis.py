@@ -7,7 +7,6 @@ questions are decided by exact rank comparisons, and every verdict
 carries enough data to re-check it.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +14,7 @@ from . import linalg
 from .ratpoly import Poly, DimensionMismatch
 from .multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
                        check_bivector, add_term, _width, _degree, _pack,
-                       _coordinate_fields)
+                       _wedge, _coordinate_fields)
 from .forms import pbracket_of as pbracket, _check_pair
 from .homology import (monomials, LICHNEROWICZ, _leibniz_tables,
                        _packed_monomials, _column)
@@ -48,25 +47,11 @@ def sharp(p, a):
             j += 1
         del path[j + 1:]
         for i in idx[j:]:
-            path.append(_wedge_field(path[-1], fields[i]))
+            path.append(_wedge(path[-1], fields[i], {}))
         last = idx
         for key, h in path[-1].items():
             add_term(acc, key, 1, c, h)
     return Multivector.build(n, a.grade, acc, w)
-
-
-def _wedge_field(pu, px):
-    """Packed u ^ X for a packed vector field X: each d_j of X moves left
-    past the indices of u above j, found by bisection in the sorted iu."""
-    acc = {}
-    for iu, cu in pu.items():
-        for (j,), cx in px.items():
-            b = bisect_left(iu, j)
-            if b < len(iu) and iu[b] == j:
-                continue
-            add_term(acc, iu[:b] + (j,) + iu[b:],
-                     -1 if (len(iu) - b) & 1 else 1, cu, cx)
-    return acc
 
 
 def hamiltonian(p, f):
@@ -166,33 +151,24 @@ def momentum_cocycle(p, g, lam):
         raise DimensionMismatch("lambda must cover all %d basis elements" % d)
     n = p.n
 
-    def lam_of(vec):
+    def combine(vec, polys):
+        """sum of vec[k] * polys[k]."""
         out = Poly.zero(n)
-        for k, c in enumerate(vec):
-            if c:
-                out = out + lam[k] * c
+        for x, f in zip(vec, polys):
+            if x:
+                out = out + f * x
         return out
 
-    c = [[lam_of(g.c[i][j]) - pbracket(p, lam[i], lam[j]) for j in range(d)]
-         for i in range(d)]
-
-    def c_of(u, v):
-        out = Poly.zero(n)
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if v[j]:
-                    out = out + c[i][j] * (u[i] * v[j])
-        return out
-
-    basis = [linalg.unit_vector(i, d) for i in range(d)]
-    cyclic_ok = all((c_of(g.c[i][j], basis[k]) + c_of(g.c[j][k], basis[i])
-                     + c_of(g.c[k][i], basis[j])).is_zero()
+    c = [[combine(g.c[i][j], lam) - pbracket(p, lam[i], lam[j])
+          for j in range(d)] for i in range(d)]
+    # the bilinear extension of c at (u, e_k) combines u with column k
+    cols = [[row[k] for row in c] for k in range(d)]
+    cyclic_ok = all((combine(g.c[i][j], cols[k]) + combine(g.c[j][k], cols[i])
+                     + combine(g.c[k][i], cols[j])).is_zero()
                     for i, j, k in product(range(d), repeat=3))
     fields = [hamiltonian(p, f) for f in lam]
     ham_ok = all(schouten(fields[i], fields[j])
-                 == hamiltonian(p, lam_of(g.c[i][j]))
+                 == hamiltonian(p, combine(g.c[i][j], lam))
                  for i in range(d) for j in range(d))
     return {"table": c, "cyclic_identity": cyclic_ok,
             "hamiltonian_homomorphism": ham_ok}

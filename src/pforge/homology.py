@@ -256,11 +256,11 @@ def block_matrix(p, complex_kind, grade, weight):
     d = structure_degree(check_bivector(p))
     deg = _source_degree(complex_kind, grade, weight)
     blocks = _Blocks(p, complex_kind, d, _table_width(d, deg + d - 1))
-
-    def basis(k, w):
-        return [(idx, e) for idx, (e, _) in product(*blocks.parts(k, w))]
-    return WeightBlock(grade, weight, basis(grade, weight),
-                       basis(grade + _STEP[complex_kind], weight + d - 2),
+    step = _STEP[complex_kind]
+    return WeightBlock(grade, weight,
+                       block_basis(p.n, complex_kind, grade, weight),
+                       block_basis(p.n, complex_kind, grade + step,
+                                   weight + d - 2),
                        blocks.columns(grade, weight))
 
 

@@ -39,6 +39,7 @@ into packed accumulators, and `Graded.build` unpacks each output
 monomial once.  `Poly` keeps its exponent-tuple keys throughout.
 """
 
+from bisect import bisect_left
 from itertools import combinations
 from operator import lshift
 
@@ -294,11 +295,21 @@ def wedge(u, v):
 
 
 def _wedge(pu, pv, acc):
-    """Add the wedge of two packed elements into acc; returns acc."""
+    """Add the wedge of two packed elements into acc; returns acc.  Each
+    index j of iv goes into the increasing key, which starts as iu, at
+    its bisection point b: a repeated index kills the term, and j moves
+    left past the len(key) - b entries above it, one sign flip each."""
     for iu, cu in pu.items():
         for iv, cv in pv.items():
-            s, key = sort_sign(iu + iv)
-            if s:
+            key, s = iu, 1
+            for j in iv:
+                b = bisect_left(key, j)
+                if b < len(key) and key[b] == j:
+                    break
+                if (len(key) - b) & 1:
+                    s = -s
+                key = key[:b] + (j,) + key[b:]
+            else:
                 add_term(acc, key, s, cu, cv)
     return acc
 

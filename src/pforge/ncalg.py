@@ -8,8 +8,9 @@ triple, a certifying basis, or an explicit matrix — never a bare
 boolean.
 
 Quotients are realised concretely: a complement basis of the subspace
-is chosen deterministically, and projection/section matrices translate
-between the ambient algebra and the quotient.
+is chosen deterministically (`linalg.Subspace`), and `_induced` reads
+the matrix of an operator that preserves the subspace on the subspace
+or on the quotient.
 """
 
 from itertools import combinations, product
@@ -245,10 +246,13 @@ def _span(rows, n):
     return linalg.Subspace(linalg.row_space_basis(rows), n)
 
 
-def _restriction(X, S):
-    """Matrix of X on span(S), over S.basis; X must preserve the span."""
-    return _from_columns([S.coords(linalg.mat_vec(X, b)) for b in S.basis],
-                         len(S.basis))
+def _induced(X, vecs, read):
+    """The matrix whose columns are read(X v) for v in vecs: X on a
+    subalgebra S with vecs = S.basis and read = S.coords (X must
+    preserve S), or on a quotient by S with vecs = S.complement and
+    read = S.project."""
+    return _from_columns([read(linalg.mat_vec(X, v)) for v in vecs],
+                         len(vecs))
 
 
 def check_ideal(A, I_rows):
@@ -340,13 +344,13 @@ def submanifold_check(A, I_rows, _der=None):
     ideal = linalg.Subspace(I_rows, d)
     der_i = _sub_basis(der, _images(ideal.basis, d, ideal.project))
     der_i0 = _sub_basis(der, _images(linalg.identity(d), d, ideal.project))
-    Q, proj, section = quotient_algebra(A, I_rows)
+    Q = quotient_algebra(A, I_rows)[0]
     der_q = derivations(Q)["basis"]
     q_coords = linalg.kernel_coords([_flatten(m) for m in der_q])
     rI = []
     for x in der_i:
-        m = linalg.mat_mul(proj, linalg.mat_mul(_unflatten(x, d, d), section))
-        coords = q_coords(_flatten(m))
+        coords = q_coords(_flatten(_induced(
+            _unflatten(x, d, d), ideal.complement, ideal.project)))
         if coords is None:
             raise AssertionError("restriction left Der(A/I)")
         rI.append(coords)
@@ -359,7 +363,6 @@ def submanifold_check(A, I_rows, _der=None):
     return {"der_I": [_unflatten(x, d, d) for x in der_i],
             "der_I_0": [_unflatten(x, d, d) for x in der_i0], "r_I": rI,
             "quotient": Q, "der_quotient": der_q,
-            "proj": proj, "section": section,
             "submanifold": r == len(der_q), "rank_r_I": r,
             "dim_der_quotient": len(der_q)}
 
@@ -394,7 +397,7 @@ def quotient_check(A, B_rows):
     b_coords = linalg.kernel_coords([_flatten(m) for m in der_b["basis"]])
     r_b = []
     for X in q_b:
-        coords = b_coords(_flatten(_restriction(X, sub)))
+        coords = b_coords(_flatten(_induced(X, bbase, sub.coords)))
         if coords is None:
             raise AssertionError("restriction of Q_B left Der(B)")
         r_b.append(coords)
@@ -444,7 +447,7 @@ def splitting_curvature(A, B_rows, s_ops):
     for i, sx in enumerate(s_ops):
         if q_b_coords(_flatten(sx)) is None:
             raise NotASplitting("s(X_%d) is not in Q_B" % i)
-        if _restriction(sx, sub) != der_b[i]:
+        if _induced(sx, sub.basis, sub.coords) != der_b[i]:
             raise NotASplitting("r_B(s(X_%d)) != X_%d" % (i, i))
 
     return _curvature(s_ops, info["der_B_brackets"])
@@ -574,8 +577,8 @@ def bott_integral(A, D_ops, I_rows):
     # reported either way
     der_q = info["der_quotient"]
     q_coords = linalg.kernel_coords([_flatten(m) for m in der_q])
-    images = [q_coords(_flatten(linalg.mat_mul(
-        info["proj"], linalg.mat_mul(X, info["section"])))) for X in D_ops]
+    images = [q_coords(_flatten(_induced(X, ideal.complement, ideal.project)))
+              for X in D_ops]
     integral = all(c is not None for c in images) and \
         linalg.rank(images) == len(der_q)
 

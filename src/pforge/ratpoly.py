@@ -302,8 +302,7 @@ def parse_poly(text, n):
         terms[e] = terms.get(e, 0) + (-c if sign == "-" else c)
     if n < 0:
         return Poly(n, terms)   # raises: no monomial has length n
-    return _poly(n, {e: c if type(c) is int or c.denominator != 1
-                     else c.numerator for e, c in terms.items() if c})
+    return _poly(n, _ints({e: c for e, c in terms.items() if c}))
 
 
 def _reject(s, n):

@@ -123,6 +123,16 @@ def test_graded_operators_match_the_reference():
             assert_same(interior(u, a), ref.interior(n, ru, ra))
         p = mixed_graded(Multivector, n, 2, rng)
         assert_same(delta(p, a), ref.delta(n, ref.from_graded(p), ra, a.grade))
+    # the wedge alone on n = 5..8, where keys of 4 or more indices, and
+    # repeated indices among them, go through its bisection
+    for t in range(16):
+        n = rng.randint(5, 8)
+        m = rng.randint(1, n - 1)
+        cls = (Multivector, Form)[t % 2]
+        u = mixed_graded(cls, n, m, rng, 1)
+        v = mixed_graded(cls, n, rng.randint(1, n - m), rng, 1)
+        assert_same(wedge(u, v), ref.wedge(n, ref.from_graded(u),
+                                           ref.from_graded(v)))
 
 
 def test_graded_operators_cancel_to_zero():

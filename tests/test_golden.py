@@ -19,7 +19,8 @@ own stringifying and the Bott connections returned a connection table,
 so they pin the plain-dict results to that output.  The `cohomology`
 jobs on e(3), on a Jacobian cubic with non-integral coefficients and on
 a constant symplectic Q^4 were recorded while every block was ranked in
-full, so they pin the cleared ranks to it.
+full, so they pin the cleared ranks to it.  The `bott-integral` refusal
+job pins the text form of a verdict that lists failed preconditions.
 """
 
 import contextlib
@@ -223,6 +224,10 @@ GL2 = lie(4, {(0, 1): {1: "1"}, (0, 2): {2: "-1"},
               (2, 3): {2: "-1"}})
 # so(3): [e0, e1] = e2, [e1, e2] = e0, [e2, e0] = e1
 SO3 = lie(3, {(0, 1): {2: "1"}, (1, 2): {0: "1"}, (0, 2): {1: "-1"}})
+# the inner derivations [E12, .] and [E21, .] of M2, whose bracket
+# [E11 - E22, .] leaves their span
+AD_E12 = [[0, 0, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, -1, 0]]
+AD_E21 = [[0, -1, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1], [0, 1, 0, 0]]
 # sl(2) on 2h, e, f: [2h, e] = 4e, [2h, f] = -4f, [e, f] = 1/2 (2h)
 SL2_HALF = lie(3, {(0, 1): {1: "4"}, (0, 2): {2: "-4"},
                    (1, 2): {0: "1/2"}})
@@ -274,6 +279,11 @@ FINITE_JOBS = {
                                       "--dist", euler(X2Y3), "--ideal",
                                       rows(X2Y3, lambda x: x[1] >= 1)),
                                 "3554fba1b8a6ece395a5766972f16c6b15935ea9f8cfb1812a73b505c0f1221a"),
+    "bott-integral-m2-refusal-text": (ncalg("bott-integral", "--format",
+                                            "text", "--algebra", M2,
+                                            "--dist", [AD_E12, AD_E21],
+                                            "--ideal", []),
+                                      "06e59ebf485c9e2bba0214d9b6c0f1f2cf16896e61b2e5bc687935266c6421d0"),
     "koszul-named": (["oracle", "koszul", "--algebra", "Q[t]/t^3"],
                      "35e9418f128d4cca9027ef635a49dc9bff9b30cff9e86621b89e4963b759c629"),
     "koszul-t3-half": (["oracle", "koszul", "--algebra", dumps(T3_HALF)],

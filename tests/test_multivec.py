@@ -3,13 +3,17 @@ from itertools import product
 
 import pytest
 
-from pforge.ratpoly import Poly, parse_poly
+from pforge import linalg
+from pforge.ratpoly import Poly, parse_poly, DimensionMismatch
 from pforge.multivec import (Multivector, wedge, schouten, lichnerowicz_dp,
                              jacobiator, sort_sign, GradeMismatch)
-from pforge.forms import Form, delta
-from pforge.analysis import sharp, casimir_basis
+from pforge.forms import Form, delta, interior, pair, lie_derivative
+from pforge.analysis import (sharp, casimir_basis, bivector_matrix_at,
+                             momentum_cocycle)
 from pforge.homology import (block_matrix, poisson_cohomology_dims,
-                             canonical_homology_dims, LICHNEROWICZ)
+                             canonical_homology_dims, LICHNEROWICZ,
+                             _source_degree)
+from pforge.ncalg import LieAlgebraSC
 from pforge.symplectic import SymplecticContext
 from reference_routes import vf_bracket, evaluate_on_functions
 from conftest import bivector, random_multivector, rng_for
@@ -143,6 +147,29 @@ def test_every_bivector_entry_checks_its_bivector(entry):
         entry(_TWO_FORM)
     with pytest.raises(GradeMismatch, match="bivector"):
         entry(_THREE_VECTOR)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _source_degree("bogus", 0, 0), ValueError),
+    (lambda: linalg.nullspace([{0: 1}]), TypeError),
+    (lambda: linalg.Subspace([[1, 0]], 3), ValueError),
+    (lambda: bivector_matrix_at(bivector(3, {(0, 1): "x2"}), [0, 1]),
+     DimensionMismatch),
+    (lambda: Poly.var(3, 0).eval([1, 2]), DimensionMismatch),
+    (lambda: momentum_cocycle(bivector(3, {(0, 1): "x2"}), LieAlgebraSC(
+        2, [[[0, 0]] * 2] * 2), [Poly.var(3, 0)]), DimensionMismatch),
+    (lambda: interior(mv(_N, 2, {(0, 1): "1"}), _A), GradeMismatch),
+    (lambda: pair(_A, mv(_N, 2, {(0, 1): "1"})), GradeMismatch),
+    (lambda: lie_derivative(mv(_N, 2, {(0, 1): "1"}), _A), GradeMismatch),
+    (lambda: Poly.var(3, 3), IndexError),
+    (lambda: Poly.var(3, 0).diff(3), IndexError),
+], ids=["source_degree", "nullspace", "Subspace", "bivector_matrix_at",
+        "Poly.eval", "momentum_cocycle", "interior", "pair",
+        "lie_derivative", "Poly.var", "Poly.diff"])
+def test_input_guards_raise_their_own_error(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
 
 
 # -- reference oracle: the full double sum over simple factors ---------

@@ -12,6 +12,7 @@ from pforge.ncalg import (AlgebraSC, BadAlgebra, NotAnIdeal, NotASubalgebra,
                           quotient_check,
                           splitting_curvature, bott_quotient, bott_forms,
                           bott_integral, LieAlgebraSC, BadLieAlgebra)
+from pforge.superalg import standard_algebra
 
 
 def F(rows):
@@ -315,6 +316,36 @@ def test_bott_integral_computes_der_a_once(monkeypatch):
         assert "matrices" in rep
         assert sum(B is A for B in calls) == 1
         assert len(calls) == 2
+
+
+def _ad(A, u):
+    """The inner derivation x -> ux - xu of A as a matrix."""
+    cols = linalg.mat_sub([A.multiply(u, e) for e in linalg.identity(A.dim)],
+                          [A.multiply(e, u) for e in linalg.identity(A.dim)])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_bott_integral_refuses_each_failed_precondition():
+    m2 = matrix_algebra_2x2()
+    e11, e12, e21, _ = linalg.identity(4)
+    # the matrices whose second column is zero form a left ideal only
+    assert check_ideal(m2, [e11, e21]) == ("right", 1, 0)
+    dual = standard_algebra("dual_pair")    # basis 1, s, t, st
+    s_dds = _op(4, {1: [(1, 1)], 3: [(3, 1)]})
+    cases = [
+        # [ad E12, ad E21] = ad(E11 - E22) leaves span{ad E12, ad E21}
+        (m2, [_ad(m2, e12), _ad(m2, e21)], [],
+         ["D not involutive at pair (0,1)", "D not involutive at pair (1,0)"]),
+        # s d/ds maps s + t to s, outside span{s + t, st}
+        (dual, [s_dds], F([[0, 1, 1, 0], [0, 0, 0, 1]]),
+         ["D[0] does not preserve I"]),
+        (dual, derivations(dual)["basis"][:1], F([[0, 0, 0, 1]]),
+         ["A/I is not a submanifold algebra"]),
+        (truncated3(), [linalg.identity(3)], F([[0, 0, 1]]),
+         ["D[0] is not a derivation"])]
+    for A, ops, ideal, problems in cases:
+        assert bott_integral(A, ops, ideal) == {"integral": False,
+                                               "problems": problems}
 
 
 def _full_jacobi_verdict(dim, c):
