@@ -100,10 +100,18 @@ class AlgebraSC:
         return linalg.exact_vector(_bilinear(self._sparse, u, v))
 
     def associativity_witness(self):
-        e = [linalg.unit_vector(i, self.dim) for i in range(self.dim)]
-        m, sc = self.mult, self._sparse
-        for i, j, k in product(range(self.dim), repeat=3):
-            if _bilinear(sc, m[i][j], e[k]) != _bilinear(sc, e[i], m[j][k]):
+        """The first basis triple (i, j, k) in lexicographic order with
+        (e_i e_j) e_k != e_i (e_j e_k), summed over nonzero constants."""
+        d, sc = self.dim, self._sparse
+        for i, j, k in product(range(d), repeat=3):
+            left, right = [0] * d, [0] * d
+            for s, x in sc[i][j]:
+                for t, b in sc[s][k]:
+                    left[t] += x * b
+            for s, x in sc[j][k]:
+                for t, b in sc[i][s]:
+                    right[t] += x * b
+            if left != right:
                 return (i, j, k)
         return None
 
@@ -168,21 +176,8 @@ def derivations(A):
     """Basis of Der(A) as matrices, the inner-derivation sub-basis, and
     Der(A)'s structure constants: brackets[i][j] holds the coordinates
     of [X_i, X_j] over the basis."""
-    d, mult = A.dim, A.mult
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            for r in range(d):
-                # X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0, row r, over
-                # the unknowns X[r][c] at r * d + c
-                row = {r * d + c: x for c, x in enumerate(mult[i][j]) if x}
-                for r2 in range(d):
-                    for k, x in ((r2 * d + i, mult[r2][j][r]),
-                                 (r2 * d + j, mult[i][r2][r])):
-                        if x:
-                            row[k] = row.get(k, 0) - x
-                rows.append(row)
-    flat = linalg.nullspace(rows, ncols=d * d)
+    d = A.dim
+    flat = linalg.nullspace(_leibniz_rows(A), ncols=d * d)
     basis = [_unflatten(v, d, d) for v in flat]
     ad = _ad_rows(A)
     inner_rows = linalg.row_space_basis(
@@ -196,6 +191,23 @@ def derivations(A):
         AssertionError, "Der(A) not closed under commutator at %r")
     return {"basis": basis, "inner": [_unflatten(r, d, d) for r in inner_rows],
             "brackets": brackets}
+
+
+def _leibniz_rows(A):
+    """Rows of X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0 over the unknowns
+    X[r][c] at r * d + c: d rows (r = 0..d-1) per pair (i, j) in
+    lexicographic order, read off the nonzero structure constants."""
+    d, sc = A.dim, A._sparse
+    rows = []
+    for i, j in product(range(d), repeat=2):
+        block = [{r * d + c: x for c, x in sc[i][j]} for r in range(d)]
+        for s in range(d):
+            # X(e_i) e_j reads X[s][i], and e_i X(e_j) reads X[s][j]
+            for terms, k in ((sc[s][j], s * d + i), (sc[i][s], s * d + j)):
+                for r, x in terms:
+                    block[r][k] = block[r].get(k, 0) - x
+        rows.extend(block)
+    return rows
 
 
 def _structure_constants(k, coords, error, message):
@@ -280,24 +292,15 @@ def check_subalgebra(A, B_rows):
 
 
 def quotient_algebra(A, I_rows):
-    """A/I with projection and section matrices.
-
-    Returns (Q: AlgebraSC, proj, section) where proj maps ambient
-    coordinates to quotient coordinates and section lifts them back
-    along the chosen complement basis.
-    """
-    d = A.dim
-    ideal = linalg.Subspace(I_rows, d)
+    """A/I on the complement basis of `linalg.Subspace(I_rows, A.dim)`,
+    whose `project` is the quotient map."""
+    ideal = linalg.Subspace(I_rows, A.dim)
     comp = ideal.complement
     q = len(comp)
-    # proj as q x d matrix (column r = quotient coords of e_r)
-    proj = _from_columns([ideal.project(e) for e in linalg.identity(d)], q)
-    section = [[comp[j][r] for j in range(q)] for r in range(d)]
     mult = [[ideal.project(A.multiply(comp[i], comp[j])) for j in range(q)]
             for i in range(q)]
     unit = ideal.project(A.unit) if (A.unit is not None and q) else None
-    Q = AlgebraSC(q, mult, unit)
-    return Q, proj, section
+    return AlgebraSC(q, mult, unit)
 
 
 def _images(vecs, d, reduce):
@@ -344,7 +347,7 @@ def submanifold_check(A, I_rows, _der=None):
     ideal = linalg.Subspace(I_rows, d)
     der_i = _sub_basis(der, _images(ideal.basis, d, ideal.project))
     der_i0 = _sub_basis(der, _images(linalg.identity(d), d, ideal.project))
-    Q = quotient_algebra(A, I_rows)[0]
+    Q = quotient_algebra(A, I_rows)
     der_q = derivations(Q)["basis"]
     q_coords = linalg.kernel_coords([_flatten(m) for m in der_q])
     rI = []

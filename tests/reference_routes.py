@@ -23,7 +23,13 @@ that pforge computes another way:
 * `der_brackets` and `operator_space_mu` write commutators of operators
   over Der(A) and over V = Der(A) + A by a `linalg.Subspace` solve,
   where `ncalg.derivations` reads Der(A)'s structure constants off its
-  kernel basis and `superalg.OperatorSpace.mu` is the closed form.
+  kernel basis and `superalg.OperatorSpace.mu` is the closed form;
+* `comp_product` is the literal shuffle sum over every output tuple and
+  every shuffle of it, reading each slot through `MultiMap.value`, where
+  `superalg.comp_product` meets only nonzero constants;
+* `associativity_witness` multiplies dense unit vectors for every basis
+  triple, and `leibniz_rows` builds Der(A)'s Leibniz system by a d^4
+  loop over every index, where `ncalg` reads the nonzero constants.
 
 Nothing here is fast; each is only a second road to the same exact
 values.
@@ -31,7 +37,7 @@ values.
 
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import neg
 
 from pforge import linalg
@@ -41,7 +47,7 @@ from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
     _delta
 from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
-from pforge.ncalg import derivations, _commutator, _flatten
+from pforge.ncalg import derivations, _bilinear, _commutator, _flatten
 from pforge.superalg import MultiMap
 
 
@@ -356,3 +362,77 @@ def operator_space_mu(A):
         if any(c):
             table[(i, j)] = c
     return MultiMap(len(ops), 2, table)
+
+
+# -- the L4 kernels over every basis index ------------------------------
+
+def eval_first(m, v, rest):
+    """m with an arbitrary vector v in the first slot and basis indices
+    in the others."""
+    out = [0] * m.dim
+    for i, c in enumerate(v):
+        if c:
+            for k, b in enumerate(m.value((i,) + tuple(rest))):
+                if b:
+                    out[k] += c * b
+    return linalg.exact_vector(out)
+
+
+def _subset_sign(positions):
+    """Sign of the shuffle that moves the entries at `positions` (in
+    increasing order) to the front."""
+    return (-1) ** sum(p - k for k, p in enumerate(positions))
+
+
+def comp_product(alpha, beta):
+    """Compositional product as the shuffle sum over every output tuple."""
+    m, n = alpha.arity, beta.arity
+    dim = alpha.dim
+    out_arity = m + n - 1
+    table = {}
+    for idx in combinations(range(dim), out_arity):
+        acc = [0] * dim
+        for pos in combinations(range(out_arity), n):
+            inner = tuple(idx[p] for p in pos)
+            rest = tuple(idx[p] for p in range(out_arity) if p not in pos)
+            sgn = _subset_sign(pos)
+            v = beta.value(inner)
+            if not any(v):
+                continue
+            for k, b in enumerate(eval_first(alpha, v, rest)):
+                if b:
+                    acc[k] += sgn * b
+        if any(acc):
+            table[idx] = acc
+    return MultiMap(dim, out_arity, table)
+
+
+def associativity_witness(A):
+    """The first basis triple (i, j, k), in lexicographic order, where
+    (e_i e_j) e_k != e_i (e_j e_k), each product taken against dense
+    unit vectors; None when A is associative."""
+    e = [linalg.unit_vector(i, A.dim) for i in range(A.dim)]
+    m, sc = A.mult, A._sparse
+    for i, j, k in product(range(A.dim), repeat=3):
+        if _bilinear(sc, m[i][j], e[k]) != _bilinear(sc, e[i], m[j][k]):
+            return (i, j, k)
+    return None
+
+
+def leibniz_rows(A):
+    """The rows of X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0 for every
+    (i, j) and output coordinate r, over the unknowns X[r][c] at
+    r * d + c, by a loop over every index."""
+    d, mult = A.dim, A.mult
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for r in range(d):
+                row = {r * d + c: x for c, x in enumerate(mult[i][j]) if x}
+                for r2 in range(d):
+                    for k, x in ((r2 * d + i, mult[r2][j][r]),
+                                 (r2 * d + j, mult[i][r2][r])):
+                        if x:
+                            row[k] = row.get(k, 0) - x
+                rows.append(row)
+    return rows

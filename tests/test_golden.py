@@ -21,12 +21,19 @@ jobs on e(3), on a Jacobian cubic with non-integral coefficients and on
 a constant symplectic Q^4 were recorded while every block was ranked in
 full, so they pin the cleared ranks to it.  The `bott-integral` refusal
 job pins the text form of a verdict that lists failed preconditions.
+The Koszul job on Q[x]/x^3 (x) Q[y]/y^2, the `super` job on dim 5 and
+the `der` job on T4 in a seeded basis were recorded while the
+compositional product summed over every shuffle of every output tuple,
+the associativity check multiplied dense unit vectors and Der(A)'s
+Leibniz rows came from a d^4 loop, so they pin the sparse kernels to
+those routes.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -188,6 +195,30 @@ def truncated(a, b, scale=None):
     return {"dim": len(names), "mult": mult, "unit": unit}, names
 
 
+def triangular(n, seed):
+    """Upper triangular n x n matrices on a seeded basis s_k E_{names[k]}:
+    the matrix units in a shuffled order, each scaled by one of
+    +-1, +-2, +-1/2 (algebra JSON)."""
+    rng = random.Random(seed)
+    names = [(i, j) for i in range(n) for j in range(i, n)]
+    rng.shuffle(names)
+    s = [rng.choice((1, -1)) * rng.choice((1, 2, Fraction(1, 2)))
+         for _ in names]
+    mult = []
+    for u, (i, j) in enumerate(names):
+        row = []
+        for v, (k, l) in enumerate(names):
+            vec = ["0"] * len(names)
+            if j == k:
+                w = names.index((i, l))
+                vec[w] = str(Fraction(s[u] * s[v]) / s[w])
+            row.append(vec)
+        mult.append(row)
+    unit = [str(Fraction(1) / s[w]) if i == j else "0"
+            for w, (i, j) in enumerate(names)]
+    return {"dim": len(names), "mult": mult, "unit": unit}
+
+
 def lie(dim, brackets):
     """Lie algebra JSON from {(i, j): {k: "c"}} for i < j."""
     c = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
@@ -213,6 +244,9 @@ T3_HALF, _ = truncated(3, 1, {(2, 0): 2})
 # basis x^i y^j with xy scaled by 2: x * y = 1/2 (2xy)
 X2Y2_HALF, X2Y2 = truncated(2, 2, {(1, 1): 2})
 X2Y3_HALF, X2Y3 = truncated(2, 3, {(1, 1): 2, (0, 2): -3, (1, 2): "1/2"})
+X3Y2_HALF, _ = truncated(3, 2, {(2, 0): "1/2", (1, 1): -2})
+# T4, the upper triangular 4 x 4 matrices (dim 10), in a seeded basis
+T4_SEEDED = triangular(4, 2024)
 M2 = {"dim": 4, "unit": [1, 0, 0, 1], "mult": [
     [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4],
     [[0] * 4, [0] * 4, [1, 0, 0, 0], [0, 1, 0, 0]],
@@ -293,6 +327,12 @@ FINITE_JOBS = {
     "super": (["oracle", "super", "--dim", "3", "--trials", "4",
                "--seed", "7"],
               "0a92c0a22a7f7ef565233790df9ec3275355c6ce7604074628e70fb148d4ad93"),
+    "koszul-x3y2-half": (["oracle", "koszul", "--algebra", dumps(X3Y2_HALF)],
+                         "5ace3d72b4ebbe4eba6a40217d3f1ca5638c9043cffaf2bd536038784ab8441b"),
+    "super-dim5": (["oracle", "super", "--dim", "5", "--trials", "10"],
+                   "30517a01a1c3fdd7a86186b2b84be88341d925ce7b843796cfe5ffa66f4c034e"),
+    "der-t4-seeded": (ncalg("der", "--algebra", T4_SEEDED),
+                      "31f7608b0890cfa20c1b7d927bd7e3fa7cb1a494d8badb5ee1b328bff9e4bc53"),
     "integrable": (["integrable", "-i", dumps(LP),
                     "--point", "1/2,-1,3,0,2/3,1"],
                    "d6f9aa8f22f563e2801a5cba4158745c2b1eee00944ee1d1567ff9d6509d80da"),
