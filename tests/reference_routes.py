@@ -20,10 +20,11 @@ that pforge computes another way:
   as they were before the one-regex parser and the built-in-sorted
   printer: a chunk regex per term with its error messages, and a Python
   key function for graded lex order;
-* `der_brackets` and `operator_space_mu` write commutators of operators
-  over Der(A) and over V = Der(A) + A by a `linalg.Subspace` solve,
-  where `ncalg.derivations` reads Der(A)'s structure constants off its
-  kernel basis and `superalg.OperatorSpace.mu` is the closed form;
+* `der_brackets` and `operator_space_mu` write dense commutators
+  (`commutator`, by `linalg.mat_mul`) of operators over Der(A) and over
+  V = Der(A) + A by a `linalg.Subspace` solve, where `ncalg.derivations`
+  reads Der(A)'s structure constants off its kernel basis, from sparse
+  operator products, and `superalg.OperatorSpace.mu` is the closed form;
 * `comp_product` is the literal shuffle sum over every output tuple and
   every shuffle of it, reading each slot through `MultiMap.value`, where
   `superalg.comp_product` meets only nonzero constants;
@@ -47,7 +48,7 @@ from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
     _delta
 from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
-from pforge.ncalg import derivations, _bilinear, _commutator, _flatten
+from pforge.ncalg import derivations, _bilinear, _flatten
 from pforge.superalg import MultiMap
 
 
@@ -339,12 +340,17 @@ def parse_poly(text, n):
 
 # -- Der(A) and the Koszul operator space by coordinate solves ---------
 
+def commutator(a, b):
+    """ab - ba of dense square matrices, by `linalg.mat_mul`."""
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
 def der_brackets(basis):
     """brackets[i][j]: coordinates of [X_i, X_j] over the Der(A) basis
     matrices X, each commutator solved for by one `Subspace`."""
     span = linalg.Subspace([_flatten(m) for m in basis],
                            len(basis[0]) ** 2 if basis else 0)
-    return [[span.coords(_flatten(_commutator(a, b))) for b in basis]
+    return [[span.coords(_flatten(commutator(a, b))) for b in basis]
             for a in basis]
 
 
@@ -358,7 +364,7 @@ def operator_space_mu(A):
     span = linalg.Subspace([_flatten(m) for m in ops], A.dim ** 2)
     table = {}
     for i, j in combinations(range(len(ops)), 2):
-        c = span.coords(_flatten(_commutator(ops[i], ops[j])))
+        c = span.coords(_flatten(commutator(ops[i], ops[j])))
         if any(c):
             table[(i, j)] = c
     return MultiMap(len(ops), 2, table)

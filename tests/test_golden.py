@@ -26,7 +26,11 @@ the `der` job on T4 in a seeded basis were recorded while the
 compositional product summed over every shuffle of every output tuple,
 the associativity check multiplied dense unit vectors and Der(A)'s
 Leibniz rows came from a d^4 loop, so they pin the sparse kernels to
-those routes.
+those routes.  The `der` job on the jet algebra Q[x0,x1,x2]/m^3 and
+the `bott-integral` jobs on Q[x]/x^2 (x) Q[y]/y^3 in a seeded signed
+basis (the benchmark's shape; the Euler derivations, one or both) were
+recorded while every operator product in `ncalg` and `superalg` was a
+dense matrix product, so they pin the sparse operator products to it.
 """
 
 import contextlib
@@ -35,7 +39,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -175,24 +179,44 @@ JOBS = {
 
 
 
-def truncated(a, b, scale=None):
-    """Q[x]/x^a (x) Q[y]/y^b on the basis scale[(i, j)] * x^i y^j, as
-    (algebra JSON, basis names)."""
-    names = [(i, j) for i in range(a) for j in range(b)]
+def monomials_algebra(names, scale=None):
+    """The monomial algebra on `names`, exponent tuples closed under
+    division: x^e x^f = x^(e+f) when e+f is a name, else 0, on the basis
+    scale[e] * x^e (algebra JSON)."""
     scale = scale or {}
     s = [Fraction(scale.get(x, 1)) for x in names]
+    pos = {x: w for w, x in enumerate(names)}
     mult = []
-    for u, (i, j) in enumerate(names):
+    for u, e in enumerate(names):
         row = []
-        for v, (k, l) in enumerate(names):
+        for v, f in enumerate(names):
             vec = ["0"] * len(names)
-            if i + k < a and j + l < b:
-                w = names.index((i + k, j + l))
+            w = pos.get(tuple(a + b for a, b in zip(e, f)))
+            if w is not None:
                 vec[w] = str(s[u] * s[v] / s[w])
             row.append(vec)
         mult.append(row)
-    unit = [str(int(x == (0, 0))) for x in names]
-    return {"dim": len(names), "mult": mult, "unit": unit}, names
+    unit = [str(1 / s[w]) if not any(x) else "0" for w, x in enumerate(names)]
+    return {"dim": len(names), "mult": mult, "unit": unit}
+
+
+def truncated(a, b, scale=None, seed=None):
+    """Q[x]/x^a (x) Q[y]/y^b on the basis scale[(i, j)] * x^i y^j, as
+    (algebra JSON, basis names).  With a seed, the basis is a seeded
+    signed permutation of x^i y^j instead, as in the benchmark."""
+    names = [(i, j) for i in range(a) for j in range(b)]
+    if seed is not None:
+        rng = random.Random(seed)
+        rng.shuffle(names)
+        scale = {x: rng.choice((1, -1)) for x in names}
+    return monomials_algebra(names, scale), names
+
+
+def jet(n, k, scale):
+    """The jet algebra Q[x0..x(n-1)]/m^(k+1) on the basis scale[e] * x^e,
+    e of total degree <= k (algebra JSON)."""
+    return monomials_algebra(sorted(e for e in product(range(k + 1), repeat=n)
+                                    if sum(e) <= k), scale)
 
 
 def triangular(n, seed):
@@ -245,6 +269,10 @@ T3_HALF, _ = truncated(3, 1, {(2, 0): 2})
 X2Y2_HALF, X2Y2 = truncated(2, 2, {(1, 1): 2})
 X2Y3_HALF, X2Y3 = truncated(2, 3, {(1, 1): 2, (0, 2): -3, (1, 2): "1/2"})
 X3Y2_HALF, _ = truncated(3, 2, {(2, 0): "1/2", (1, 1): -2})
+# the benchmark's shape: x^i y^j in a seeded order, each signed
+X2Y3_SEEDED, X2Y3_S = truncated(2, 3, seed=2025)
+# Q[x0,x1,x2]/m^3 (dim 10, dim Der 27) with x1 scaled by 1/2, x0 x2 by -2
+JET3_HALF = jet(3, 2, {(0, 1, 0): "1/2", (1, 0, 1): -2})
 # T4, the upper triangular 4 x 4 matrices (dim 10), in a seeded basis
 T4_SEEDED = triangular(4, 2024)
 M2 = {"dim": 4, "unit": [1, 0, 0, 1], "mult": [
@@ -333,6 +361,25 @@ FINITE_JOBS = {
                    "30517a01a1c3fdd7a86186b2b84be88341d925ce7b843796cfe5ffa66f4c034e"),
     "der-t4-seeded": (ncalg("der", "--algebra", T4_SEEDED),
                       "31f7608b0890cfa20c1b7d927bd7e3fa7cb1a494d8badb5ee1b328bff9e4bc53"),
+    "der-jet3-half": (ncalg("der", "--algebra", JET3_HALF),
+                      "9f7d175ab8f1c3493f96a4f6f9a8d1e76f406ea03597d162104a0054780e72de"),
+    "bott-integral-x2y3-seeded": (ncalg("bott-integral", "--algebra",
+                                        X2Y3_SEEDED, "--dist",
+                                        euler(X2Y3_S),
+                                        "--ideal",
+                                        rows(X2Y3_S, lambda x: x[1] >= 1)),
+                                  "3ed2645a96b095c0f9e7878602b72985dee36fa0c87b0fe57a5208cd11391d7a"),
+    "bott-integral-x2y3-seeded-xddx": (ncalg("bott-integral", "--algebra",
+                                             X2Y3_SEEDED, "--dist",
+                                             euler(X2Y3_S)[:1],
+                                             "--ideal", []),
+                                       "af1cc18970ad2e9ef5b063b9a672c56429fb1b4a02cb29ea7fa263dc10aa6729"),
+    "bott-integral-x2y3-seeded-yddy": (ncalg("bott-integral", "--algebra",
+                                             X2Y3_SEEDED, "--dist",
+                                             euler(X2Y3_S)[1:], "--ideal",
+                                             rows(X2Y3_S,
+                                                  lambda x: x[1] >= 1)),
+                                       "a411e5d5e84319f9d1b9d90519aded8497f438bc3ebb1834ca6d6f0d6e4a58d8"),
     "integrable": (["integrable", "-i", dumps(LP),
                     "--point", "1/2,-1,3,0,2/3,1"],
                    "d6f9aa8f22f563e2801a5cba4158745c2b1eee00944ee1d1567ff9d6509d80da"),
