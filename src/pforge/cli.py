@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from functools import cache
 
 from . import forms, multivec, serialize
@@ -65,7 +66,8 @@ _OPERATORS = {
 
 
 def _load_json(source, what="input"):
-    """Inline JSON text or a path to a JSON file."""
+    """Inline JSON text or a path to a JSON file; a JSON number with a
+    fraction or an exponent is the exact `Decimal` of its text."""
     if source is None:
         raise InputError("missing %s" % what)
     text = source
@@ -73,7 +75,7 @@ def _load_json(source, what="input"):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (what, exc))
 
@@ -217,7 +219,7 @@ def _oracle_algebra(obj):
     unit; these are checked before the structure constants are."""
     if not isinstance(obj, dict) or set(obj) - {"dim", "mult", "unit"}:
         raise InputError("algebra needs dim, mult and unit")
-    if not isinstance(obj.get("dim"), int) or obj["dim"] <= 0:
+    if type(obj.get("dim")) is not int or obj["dim"] <= 0:
         raise InputError("dim must be a positive integer")
     if obj.get("unit") is None:
         raise InputError("the oracle needs a designated unit")

@@ -175,7 +175,8 @@ def validate_algebra(A):
 def derivations(A):
     """Basis of Der(A) as matrices, the inner-derivation sub-basis, and
     Der(A)'s structure constants: brackets[i][j] holds the coordinates
-    of [X_i, X_j] over the basis."""
+    of [X_i, X_j] over the basis.  Closure is checked exactly: each
+    sparse `_commutator` must recombine from its `kernel_coords`."""
     d = A.dim
     flat = linalg.nullspace(_leibniz_rows(A), ncols=d * d)
     basis = [_unflatten(v, d, d) for v in flat]
@@ -183,11 +184,10 @@ def derivations(A):
     inner_rows = linalg.row_space_basis(
         [{r * d + k: x for r in range(d) for k, x in ad[i * d + r].items()}
          for i in range(d)], ncols=d * d)
-    # closure of Der(A) under commutator, checked exactly
     coords = linalg.kernel_coords(flat)
+    rows = [_rows(X) for X in basis]
     brackets = _structure_constants(
-        len(basis), lambda i, j: coords(
-            _flatten(_commutator(basis[i], basis[j]))),
+        len(basis), lambda i, j: coords(_commutator(rows[i], rows[j], d)),
         AssertionError, "Der(A) not closed under commutator at %r")
     return {"basis": basis, "inner": [_unflatten(r, d, d) for r in inner_rows],
             "brackets": brackets}
@@ -238,8 +238,27 @@ def _from_columns(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def _commutator(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+def _rows(m):
+    """The nonzero (column, value) pairs of each row of the matrix m."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in m]
+
+
+def _product(out, a, b, k, sign=1):
+    """Add sign * (a b) into out, the flattened rows of a k-column matrix,
+    for a and b as `_rows` gives them, and return out (not normalised):
+    every operator product of this module and `superalg`."""
+    for r, row in enumerate(a):
+        base = r * k
+        for s, x in row:
+            x *= sign
+            for c, y in b[s]:
+                out[base + c] += x * y
+    return out
+
+
+def _commutator(a, b, d):
+    """ab - ba, flattened, for d x d matrices as `_rows` gives them."""
+    return _product(_product([0] * (d * d), a, b, d), b, a, d, -1)
 
 
 def _combination(coeffs, vecs):
@@ -425,10 +444,13 @@ def _curvature(mats, brackets):
     and whether every R(i, j) is zero."""
     size = len(mats[0]) if mats else 0
     flat = [_flatten(m) for m in mats]
+    rows = [_rows(m) for m in mats]
     table = {}
     for i, j in combinations(range(len(mats)), 2):
-        nab = _unflatten(_combination(brackets[i][j], flat), size, size)
-        table[(i, j)] = linalg.mat_sub(_commutator(mats[i], mats[j]), nab)
+        nab = _combination(brackets[i][j], flat)
+        table[(i, j)] = _unflatten(linalg.exact_vector(
+            x - y for x, y in zip(_commutator(rows[i], rows[j], size), nab)),
+            size, size)
     return {"curvature": table,
             "flat": all(not any(_flatten(m)) for m in table.values())}
 
@@ -519,15 +541,14 @@ def _one_forms(A, der):
     1-forms are stored as (dim A x dim Der) matrices, flattened rows.
     """
     d, k = A.dim, len(der)
-    gens = []
-    for i in range(d):
-        for j in range(d):
-            cols = []
-            for X in der:
-                xj = linalg.mat_vec(X, linalg.unit_vector(j, d))
-                cols.append(A.multiply(linalg.unit_vector(i, d), xj))
-            gens.append(_flatten(_from_columns(cols, d)))
-    return linalg.row_space_basis(gens)
+    # e_i a(X_t) for a = d e_j: column t of L_{e_i} times the matrix whose
+    # column t is X_t e_j, each derivation's column j read once
+    left = [_rows(A.left_mult(e)) for e in linalg.identity(d)]
+    values = [_rows([[X[s][j] for X in der] for s in range(d)])
+              for j in range(d)]
+    return linalg.row_space_basis([
+        _product([0] * (d * k), left[i], values[j], k)
+        for i in range(d) for j in range(d)])
 
 
 def _new_directions(base, vecs, n):
@@ -560,9 +581,10 @@ def bott_integral(A, D_ops, I_rows):
     d_coords = [der_coords(x) for x in d_flat]
     problems = ["D[%d] is not a derivation" % i
                 for i, c in enumerate(d_coords) if c is None]
-    for i, X in enumerate(D_ops):
-        for j, Y in enumerate(D_ops):
-            if not d_span.contains(_flatten(_commutator(X, Y))):
+    d_rows = [_rows(X) for X in D_ops]
+    for i, X in enumerate(d_rows):
+        for j, Y in enumerate(d_rows):
+            if not d_span.contains(_commutator(X, Y, d)):
                 problems.append("D not involutive at pair (%d,%d)" % (i, j))
     ideal = linalg.Subspace(I_rows, d)
     for i, X in enumerate(D_ops):
@@ -613,16 +635,17 @@ def bott_integral(A, D_ops, I_rows):
 
     def lie_derivative(X, x):
         """a -> L_X a, (L_X a)(Y) = X(a(Y)) - a([X, Y]), for a vanishing
-        on X; forms flattened.  x holds X's coordinates over Der(A), so
-        [X, Y_c] is read off Der(A)'s nonzero structure constants."""
-        brackets = [[(t, b) for t, b in enumerate(_bilinear(
-            sparse, x, linalg.unit_vector(c, k))) if b] for c in range(k)]
+        on X; forms flattened.  As matrices L_X a = X a - a ad_X, where
+        column c of ad_X holds the coordinates of [X, Y_c], read off
+        Der(A)'s nonzero structure constants (x holds X's coordinates)."""
+        ad = _rows(_from_columns([_bilinear(sparse, x, e)
+                                  for e in linalg.identity(k)], k))
+        x_rows = _rows(X)
 
         def apply(v):
-            form = _unflatten(v, d, k)
-            xform = linalg.mat_mul(X, form)
-            return [xform[r][c] - sum(b * form[r][t] for t, b in brackets[c])
-                    for r in range(d) for c in range(k)]
+            form = _rows(_unflatten(v, d, k))
+            return _product(_product([0] * (d * k), x_rows, form, k),
+                            form, ad, k, -1)
         return apply
 
     # representative independence: L_V of a D-vanishing form is I-valued

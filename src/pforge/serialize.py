@@ -33,7 +33,7 @@ def _terms_from_json(obj, n, grade):
             raise InputError("term entries need exactly idx and coeff")
         idx = entry.get("idx", [])
         if not isinstance(idx, list) or \
-                not all(isinstance(i, int) for i in idx):
+                not all(type(i) is int for i in idx):
             raise InputError("idx must be a list of integers")
         if len(idx) != grade:
             raise InputError("idx %r does not match grade %d" % (idx, grade))
@@ -57,9 +57,10 @@ def _check_header(obj):
     if extra:
         raise InputError("unknown fields: %s" % ", ".join(sorted(extra)))
     n, grade = obj.get("n"), obj.get("grade")
-    if not isinstance(n, int) or n < 0:
+    # type(x) is int, since true and false are bools, and bool is an int
+    if type(n) is not int or n < 0:
         raise InputError("n must be a nonnegative integer")
-    if not isinstance(grade, int) or grade < 0:
+    if type(grade) is not int or grade < 0:
         raise InputError("grade must be a nonnegative integer")
     return n, grade
 
@@ -127,13 +128,17 @@ def _structure_constants(obj, fields, message, key):
     if not isinstance(obj, dict) or set(obj) - fields:
         raise InputError(message)
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise InputError("dim must be a nonnegative integer")
     try:
-        return dim, [[[fraction_from_json(x) for x in obj[key][i][j]]
-                      for j in range(dim)] for i in range(dim)]
+        table = [[obj[key][i][j] for j in range(dim)] for i in range(dim)]
+        # a string indexes and iterates too, so each vector must be a list
+        if not all(isinstance(vec, list) for row in table for vec in row):
+            raise TypeError
     except (TypeError, IndexError, KeyError):
         raise InputError("%s must be a dim x dim table of vectors" % key)
+    return dim, [[[fraction_from_json(x) for x in vec] for vec in row]
+                 for row in table]
 
 
 def algebra_from_json(obj):

@@ -24,7 +24,8 @@ from itertools import combinations, product
 
 from . import linalg
 from .multivec import sort_sign
-from .ncalg import AlgebraSC, BadAlgebra, derivations, _flatten
+from .ncalg import AlgebraSC, BadAlgebra, derivations, _flatten, _product, \
+    _rows
 
 
 class ArityMismatch(ValueError):
@@ -248,6 +249,7 @@ class OperatorSpace:
         self.d_der = len(self.der)
         self.dim = self.d_der + A.dim
         self._coords = linalg.kernel_coords([_flatten(m) for m in self.der])
+        self._der_rows = [_rows(X) for X in self.der]
 
     def mu(self):
         """Commutator tensor on V as an arity-2 MultiMap, in closed form:
@@ -265,8 +267,9 @@ class OperatorSpace:
     def module_action(self, a_idx, t):
         """Coordinates over Der(A) of e_a . X_t = L_{e_a} X_t, which is a
         derivation because A is commutative."""
-        la = self.A.left_mult(linalg.unit_vector(a_idx, self.A.dim))
-        c = self._coords(_flatten(linalg.mat_mul(la, self.der[t])))
+        d = self.A.dim
+        la = _rows(self.A.left_mult(linalg.unit_vector(a_idx, d)))
+        c = self._coords(_product([0] * (d * d), la, self._der_rows[t], d))
         if c is None:
             raise AssertionError("e_%d . X_%d is not a derivation"
                                  % (a_idx, t))

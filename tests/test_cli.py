@@ -252,3 +252,65 @@ def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {"error": {
         "kind": "internal-error",
         "message": "Der(A) not closed under commutator"}}
+
+
+def in_process(*argv):
+    """(exit code, parsed stdout) of one job run through `cli.main`."""
+    import pforge.cli as cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+_STRINGS = {"dim": 2, "mult": [["10", "01"], ["01", "00"]], "unit": ["1", "0"]}
+_ONE = {"dim": 1, "mult": [[[1]]], "unit": [1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("ncalg", "der", "--algebra", json.dumps(_STRINGS)),
+    ("oracle", "koszul", "--algebra", json.dumps(_STRINGS)),
+    ("ncalg", "der", "--algebra", json.dumps(dict(_ONE, mult=["1"]))),
+    ("ncalg", "der", "--algebra", json.dumps(dict(_ONE, mult="1"))),
+    ("ncalg", "bott-quotient", "--liealg",
+     json.dumps({"dim": 1, "c": [["0"]]}), "--sub", "[]"),
+    ("ncalg", "der", "--algebra", json.dumps(dict(_ONE, dim=True))),
+    ("oracle", "koszul", "--algebra", json.dumps(dict(_ONE, dim=True))),
+    ("ncalg", "bott-forms", "--liealg",
+     json.dumps({"dim": True, "c": [[[0]]]}), "--sub", "[]"),
+    ("check", "-i", json.dumps({"n": True, "grade": 2, "terms": []})),
+    ("schouten", "-i", json.dumps({
+        "u": {"n": 2, "grade": True, "terms": []},
+        "v": {"n": 2, "grade": 1, "terms": []}})),
+    ("schouten", "-i", json.dumps({
+        "u": {"n": True, "grade": True, "terms": []},
+        "v": {"n": 1, "grade": 1, "terms": []}})),
+    ("check", "-i", json.dumps({"n": 2, "grade": 2, "terms": [
+        {"idx": [False, True], "coeff": "1"}]})),
+], ids=["string-vectors-der", "string-vectors-koszul", "string-vector",
+        "string-table", "string-lie-vectors", "true-dim-der",
+        "true-dim-koszul", "true-dim-lie", "true-n", "true-grade",
+        "true-n-and-grade-schouten", "bool-idx"])
+def test_strings_and_bools_are_not_vectors_or_numbers(argv):
+    # a string iterates character by character and bool subclasses int,
+    # so each of these inputs used to be read as a small algebra or field
+    code, out = in_process(*argv)
+    assert code == 1
+    assert out["error"]["kind"] == "bad-input"
+
+
+def test_json_decimals_are_read_exactly():
+    # [e0, e1] = c e1: e0 acts on L/span(e0) = span(e1) by c; the text of
+    # c is not a double, and 0.5 and 2.0 are, so they read as before
+    c = "0.1000000000000000055511151231257827"
+    rows = []
+    for x in (c, "0.5", "2.0", "1e-3", "25E-1"):
+        g = '{"dim": 2, "c": [[[0, 0], [0, %s]], [[0, -%s], [0, 0]]]}' % (
+            x, x)
+        code, out = in_process("ncalg", "bott-quotient", "--liealg", g,
+                               "--sub", "[[1, 0]]")
+        assert code == 0
+        rows.append(out["matrices"])
+    assert rows == [[[["1000000000000000055511151231257827"
+                       "/10000000000000000000000000000000000"]]],
+                    [[["1/2"]]], [[["2"]]], [[["1/1000"]]], [[["5/2"]]]]

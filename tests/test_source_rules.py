@@ -104,3 +104,21 @@ def test_in_place_elimination_only_from_the_dimension_tables():
             if name == "_pivots_in_place":
                 uses.append("%s:%d: _pivots_in_place" % (path, node.lineno))
     assert uses == []
+
+
+def test_no_dense_operator_products_in_l4():
+    # every operator product of ncalg and superalg reads only nonzero
+    # entries, through ncalg._product; a dense linalg.mat_mul there
+    # brings back the products that dominated Der(A)'s closure check
+    uses = []
+    for path, tree in _trees().items():
+        if path.name not in ("ncalg.py", "superalg.py"):
+            continue
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None)
+            if name == "mat_mul":
+                uses.append("%s:%d: mat_mul" % (path, node.lineno))
+    assert uses == []
