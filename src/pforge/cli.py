@@ -206,8 +206,8 @@ def cmd_ideal(args):
 def cmd_oracle_super(args):
     seed = args.seed if args.seed is not None else 0
     # a multimap has dim^(arity + 1) entries and the work is linear in
-    # --trials: --dim 6 takes about 0.35 s at the default --trials 50 and
-    # 5-7.5 s at 1000, --dim 7 about 1 s at 50
+    # --trials: --dim 6 takes about 0.14 s at the default --trials 50 and
+    # 2.7 s at 1000, --dim 7 about 0.45 s at 50 (Python 3.11)
     dim = _nonnegative(args.dim, "--dim", 6)
     rep = super_axiom_report(dim, seed, trials=_nonnegative(
         args.trials, "--trials", 1000))

@@ -582,10 +582,9 @@ def bott_integral(A, D_ops, I_rows):
     problems = ["D[%d] is not a derivation" % i
                 for i, c in enumerate(d_coords) if c is None]
     d_rows = [_rows(X) for X in D_ops]
-    for i, X in enumerate(d_rows):
-        for j, Y in enumerate(d_rows):
-            if not d_span.contains(_commutator(X, Y, d)):
-                problems.append("D not involutive at pair (%d,%d)" % (i, j))
+    for i, j in combinations(range(len(d_rows)), 2):
+        if not d_span.contains(_commutator(d_rows[i], d_rows[j], d)):
+            problems.append("D not involutive at pair (%d,%d)" % (i, j))
     ideal = linalg.Subspace(I_rows, d)
     for i, X in enumerate(D_ops):
         for gv in ideal.basis:

@@ -98,21 +98,27 @@ def form_to_json(a):
 
 
 _INTEGER = re.compile("-?[0-9]+")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+EXPONENT_BOUND = 1000
 
 
 def fraction_from_json(x):
     """A JSON number or numeric string as an exact value: an int when
     integral, else a Fraction.  Exactly the text that `Fraction` takes
-    is accepted; plain ASCII digits skip it, since `int` alone would also
-    take forms such as "1_0" that `Fraction` rejects on some Pythons."""
+    is accepted, up to a decimal exponent e of +-EXPONENT_BOUND (it
+    builds the integer 10^|e|); plain ASCII digits skip it, since `int`
+    alone would also take forms such as "1_0" that `Fraction` rejects on
+    some Pythons."""
     try:
         text = str(x)
         if _INTEGER.fullmatch(text):
             return int(text)
-        value = Fraction(text)
+        exponent = _EXPONENT.search(text)
+        if not exponent or abs(int(exponent[1])) <= EXPONENT_BOUND:
+            return exact(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise InputError("bad rational number %r" % (x,))
-    return exact(value)
+    raise InputError("exponent of %r beyond +-%d" % (x, EXPONENT_BOUND))
 
 
 def matrix_from_json(rows, what="matrix"):

@@ -8,10 +8,12 @@ supercommutator is
 
     [a, b] = (-1)^((m+1) n) a o b + (-1)^m b o a,
 
-and a o b is taken to vanish when a has arity 0.  Everything here is
-exact; the work follows the nonzeros (50 draws of the axiom report on
-dense random maps take about 0.35 s at dim 6), and the module exists to
-certify signs and axioms, not to scale.
+and a o b is taken to vanish when a has arity 0; both add into one
+dict accumulator, as do the residues of the axiom report and of the
+Koszul check.  Everything here is exact; the work follows the nonzeros
+(50 draws of the axiom report on dense random maps take about 0.14 s
+at dim 6 on Python 3.11), and the module exists to certify signs and
+axioms, not to scale.
 
 The second half treats a commutative unital algebra A given by
 structure constants: its derivations, the operator space
@@ -20,12 +22,12 @@ check that [mu, .] restricted to the A-multilinear, A-valued maps that
 kill A equals minus the Koszul differential.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
 from .multivec import sort_sign
 from .ncalg import AlgebraSC, BadAlgebra, derivations, _flatten, _product, \
-    _rows
+    _rows, _sparse
 
 
 class ArityMismatch(ValueError):
@@ -46,31 +48,31 @@ class MultiMap:
     __slots__ = ("dim", "arity", "table")
 
     def __init__(self, dim, arity, table=None):
-        self.dim = dim
-        self.arity = arity
-        clean = {}
-        if table:
-            for idx, vec in table.items():
-                idx = tuple(idx)
-                if len(idx) != arity:
-                    raise ArityMismatch("tuple %r for arity %d" % (idx, arity))
-                if list(idx) != sorted(set(idx)):
-                    raise ValueError("indices %r not strictly increasing" % (idx,))
-                vec = linalg.exact_vector(vec)
-                if len(vec) != dim:
-                    raise SpaceMismatch("value has wrong length")
-                if any(vec):
-                    clean[idx] = vec
-        self.table = clean
+        self.dim, self.arity, self.table = dim, arity, {}
+        for idx, vec in (table or {}).items():
+            idx = tuple(idx)
+            if len(idx) != arity:
+                raise ArityMismatch("tuple %r for arity %d" % (idx, arity))
+            if list(idx) != sorted(set(idx)):
+                raise ValueError("indices %r not strictly increasing" % (idx,))
+            vec = linalg.exact_vector(vec)
+            if len(vec) != dim:
+                raise SpaceMismatch("value has wrong length")
+            if any(vec):
+                self.table[idx] = vec
 
     @classmethod
-    def zero(cls, dim, arity):
-        return cls(dim, arity)
-
-    @classmethod
-    def vector(cls, coords):
-        coords = linalg.exact_vector(coords)
-        return cls(len(coords), 0, {(): coords})
+    def _trusted(cls, dim, arity, acc):
+        """Unchecked constructor from an {increasing tuple: vector} dict
+        of valid keys: the tuples sorted, the vectors normalised and the
+        zero ones dropped."""
+        m = object.__new__(cls)
+        m.dim, m.arity, m.table = dim, arity, {}
+        for idx in sorted(acc):
+            vec = linalg.exact_vector(acc[idx])
+            if any(vec):
+                m.table[idx] = vec
+        return m
 
     def is_zero(self):
         return not self.table
@@ -83,33 +85,6 @@ class MultiMap:
             return [0] * self.dim
         return [sign * x for x in vec]
 
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise SpaceMismatch("dim mismatch")
-        if self.arity != other.arity:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ArityMismatch("cannot add arities %d and %d"
-                                % (self.arity, other.arity))
-        table = {k: list(v) for k, v in self.table.items()}
-        for k, v in other.table.items():
-            old = table.get(k)
-            table[k] = [a + b for a, b in zip(old, v)] if old else list(v)
-        return MultiMap(self.dim, self.arity, table)
-
-    def scale(self, c):
-        c = linalg.exact(c)
-        return MultiMap(self.dim, self.arity,
-                        {k: [c * x for x in v] for k, v in self.table.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return (self.dim == other.dim and self.table == other.table
                 and (self.arity == other.arity
@@ -120,27 +95,22 @@ class MultiMap:
             self.dim, self.arity, len(self.table))
 
 
-def comp_product(alpha, beta):
-    """Compositional product, arity m + n - 1: on a basis tuple I,
-    (a o b)(e_I) sums sign(J, R) a(b(e_J), e_R) over the shuffles (J, R)
-    of I.  Only nonzero constants are read: alpha's entries are listed
-    under each index i they hold, as (K minus i, (-1)^(position of i),
-    nonzero constants), and a beta entry (J, v) meets, for each i with
-    v_i != 0, only those holding i, adding into sorted(J + R) when J and
-    R are disjoint, with the sign `sort_sign(J + R)` found once per
-    (J, R).  So the work follows the nonzeros, not dim^(m + n - 1)."""
-    if alpha.dim != beta.dim:
-        raise SpaceMismatch("dim mismatch")
-    m, n = alpha.arity, beta.arity
-    if m < 1:
-        raise ArityMismatch("left factor needs arity >= 1")
+def _compose(alpha, beta, acc, scale):
+    """Add scale * (alpha o beta) into acc, a dict from increasing tuples
+    to unnormalised vectors, and return acc.  (a o b)(e_I) sums
+    sign(J, R) a(b(e_J), e_R) over the shuffles (J, R) of I, from nonzero
+    constants alone: alpha's entries are listed under each index i they
+    hold, as (K minus i, scale * (-1)^(position of i), nonzero constants),
+    and a beta entry (J, v) meets, for each i with v_i != 0, only those
+    holding i, adding into sorted(J + R) when J and R are disjoint, with
+    the sign `sort_sign(J + R)` found once per (J, R)."""
     dim = alpha.dim
     holding = [[] for _ in range(dim)]
     for key, vec in alpha.table.items():
         nonzero = [(k, x) for k, x in enumerate(vec) if x]
         for p, i in enumerate(key):
-            holding[i].append((key[:p] + key[p + 1:], (-1) ** p, nonzero))
-    acc = {}
+            holding[i].append((key[:p] + key[p + 1:], -scale if p % 2
+                               else scale, nonzero))
     for inner, v in beta.table.items():
         # (sign, sorted tuple) of the shuffle (inner, rest), per rest
         shuffles = {}
@@ -155,27 +125,48 @@ def comp_product(alpha, beta):
                         c2 = sign * s * c
                         for k, x in nonzero:
                             out[k] += c2 * x
-    return MultiMap(dim, m + n - 1, {idx: acc[idx] for idx in sorted(acc)})
+    return acc
+
+
+def _supercomm(alpha, beta, acc, scale=1):
+    """Add scale * [alpha, beta] into acc, as `_compose` does."""
+    m, n = alpha.arity, beta.arity
+    if m >= 1:
+        _compose(alpha, beta, acc, scale * (-1) ** ((m + 1) * n))
+    if n >= 1:
+        _compose(beta, alpha, acc, scale * (-1) ** m)
+    return acc
+
+
+def _vanishes(acc):
+    """Whether every vector of an accumulator is zero."""
+    return not any(map(any, acc.values()))
+
+
+def comp_product(alpha, beta):
+    """Compositional product alpha o beta, of arity m + n - 1."""
+    if alpha.dim != beta.dim:
+        raise SpaceMismatch("dim mismatch")
+    m, n = alpha.arity, beta.arity
+    if m < 1:
+        raise ArityMismatch("left factor needs arity >= 1")
+    return MultiMap._trusted(alpha.dim, m + n - 1,
+                             _compose(alpha, beta, {}, 1))
 
 
 def supercomm(alpha, beta):
     """Supercommutator [a,b] = (-1)^((m+1)n) a o b + (-1)^m b o a."""
     if alpha.dim != beta.dim:
         raise SpaceMismatch("dim mismatch")
-    m, n = alpha.arity, beta.arity
-    out = MultiMap.zero(alpha.dim, max(m + n - 1, 0))
-    if m >= 1:
-        out = out + comp_product(alpha, beta).scale((-1) ** ((m + 1) * n))
-    if n >= 1:
-        out = out + comp_product(beta, alpha).scale((-1) ** m)
-    return out
+    return MultiMap._trusted(alpha.dim, max(alpha.arity + beta.arity - 1, 0),
+                             _supercomm(alpha, beta, {}))
 
 
 def dmu(mu, alpha):
     """Coboundary [mu, .] of an involutive arity-2 element."""
     if mu.arity != 2:
         raise ArityMismatch("mu must have arity 2")
-    if not supercomm(mu, mu).is_zero():
+    if not _vanishes(_supercomm(mu, mu, {})):
         raise NonInvolutiveElement("[mu, mu] != 0")
     return supercomm(mu, alpha)
 
@@ -187,11 +178,9 @@ MAX_ARITY = 3
 
 
 def random_multimap(dim, arity, rng):
-    table = {}
-    for idx in combinations(range(dim), arity):
-        vec = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(dim)]
-        table[idx] = vec
-    return MultiMap(dim, arity, table)
+    return MultiMap(dim, arity, {
+        idx: [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(dim)]
+        for idx in combinations(range(dim), arity)})
 
 
 def super_axiom_report(dim, seed, trials=50):
@@ -201,16 +190,13 @@ def super_axiom_report(dim, seed, trials=50):
     s1_fail = s2_fail = 0
     for _ in range(trials):
         m, n, k = (rng.randint(0, MAX_ARITY) for _ in range(3))
-        a = random_multimap(dim, m, rng)
-        b = random_multimap(dim, n, rng)
-        c = random_multimap(dim, k, rng)
-        if supercomm(a, b) != supercomm(b, a).scale((-1) ** (m * n)):
-            s1_fail += 1
-        lhs = (supercomm(supercomm(a, b), c).scale((-1) ** (m * k))
-               + supercomm(supercomm(b, c), a).scale((-1) ** (m * n))
-               + supercomm(supercomm(c, a), b).scale((-1) ** (n * k)))
-        if not lhs.is_zero():
-            s2_fail += 1
+        a, b, c = (random_multimap(dim, x, rng) for x in (m, n, k))
+        s1 = _supercomm(b, a, _supercomm(a, b, {}), -(-1) ** (m * n))
+        s1_fail += not _vanishes(s1)
+        s2 = _supercomm(supercomm(a, b), c, {}, (-1) ** (m * k))
+        _supercomm(supercomm(b, c), a, s2, (-1) ** (m * n))
+        _supercomm(supercomm(c, a), b, s2, (-1) ** (n * k))
+        s2_fail += not _vanishes(s2)
     return {"dim": dim, "seed": seed, "trials": trials,
             "s1_failures": s1_fail, "s2_failures": s2_fail,
             "ok": s1_fail == 0 and s2_fail == 0}
@@ -250,6 +236,7 @@ class OperatorSpace:
         self.dim = self.d_der + A.dim
         self._coords = linalg.kernel_coords([_flatten(m) for m in self.der])
         self._der_rows = [_rows(X) for X in self.der]
+        self._brackets = _sparse(self.brackets)
 
     def mu(self):
         """Commutator tensor on V as an arity-2 MultiMap, in closed form:
@@ -292,52 +279,54 @@ def _form_basis(space, n):
     rows = []
     for a in range(m):
         la = A.left_mult(linalg.unit_vector(a, m))
-        acts = [space.module_action(a, t) for t in range(d)]
-        for key, r in product(keys, range(m)):
-            # omega(a . X_{k0}, rest) - a * omega(key) = 0, coordinate r
-            row = {pos[key] + c: -x for c, x in enumerate(la[r]) if x}
-            for t, x in enumerate(acts[key[0]]):
+        acts = [[(t, x) for t, x in enumerate(space.module_action(a, t0))
+                 if x] for t0 in range(d)]
+        for key in keys:
+            # omega(a . X_{k0}, rest) - a * omega(key) = 0, coordinate r,
+            # where a . X_{k0} = sum x X_t moves omega(key) to +-omega(srt)
+            moved = []
+            for t, x in acts[key[0]]:
                 sign, srt = sort_sign((t,) + key[1:])
-                if x and sign:
-                    row[pos[srt] + r] = row.get(pos[srt] + r, 0) + sign * x
-            rows.append(row)
+                if sign:
+                    moved.append((pos[srt], sign * x))
+            for r in range(m):
+                row = {pos[key] + c: -x for c, x in enumerate(la[r]) if x}
+                for i, x in moved:
+                    row[i + r] = row.get(i + r, 0) + x
+                rows.append(row)
     return [{key: vec for key, i in pos.items() if any(vec := v[i:i + m])}
             for v in linalg.nullspace(rows, ncols=len(keys) * m)]
 
 
-def _embed(space, table, n):
-    """Lift an A-valued derivation form into a MultiMap on V."""
-    return MultiMap(space.dim, n, {key: [0] * space.d_der + list(vec)
-                                   for key, vec in table.items()})
-
-
-def _koszul_d(space, table, n):
-    """Koszul differential of an A-valued form w on Der(A), as a table:
+def _koszul_d(space, table, n, acc):
+    """Add the Koszul differential of an A-valued form w on Der(A) into
+    acc, at the A coordinates of V (after the Der(A) ones), and return
+    acc:
 
         dw(X_0..X_n) = sum_i (-1)^i X_i(w(.. no X_i ..))
                        + sum_{i<j} (-1)^(i+j) w([X_i, X_j], .. no X_i, X_j ..),
 
-    so da(X) = X(a) at n = 0; [X_i, X_j] is read off Der(A)'s structure
-    constants."""
-    out = {}
-    for key in combinations(range(space.d_der), n + 1):
-        acc = [0] * space.A.dim
+    so da(X) = X(a) at n = 0.  Only nonzero entries of each X_i and
+    nonzero structure constants of Der(A), for [X_i, X_j], are read."""
+    k = space.d_der
+    for key in combinations(range(k), n + 1):
+        out = acc.get(key) or acc.setdefault(key, [0] * space.dim)
         for i in range(n + 1):
             val = table.get(key[:i] + key[i + 1:])
             if val is not None:
-                xv = linalg.mat_vec(space.der[key[i]], val)
-                acc = [a + (-1) ** i * b for a, b in zip(acc, xv)]
+                for r, row in enumerate(space._der_rows[key[i]], k):
+                    for c, x in row:
+                        out[r] += (-1) ** i * x * val[c]
         for i, j in combinations(range(n + 1), 2):
             rest = key[:i] + key[i + 1:j] + key[j + 1:]
-            for t, b in enumerate(space.brackets[key[i]][key[j]]):
+            for t, b in space._brackets[key[i]][key[j]]:
                 sign, srt = sort_sign((t,) + rest)
-                val = table.get(srt) if b and sign else None
+                val = table.get(srt) if sign else None
                 if val is not None:
                     c = (-1) ** (i + j) * b * sign
-                    acc = [a + c * x for a, x in zip(acc, val)]
-        if any(acc):
-            out[key] = acc
-    return out
+                    for r, x in enumerate(val, k):
+                        out[r] += c * x
+    return acc
 
 
 # the Koszul oracle checks the forms of grades 0..KOSZUL_MAX_GRADE
@@ -355,7 +344,7 @@ def koszul_check(A):
     """
     space = OperatorSpace(A)
     mu = space.mu()
-    if not supercomm(mu, mu).is_zero():
+    if not _vanishes(_supercomm(mu, mu, {})):
         raise NonInvolutiveElement("commutator tensor not involutive")
     dims = {}
     counterexample = None
@@ -363,9 +352,11 @@ def koszul_check(A):
         basis = _form_basis(space, n)
         dims[n] = len(basis)
         for k, table in enumerate(basis):
-            lhs = supercomm(mu, _embed(space, table, n))
-            rhs = -_embed(space, _koszul_d(space, table, n), n + 1)
-            if lhs != rhs and counterexample is None:
+            # w lifted to V; [mu, w] + dw vanishes where [mu, w] = -dw
+            w = MultiMap._trusted(space.dim, n, {
+                key: [0] * space.d_der + vec for key, vec in table.items()})
+            acc = _koszul_d(space, table, n, _supercomm(mu, w, {}))
+            if counterexample is None and not _vanishes(acc):
                 counterexample = "grade %d, basis %s %d" % (
                     n, "form" if n else "element", k)
     return {"ok": counterexample is None,

@@ -30,12 +30,19 @@ that pforge computes another way:
   `superalg.comp_product` meets only nonzero constants;
 * `associativity_witness` multiplies dense unit vectors for every basis
   triple, and `leibniz_rows` builds Der(A)'s Leibniz system by a d^4
-  loop over every index, where `ncalg` reads the nonzero constants.
+  loop over every index, where `ncalg` reads the nonzero constants;
+* `supercomm`, `super_axiom_report` and `koszul_check` add whole
+  `MultiMap`s (`combine`, the arithmetic `MultiMap.__add__` and `scale`
+  once did) built from the literal shuffle sum, and `form_basis` and
+  `koszul_d` visit every derivation index t, where `superalg` sums both
+  products and every residue into one accumulator and reads only nonzero
+  module-action coordinates and structure constants.
 
 Nothing here is fast; each is only a second road to the same exact
 values.
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -49,7 +56,8 @@ from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
     _delta
 from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
 from pforge.ncalg import derivations, _bilinear, _flatten
-from pforge.superalg import MultiMap
+from pforge.superalg import MultiMap, OperatorSpace, KOSZUL_MAX_GRADE, \
+    MAX_ARITY, random_multimap
 
 
 # -- the Poisson side by hand ------------------------------------------
@@ -442,3 +450,131 @@ def leibniz_rows(A):
                             row[k] = row.get(k, 0) - x
                 rows.append(row)
     return rows
+
+
+# -- superalg by whole-map arithmetic and every-index loops --------------
+
+def combine(dim, arity, terms):
+    """sum of c * m over the (c, m) of terms, as a validated MultiMap of
+    the given arity, tuples in increasing order."""
+    table = {}
+    for c, m in terms:
+        for key, vec in m.table.items():
+            old = table.get(key, [0] * dim)
+            table[key] = [a + c * x for a, x in zip(old, vec)]
+    return MultiMap(dim, arity, {k: table[k] for k in sorted(table)})
+
+
+def supercomm(alpha, beta):
+    """[a, b] = (-1)^((m+1) n) a o b + (-1)^m b o a, each product the
+    literal shuffle sum, the two added as whole maps."""
+    m, n = alpha.arity, beta.arity
+    terms = []
+    if m >= 1:
+        terms.append(((-1) ** ((m + 1) * n), comp_product(alpha, beta)))
+    if n >= 1:
+        terms.append(((-1) ** m, comp_product(beta, alpha)))
+    return combine(alpha.dim, max(m + n - 1, 0), terms)
+
+
+def super_axiom_report(dim, seed, trials=50):
+    """The (s1)/(s2) report on the maps `superalg.super_axiom_report`
+    draws, each side a whole supercommutator map."""
+    rng = random.Random(seed)
+    s1_fail = s2_fail = 0
+    for _ in range(trials):
+        m, n, k = (rng.randint(0, MAX_ARITY) for _ in range(3))
+        a, b, c = (random_multimap(dim, x, rng) for x in (m, n, k))
+        s1 = combine(dim, max(m + n - 1, 0),
+                     [(1, supercomm(a, b)),
+                      (-(-1) ** (m * n), supercomm(b, a))])
+        s1_fail += not s1.is_zero()
+        s2 = combine(dim, max(m + n + k - 2, 0),
+                     [((-1) ** (m * k), supercomm(supercomm(a, b), c)),
+                      ((-1) ** (m * n), supercomm(supercomm(b, c), a)),
+                      ((-1) ** (n * k), supercomm(supercomm(c, a), b))])
+        s2_fail += not s2.is_zero()
+    return {"dim": dim, "seed": seed, "trials": trials,
+            "s1_failures": s1_fail, "s2_failures": s2_fail,
+            "ok": s1_fail == 0 and s2_fail == 0}
+
+
+def form_basis(space, n):
+    """`superalg._form_basis` with a sign found for every derivation
+    index t of every row, also where the module-action coordinate is 0."""
+    A, d, m = space.A, space.d_der, space.A.dim
+    if n == 0:
+        return [{(): linalg.unit_vector(a, m)} for a in range(m)]
+    keys = list(combinations(range(d), n))
+    pos = {key: i * m for i, key in enumerate(keys)}
+    rows = []
+    for a in range(m):
+        la = A.left_mult(linalg.unit_vector(a, m))
+        acts = [space.module_action(a, t) for t in range(d)]
+        for key, r in product(keys, range(m)):
+            row = {pos[key] + c: -x for c, x in enumerate(la[r]) if x}
+            for t, x in enumerate(acts[key[0]]):
+                sign, srt = sort_sign((t,) + key[1:])
+                if x and sign:
+                    row[pos[srt] + r] = row.get(pos[srt] + r, 0) + sign * x
+            rows.append(row)
+    return [{key: vec for key, i in pos.items() if any(vec := v[i:i + m])}
+            for v in linalg.nullspace(rows, ncols=len(keys) * m)]
+
+
+def koszul_d(space, table, n):
+    """The Koszul differential dw of an A-valued form w on Der(A), as a
+    table, by dense `linalg.mat_vec` and a sign for every derivation
+    index t, also where the bracket constant is 0."""
+    out = {}
+    for key in combinations(range(space.d_der), n + 1):
+        acc = [0] * space.A.dim
+        for i in range(n + 1):
+            val = table.get(key[:i] + key[i + 1:])
+            if val is not None:
+                xv = linalg.mat_vec(space.der[key[i]], val)
+                acc = [a + (-1) ** i * b for a, b in zip(acc, xv)]
+        for i, j in combinations(range(n + 1), 2):
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            for t, b in enumerate(space.brackets[key[i]][key[j]]):
+                sign, srt = sort_sign((t,) + rest)
+                val = table.get(srt) if b and sign else None
+                if val is not None:
+                    c = (-1) ** (i + j) * b * sign
+                    acc = [a + c * x for a, x in zip(acc, val)]
+        if any(acc):
+            out[key] = acc
+    return out
+
+
+def embed(space, table, n):
+    """An A-valued derivation form as a validated MultiMap on V."""
+    return MultiMap(space.dim, n, {key: [0] * space.d_der + list(vec)
+                                   for key, vec in table.items()})
+
+
+def koszul_check(A):
+    """The Koszul report with [mu, w] and -dw built as whole maps and
+    compared, each form basis and dw from the every-index loops above."""
+    space = OperatorSpace(A)
+    mu = space.mu()
+    if not supercomm(mu, mu).is_zero():
+        raise AssertionError("commutator tensor not involutive")
+    dims = {}
+    counterexample = None
+    for n in range(KOSZUL_MAX_GRADE + 1):
+        basis = form_basis(space, n)
+        dims[n] = len(basis)
+        for k, table in enumerate(basis):
+            lhs = supercomm(mu, embed(space, table, n))
+            rhs = combine(space.dim, n + 1,
+                          [(-1, embed(space, koszul_d(space, table, n),
+                                      n + 1))])
+            if lhs != rhs and counterexample is None:
+                counterexample = "grade %d, basis %s %d" % (
+                    n, "form" if n else "element", k)
+    return {"ok": counterexample is None,
+            "dim_algebra": A.dim,
+            "dim_der": space.d_der,
+            "form_dims": dims,
+            "counterexample": counterexample}

@@ -314,3 +314,17 @@ def test_json_decimals_are_read_exactly():
     assert rows == [[[["1000000000000000055511151231257827"
                        "/10000000000000000000000000000000000"]]],
                     [[["1/2"]]], [[["2"]]], [[["1/1000"]]], [[["5/2"]]]]
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E+999999999",
+                                  "-1e-999999999"])
+@pytest.mark.parametrize("quoted", [True, False], ids=["string", "bare"])
+def test_huge_decimal_exponents_are_refused(text, quoted):
+    # Fraction would expand 1e999999999 into an integer of 3.3 billion
+    # bits; the exponent is refused before any Fraction is built
+    entry = '"%s"' % text if quoted else text
+    code, out = in_process("ncalg", "der", "--algebra",
+                           '{"dim": 1, "mult": [[[%s]]], "unit": [1]}' % entry)
+    assert code == 1
+    assert out["error"]["kind"] == "bad-input"
+    assert "exponent" in out["error"]["message"]

@@ -21,8 +21,9 @@ from pforge.ncalg import (AlgebraSC, LieAlgebraSC,
                           derivations, submanifold_check, quotient_check,
                           bott_integral, bott_quotient, bott_forms,
                           validate_algebra)
-from pforge.superalg import (MultiMap, OperatorSpace, koszul_check,
-                             standard_algebra, super_axiom_report)
+from pforge.superalg import (MultiMap, OperatorSpace, comp_product,
+                             koszul_check, standard_algebra, supercomm,
+                             super_axiom_report)
 from conftest import assert_normal_form
 from reference_routes import der_brackets, eval_first, operator_space_mu
 from test_linalg import dense_rref, oracle_invert
@@ -313,10 +314,18 @@ def test_bott_connections_match_fraction_route(half):
 def test_multimaps_hold_normal_form():
     m = MultiMap(3, 1, {(0,): [True, Fraction(4, 2), "1/2"]})
     assert m.table == {(0,): [1, 2, Fraction(1, 2)]}
-    assert_normal_form(m.scale(Fraction(2)))
-    assert_normal_form(eval_first(m.scale(2), [Fraction(1, 2), 0, 0], ()))
-    assert_normal_form((m + m.scale(Fraction(-1, 2))).table)
-    assert_normal_form(MultiMap.vector([Fraction(3, 3), False]))
+    assert_normal_form(eval_first(m, [Fraction(2), 0, 0], ()))
+    # the Fraction products come out integral: 2 * 1/2 and 1/2 * 2
+    h = MultiMap(2, 1, {(0,): [Fraction(1, 2), 0], (1,): [0, 2]})
+    g = MultiMap(2, 1, {(0,): [2, 0], (1,): [0, Fraction(1, 2)]})
+    assert comp_product(h, g).table == {(0,): [1, 0], (1,): [0, 1]}
+    assert supercomm(h, g).table == {}
+    tensor = MultiMap(2, 2, {(0, 1): [Fraction(1, 2), 2]})
+    assert supercomm(tensor, g).table == {(0, 1): [Fraction(-1, 4), -4]}
+    for m2 in (comp_product(h, g), supercomm(h, g), supercomm(tensor, g),
+               supercomm(g, tensor), comp_product(tensor, h)):
+        assert_normal_form(m2)
+    assert_normal_form(MultiMap(2, 0, {(): [Fraction(3, 3), False]}))
     assert both_routes(super_axiom_report, 3, 5, 4)["ok"] is True
 
 

@@ -345,7 +345,7 @@ FINITE_JOBS = {
                                             "text", "--algebra", M2,
                                             "--dist", [AD_E12, AD_E21],
                                             "--ideal", []),
-                                      "06e59ebf485c9e2bba0214d9b6c0f1f2cf16896e61b2e5bc687935266c6421d0"),
+                                      "0e0f9ceae529b3afaa31e63955b5355172ce52063be45dc4e71331c1c0883079"),
     "koszul-named": (["oracle", "koszul", "--algebra", "Q[t]/t^3"],
                      "35e9418f128d4cca9027ef635a49dc9bff9b30cff9e86621b89e4963b759c629"),
     "koszul-t3-half": (["oracle", "koszul", "--algebra", dumps(T3_HALF)],

@@ -61,12 +61,15 @@ KOSZUL_ALGEBRAS = [(name, standard_algebra(name)) for name in
                          ids=[c[0] for c in KOSZUL_ALGEBRAS])
 def test_comp_product_matches_shuffle_sum_on_koszul_pairs(name, A,
                                                           monkeypatch):
+    # every product of the check, supercommutators included, goes
+    # through superalg._compose
     pairs = []
+    compose = superalg._compose
 
-    def record(alpha, beta):
+    def record(alpha, beta, acc, scale):
         pairs.append((alpha, beta))
-        return comp_product(alpha, beta)
-    monkeypatch.setattr(superalg, "comp_product", record)
+        return compose(alpha, beta, acc, scale)
+    monkeypatch.setattr(superalg, "_compose", record)
     assert koszul_check(A)["ok"]
     monkeypatch.undo()
     assert pairs

@@ -130,3 +130,14 @@ def test_fraction_from_json_agrees_with_fraction(x):
     got = serialize.fraction_from_json(x)
     assert got == want
     assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_decimal_exponents_are_read_up_to_the_bound():
+    bound = serialize.EXPONENT_BOUND
+    assert serialize.fraction_from_json("1e%d" % bound) == 10 ** bound
+    assert serialize.fraction_from_json("-25E-%d" % bound) == \
+        Fraction(-25, 10 ** bound)
+    for text in ("1e%d" % (bound + 1), "2.5E-%d" % (bound + 1),
+                 "1e1_001"):
+        with pytest.raises(InputError, match="exponent"):
+            serialize.fraction_from_json(text)
