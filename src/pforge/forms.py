@@ -14,13 +14,13 @@ boundary is the operator formula delta = i_p d - d i_p.
 operators of `multivec` do (see its docstring): each packs its operands
 once at the width of its result's degree bound, and `delta` composes
 i_p d and d i_p at one width (deg p + deg a) with no unpacking in
-between.
+between.  `form_bracket` adds its three terms into one accumulator.
 """
 
 from .ratpoly import Poly
 from .multivec import (Graded, Multivector, add_term, sort_sign,
                        GradeMismatch, check_bivector, wedge, _width, _degree,
-                       _pack, _diff)
+                       _pack, _diff, _wedge)
 
 
 class NonInvolutive(ValueError):
@@ -80,13 +80,13 @@ def interior(u, a):
                       _interior(_pack(u, w), _pack(a, w), {}), w)
 
 
-def _interior(pu, pa, acc):
-    """Add i_u a of packed u and a into acc; returns acc."""
+def _interior(pu, pa, acc, scale=1):
+    """Add scale * i_u a of packed u and a into acc; returns acc."""
     for iu, cu in pu.items():
         for ia, ca in pa.items():
             rest = tuple(i for i in ia if i not in iu)
             if len(rest) == len(ia) - len(iu):
-                add_term(acc, rest, sort_sign(iu + rest)[0], cu, ca)
+                add_term(acc, rest, sort_sign(iu + rest)[0] * scale, cu, ca)
     return acc
 
 
@@ -110,18 +110,18 @@ def delta(p, a):
         return Form.zero(a.n, 0)
     w = _width(_degree(p) + _degree(a))
     return Form.build(a.n, a.grade - 1,
-                      _delta(a.n, _pack(p, w), _pack(a, w), a.grade, w), w)
+                      _delta(a.n, _pack(p, w), _pack(a, w), a.grade, w, {}),
+                      w)
 
 
-def _delta(n, pp, pa, grade, w):
-    """delta of the packed grade-`grade` form pa, for the packed
-    bivector pp, as a fresh packed accumulator; both terms are composed
+def _delta(n, pp, pa, grade, w, acc, scale=1):
+    """Add scale * delta of the packed grade-`grade` form pa, for the
+    packed bivector pp, into acc; returns acc.  Both terms are composed
     at width w without unpacking in between."""
-    if grade == 0:
-        return {}
-    acc = _interior(pp, _form_d(n, pa, w, {}), {})
-    if grade >= 2:
-        _form_d(n, _interior(pp, pa, {}), w, acc, -1)
+    if grade:
+        _interior(pp, _form_d(n, pa, w, {}), acc, scale)
+        if grade >= 2:
+            _form_d(n, _interior(pp, pa, {}), w, acc, -scale)
     return acc
 
 
@@ -132,11 +132,21 @@ def pbracket_of(p, f, g):
 
 def form_bracket(p, a, b):
     """Graded bracket of forms: the failure of delta to be an
-    antiderivation of the wedge."""
-    da = delta(p, a)
-    db = delta(p, b)
-    return (form_wedge(da, b) + form_wedge(a, db).scale((-1) ** a.grade)
-            - delta(p, form_wedge(a, b)))
+    antiderivation of the wedge,
+
+        [a, b]_p = delta(a) ^ b + (-1)^|a| a ^ delta(b) - delta(a ^ b),
+
+    of grade max(|a| + |b| - 1, 0).  The three terms are added into one
+    packed accumulator at the width deg p + deg a + deg b."""
+    _check_pair(a, check_bivector(p))
+    _check_pair(b, p)
+    n, ga, gb = a.n, a.grade, b.grade
+    w = _width(_degree(p) + _degree(a) + _degree(b))
+    pp, pa, pb = _pack(p, w), _pack(a, w), _pack(b, w)
+    acc = _wedge(_delta(n, pp, pa, ga, w, {}), pb, {})
+    _wedge(pa, _delta(n, pp, pb, gb, w, {}), acc, (-1) ** ga)
+    _delta(n, pp, _wedge(pa, pb, {}), ga + gb, w, acc, -1)
+    return Form.build(n, max(ga + gb - 1, 0), acc, w)
 
 
 def lie_derivative(x, a):

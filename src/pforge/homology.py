@@ -160,7 +160,7 @@ def _leibniz_tables(p, complex_kind, grade, w):
         unit = {idx: {0: 1}}
         # [p, e_I] = S(e_I, p): S(p, e_I) differentiates a constant
         t0 = (_schouten(unit, pp, w, {}) if lich
-              else _delta(n, pp, unit, grade, w))
+              else _delta(n, pp, unit, grade, w, {}))
         tables[idx] = flat(t0), [flat(first(x, unit, {})) for x in fields]
     return tables
 

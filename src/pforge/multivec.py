@@ -114,8 +114,9 @@ def add_term(acc, key, scale, f, g=None):
 
     acc maps increasing tuples to packed {monomial: coefficient}
     accumulators; a monomial product is one int add, and no Poly or
-    exponent tuple is formed per term.  Zeros stay in the accumulators
-    until `Graded.build` drops them."""
+    exponent tuple is formed per term, and the outer loop runs over the
+    shorter operand, so scale multiplies the fewer coefficients.  Zeros
+    stay in the accumulators until `Graded.build` drops them."""
     out = acc.get(key)
     if out is None:
         out = acc[key] = {}
@@ -124,6 +125,8 @@ def add_term(acc, key, scale, f, g=None):
         for e, c in f.items():
             out[e] = get(e, 0) + scale * c
         return
+    if len(g) < len(f):
+        f, g = g, f
     for e1, c1 in f.items():
         kc = scale * c1
         for e2, c2 in g.items():
@@ -294,14 +297,15 @@ def wedge(u, v):
                          _wedge(_pack(u, w), _pack(v, w), {}), w)
 
 
-def _wedge(pu, pv, acc):
-    """Add the wedge of two packed elements into acc; returns acc.  Each
-    index j of iv goes into the increasing key, which starts as iu, at
-    its bisection point b: a repeated index kills the term, and j moves
-    left past the len(key) - b entries above it, one sign flip each."""
+def _wedge(pu, pv, acc, scale=1):
+    """Add scale * the wedge of two packed elements into acc; returns
+    acc.  Each index j of iv goes into the increasing key, which starts
+    as iu, at its bisection point b: a repeated index kills the term,
+    and j moves left past the len(key) - b entries above it, one sign
+    flip each."""
     for iu, cu in pu.items():
         for iv, cv in pv.items():
-            key, s = iu, 1
+            key, s = iu, scale
             for j in iv:
                 b = bisect_left(key, j)
                 if b < len(key) and key[b] == j:

@@ -274,7 +274,7 @@ _TERMS_RE = re.compile(r"(?=.)([+-]?)(\d*)(?:/(\d+))?\*?(%s*)\n?" % _FACTOR)
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-def parse_poly(text, n):
+def parse_poly(text, n, monomials=None):
     """Parse the polynomial text grammar.
 
     Grammar: term = [sign] [int['/'int] ['*']] factor*;
@@ -283,22 +283,29 @@ def parse_poly(text, n):
 
     One regex checks the whole text, `findall` reads its terms and
     factors, and `_reject` names the first bad term of any error.
+    monomials is a {factor text: exponent tuple} memo that texts parsed
+    together at one n share, as `format_poly`'s names are shared; a
+    factor text enters it only once read without error.
     """
     s = text.replace("−", "-").replace(" ", "").replace("\t", "")
     if not _POLY_RE.fullmatch(s):
         _reject(s, n)
+    if monomials is None:
+        monomials = {}
     terms = {}
     for sign, num, den, factors in _TERMS_RE.findall(s):
         if den and not int(den):
             _reject(s, n)
         c = Fraction(int(num), int(den)) if den else int(num or 1)
-        e = [0] * n
-        for i, k in _FACTOR_RE.findall(factors):
-            i = int(i)
-            if i >= n:
-                _reject(s, n)
-            e[i] += int(k) if k else 1
-        e = tuple(e)
+        e = monomials.get(factors)
+        if e is None:
+            e = [0] * n
+            for i, k in _FACTOR_RE.findall(factors):
+                i = int(i)
+                if i >= n:
+                    _reject(s, n)
+                e[i] += int(k) if k else 1
+            e = monomials[factors] = tuple(e)
         terms[e] = terms.get(e, 0) + (-c if sign == "-" else c)
     if n < 0:
         return Poly(n, terms)   # raises: no monomial has length n

@@ -27,6 +27,7 @@ class InputError(ValueError):
 
 def _terms_from_json(obj, n, grade):
     terms = {}
+    monomials = {}  # factor texts, shared by the element's coefficients
     for entry in obj.get("terms", []):
         if not isinstance(entry, dict) or \
                 set(entry) - {"idx", "coeff"}:
@@ -38,7 +39,7 @@ def _terms_from_json(obj, n, grade):
         if len(idx) != grade:
             raise InputError("idx %r does not match grade %d" % (idx, grade))
         try:
-            coeff = parse_poly(str(entry.get("coeff", "0")), n)
+            coeff = parse_poly(str(entry.get("coeff", "0")), n, monomials)
         except PolyParseError as exc:
             raise InputError("bad coefficient: %s" % exc)
         sign, key = sort_sign(idx)
@@ -176,10 +177,10 @@ def point_from_text(text, n):
 def polys_from_json(items, n):
     if not isinstance(items, list):
         raise InputError("expected a list of polynomial strings")
-    out = []
+    out, monomials = [], {}
     for s in items:
         try:
-            out.append(parse_poly(str(s), n))
+            out.append(parse_poly(str(s), n, monomials))
         except PolyParseError as exc:
             raise InputError("bad polynomial %r: %s" % (s, exc))
     return out

@@ -22,6 +22,7 @@ check that [mu, .] restricted to the A-multilinear, A-valued maps that
 kill A equals minus the Koszul differential.
 """
 
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -262,6 +263,14 @@ class OperatorSpace:
                                  % (a_idx, t))
         return c
 
+    @cached_property
+    def actions(self):
+        """actions[a][t0]: the nonzero (t, x) of `module_action(a, t0)`,
+        each of the m * d solves made once per space."""
+        return [[[(t, x) for t, x in enumerate(self.module_action(a, t0))
+                  if x] for t0 in range(self.d_der)]
+                for a in range(self.A.dim)]
+
 
 def _form_basis(space, n):
     """Basis of the A-valued, A-multilinear maps on V killing A, arity n:
@@ -279,8 +288,7 @@ def _form_basis(space, n):
     rows = []
     for a in range(m):
         la = A.left_mult(linalg.unit_vector(a, m))
-        acts = [[(t, x) for t, x in enumerate(space.module_action(a, t0))
-                 if x] for t0 in range(d)]
+        acts = space.actions[a]
         for key in keys:
             # omega(a . X_{k0}, rest) - a * omega(key) = 0, coordinate r,
             # where a . X_{k0} = sum x X_t moves omega(key) to +-omega(srt)

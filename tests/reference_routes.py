@@ -14,6 +14,9 @@ that pforge computes another way:
 * `delta_coordinate`, `form_bracket_karasev` and
   `schouten_identity_residual` are classical coordinate expansions and
   identities of the form-side calculus;
+* `form_bracket_composed` is the form bracket as `forms.form_bracket`
+  composed it before it summed its terms into one accumulator: two
+  `delta`s, three `wedge`s, `+`, `-` and `scale` on whole forms;
 * `evaluate_on_functions` is the determinant rule for a multivector on
   functions;
 * `parse_poly` and `poly_str` are the polynomial text parser and printer
@@ -53,7 +56,7 @@ from pforge.ratpoly import Poly, PolyParseError
 from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
     schouten, wedge, lichnerowicz_dp, all_index_tuples, _pack, _schouten
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
-    _delta
+    delta, _delta
 from pforge.homology import monomials, LICHNEROWICZ, _STEP, _index_keys
 from pforge.ncalg import derivations, _bilinear, _flatten
 from pforge.superalg import MultiMap, OperatorSpace, KOSZUL_MAX_GRADE, \
@@ -136,7 +139,7 @@ def leibniz_tables(p, complex_kind, grade, w):
             return _schouten(unit, pp, w, _schouten(pp, unit, w, {}))
     else:
         def image(idx, mono):
-            return _delta(n, pp, {idx: {mono: 1}}, grade, w)
+            return _delta(n, pp, {idx: {mono: 1}}, grade, w, {})
     high = _index_keys(n, grade + _STEP[complex_kind], w)
 
     def flat(acc):
@@ -209,6 +212,15 @@ def form_bracket_karasev(p, a, b):
                 - wedge(x, _interior_p(p, y)))
     return (form_d(P(a, b)) - P(form_d(a), b)
             - P(a, form_d(b)).scale((-1) ** a.grade))
+
+
+def form_bracket_composed(p, a, b):
+    """delta(a) ^ b + (-1)^|a| a ^ delta(b) - delta(a ^ b), each term a
+    whole form."""
+    da = delta(p, a)
+    db = delta(p, b)
+    return (wedge(da, b) + wedge(a, db).scale((-1) ** a.grade)
+            - delta(p, wedge(a, b)))
 
 
 def schouten_identity_residual(omega, u, v):

@@ -6,7 +6,8 @@ from pforge.ratpoly import Poly, parse_poly, DimensionMismatch
 from pforge.multivec import Multivector, all_index_tuples, wedge
 from pforge.forms import (Form, form_wedge, form_d, d_poly, interior, pair,
                           delta, form_bracket, lie_derivative)
-from reference_routes import (delta_coordinate, form_bracket_karasev,
+from reference_routes import (delta_coordinate, form_bracket_composed,
+                              form_bracket_karasev,
                               schouten_identity_residual)
 from conftest import (bivector, random_form, random_multivector, random_poly,
                       rng_for)
@@ -106,6 +107,36 @@ def test_form_bracket_cross_check():
         a = random_form(3, rng.randint(0, 2), rng, max_degree=1)
         b = random_form(3, rng.randint(0, 2), rng, max_degree=1)
         assert form_bracket(so3, a, b) == form_bracket_karasev(so3, a, b)
+
+
+def _bracket_structures(n, rng):
+    """A quadratic log-canonical p, {x_i, x_j} = l_ij x_i x_j, and a
+    constant p on Q^n, with non-integral coefficients."""
+    log = {(i, j): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+           for i in range(n) for j in range(i + 1, n)}
+    quad = Multivector(n, 2, {(i, j): Poly(n, {tuple(
+        int(k in (i, j)) for k in range(n)): c}) for (i, j), c in log.items()})
+    const = Multivector(n, 2, {(i, i + 1): Fraction(2 * i + 1, 3)
+                               for i in range(0, n - 1, 2)})
+    const = const + Multivector.basis(n, (0, n - 1), Fraction(-5, 2))
+    return quad, const
+
+
+def test_form_bracket_matches_the_composed_route():
+    # every grade pair 0..n on Q^3-Q^6: equal terms and equal grades,
+    # since Graded.__eq__ takes zeros of different grades as equal
+    rng = rng_for(2701)
+    for n in range(3, 7):
+        for p in _bracket_structures(n, rng):
+            for ga in range(n + 1):
+                for gb in range(n + 1):
+                    a = random_form(n, ga, rng, max_degree=1).scale(
+                        Fraction(rng.randint(1, 5), rng.randint(2, 3)))
+                    b = random_form(n, gb, rng, max_degree=1)
+                    got = form_bracket(p, a, b)
+                    want = form_bracket_composed(p, a, b)
+                    assert got == want, (n, ga, gb)
+                    assert got.grade == want.grade == max(ga + gb - 1, 0)
 
 
 def test_form_bracket_on_exact_one_forms():

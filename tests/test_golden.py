@@ -31,6 +31,11 @@ the `bott-integral` jobs on Q[x]/x^2 (x) Q[y]/y^3 in a seeded signed
 basis (the benchmark's shape; the Euler derivations, one or both) were
 recorded while every operator product in `ncalg` and `superalg` was a
 dense matrix product, so they pin the sparse operator products to it.
+The `bracket` jobs on Q^3 at the edge grades (two 0-forms, the pairs
+(0, 2) and (2, 0), and (2, 3), whose grade 4 exceeds n) were recorded
+while `form_bracket` added whole forms from two `delta`s and three
+`wedge`s, so they pin the one-accumulator bracket, and its grade
+max(|a| + |b| - 1, 0), to that composition.
 """
 
 import contextlib
@@ -109,6 +114,30 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True)
 
 
+MONOS3 = ["", "x0", "x1*x2", "x2^2", "x0*x1^2", "x1"]
+
+
+def form3(grade, start):
+    """Wire JSON of a grade-k form on Q^3 on every basis tuple, with
+    two-term coefficients over x0..x2 cycling through RATS and MONOS3."""
+    terms = []
+    for k, idx in enumerate(combinations(range(3), grade)):
+        bits = []
+        for t in range(2):
+            r = RATS[(start + k + t) % len(RATS)]
+            m = MONOS3[(start + 2 * k + 3 * t) % len(MONOS3)]
+            bits.append(r + ("*" + m if m else ""))
+        terms.append({"idx": list(idx),
+                      "coeff": " + ".join(bits).replace("+ -", "- ")})
+    return {"n": 3, "grade": grade, "terms": terms, "kind": "form"}
+
+
+def bracket3(ga, gb):
+    """The `bracket` job of JAC3 on forms of grades ga and gb on Q^3."""
+    return ["bracket", "-i", dumps({"p": JAC3, "a": form3(ga, ga),
+                                    "b": form3(gb, 2 + gb)})]
+
+
 JOBS = {
     "check": (["check", "-i", dumps(field(2, 0, every=2))],
               "21eafbe07b51b5056d2c8fd1ec17b0c190715b87d4f70bdd8ecb9dcb78334218"),
@@ -175,6 +204,15 @@ JOBS = {
                           "1/3*x0^2 + 1/3*x1^2 + 1/3*x2^2 - 5/2*x3^2"
                           " - 5/2*x4^2 - 5/2*x5^2"],
                          "a57e491b3df3c0b36c42cc6edaea620f3c52ffb60b06d82ee9c2b4a781b1ffb5"),
+    # the form bracket at its edge grades on Q^3: grade max(|a|+|b|-1, 0)
+    "bracket-q3-0-0": (bracket3(0, 0),
+                       "d49630faf0e4e19fe40355654e09fbbeabd1048da95cc00a2e035f1e1183c716"),
+    "bracket-q3-0-2": (bracket3(0, 2),
+                       "295c58f31ded5ee94b7ee2f9431a2a09f46abb883c32a3627bb6cfcee36fbb8b"),
+    "bracket-q3-2-0": (bracket3(2, 0),
+                       "9277b6533413f1bd5562f7b3522aebfe5d7c5113054ac647ef8ae314034a87aa"),
+    "bracket-q3-2-3": (bracket3(2, 3),
+                       "8deafeee809e803d1361b7d8b846c2e5aecc590ede8dbacb07f513f23d114043"),
 }
 
 

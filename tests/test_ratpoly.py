@@ -228,10 +228,16 @@ def test_parser_matches_the_chunk_parser_on_random_strings():
               "x" + big + "+*", "1/0+" + big]
     texts = [(t, n) for t in cases for n in (-1, 0, 1, 2, 8)]
     texts += [(_random_text(rng), rng.randint(0, 8)) for _ in range(100000)]
+    # each text is parsed alone and again through one monomial memo
+    # that every text at its n shares
+    memos = {}
     kinds = set()
     for text, n in texts:
         want = _outcome(ref.parse_poly, text, n)
         assert _outcome(parse_poly, text, n) == want, (text, n)
+        memo = memos.setdefault(n, {})
+        assert _outcome(lambda t, n: parse_poly(t, n, memo), text, n) == \
+            want, (text, n)
         kinds.add(want[0] if want[0] == "ok" else want[1].split()[0])
     assert {"ok", "malformed", "zero", "variable", "empty",
             "monomial"} <= kinds

@@ -122,3 +122,78 @@ def test_no_dense_operator_products_in_l4():
             if name == "mat_mul":
                 uses.append("%s:%d: mat_mul" % (path, node.lineno))
     assert uses == []
+
+
+_MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+            ast.SetComp)
+_CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+               "Counter", "deque"}
+
+
+def _name(node):
+    """The called or decorating name of node: `f` of f, m.f and f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _mutable(node):
+    return isinstance(node, _MUTABLE) or (isinstance(node, ast.Call)
+                                          and _name(node) in _CONTAINERS)
+
+
+def _read_only(node, parent):
+    """Whether the load of a name node only reads its container: an
+    item read, the iterable of a loop, or the right side of `in`."""
+    return (isinstance(parent, ast.Subscript) and parent.value is node
+            and isinstance(parent.ctx, ast.Load)
+            or isinstance(parent, (ast.For, ast.comprehension))
+            and parent.iter is node
+            or isinstance(parent, ast.Compare) and node in parent.comparators
+            and all(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops))
+
+
+def test_no_process_wide_caches():
+    # a memo that outlives one call makes a run of many in-process jobs
+    # cheaper than the CLI invocations it stands for; only the argparse
+    # parser (`cli.build_parser`, @cache) and per-instance
+    # cached_property may be kept, and memos such as the parser's
+    # monomial texts are handed from call to call.  A module-level
+    # container may only be read item by item, never changed, aliased
+    # or handed on
+    found = []
+    for path, tree in _trees().items():
+        def bad(node, what):
+            found.append("%s:%d: %s" % (path, node.lineno, what))
+        shared = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                  and _mutable(node.value)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        parents = {id(child): node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                bad(node, "global " + ", ".join(node.names))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.Assign) and _mutable(item.value):
+                        bad(item, "class-level container")
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                for d in node.args.defaults + node.args.kw_defaults:
+                    if isinstance(d, _MUTABLE + (ast.Call,)):
+                        bad(d, "default argument %s" % ast.unparse(d))
+            if isinstance(node, ast.FunctionDef):
+                for dec in map(_name, node.decorator_list):
+                    if dec in ("cache", "lru_cache") and not (
+                            path.name == "cli.py"
+                            and node.name == "build_parser"):
+                        bad(node, "@%s on %s" % (dec, node.name))
+                    if dec == "cached_property" and id(node) not in methods:
+                        bad(node, "@cached_property on %s" % node.name)
+            if isinstance(node, ast.Name) and node.id in shared and \
+                    isinstance(node.ctx, ast.Load) and \
+                    not _read_only(node, parents[id(node)]):
+                bad(node, "module-level %s used other than read" % node.id)
+    assert found == []

@@ -135,3 +135,21 @@ def test_superalg_work_counts(monkeypatch):
     assert super_axiom_report(6, 0)["ok"]
     # one validated construction per drawn map
     assert built[0] == 3 * 50
+
+
+def test_koszul_check_solves_each_module_action_once(monkeypatch):
+    # the form bases of grades 1 and 2 share one table of the m * d
+    # module actions e_a . X_t (2 * m * d solves when each grade made
+    # its own)
+    calls = []
+    module_action = OperatorSpace.module_action
+
+    def counted(self, a, t):
+        calls.append((a, t))
+        return module_action(self, a, t)
+    monkeypatch.setattr(OperatorSpace, "module_action", counted)
+    for name, A in KOSZUL_CASES:
+        del calls[:]
+        rep = koszul_check(A)
+        assert sorted(calls) == [(a, t) for a in range(A.dim)
+                                 for t in range(rep["dim_der"])], name
