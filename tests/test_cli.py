@@ -328,3 +328,54 @@ def test_huge_decimal_exponents_are_refused(text, quoted):
     assert code == 1
     assert out["error"]["kind"] == "bad-input"
     assert "exponent" in out["error"]["message"]
+
+
+def _with_bad_entry(shape, bad, where, good=("1", '"1"')):
+    """JSON text of a nested list of the given shape whose entries
+    alternate the spellings `good`, with `bad` put in place of the first
+    entry, the last one, or (where="both") the last one after "x" in
+    the middle."""
+    count = 1
+    for size in shape:
+        count *= size
+    entries = [good[k % len(good)] for k in range(count)]
+    if where == "first":
+        entries[0] = bad
+    else:
+        entries[-1] = bad
+    if where == "both":
+        entries[count // 2] = '"x"'
+    for size in reversed(shape):
+        entries = ["[%s]" % ", ".join(entries[k:k + size])
+                   for k in range(0, len(entries), size)]
+    return entries[0]
+
+
+# (exit code, kind, message) of a table or matrix with one bad entry
+_BAD_ENTRIES = {
+    "true": (1, "bad-input", "bad rational number True"),
+    "[1]": (1, "bad-input", "bad rational number [1]"),
+    '"1/0"': (1, "bad-input", "bad rational number '1/0'"),
+    '"1e999999999"': (1, "bad-input",
+                      "exponent of '1e999999999' beyond +-1000"),
+    '"x"': (1, "bad-input", "bad rational number 'x'"),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "last", "both"])
+@pytest.mark.parametrize("bad", list(_BAD_ENTRIES), ids=list(_BAD_ENTRIES))
+@pytest.mark.parametrize("target", ["algebra", "ideal"])
+def test_the_first_bad_number_is_reported(target, bad, where):
+    # a table reads each distinct number text once, so a bad entry after
+    # many repeats of a good text ("1", and true after 1) must still be
+    # refused, and the first bad entry named, as when every entry is read
+    if target == "algebra":
+        argv = ("ncalg", "der", "--algebra",
+                '{"dim": 3, "unit": [1, 0, 0], "mult": %s}'
+                % _with_bad_entry((3, 3, 3), bad, where))
+    else:
+        argv = ("ncalg", "submanifold", "--algebra", json.dumps(_ALG2),
+                "--ideal", _with_bad_entry((30, 2), bad, where))
+    code, out = in_process(*argv)
+    want = _BAD_ENTRIES['"x"' if where == "both" else bad]
+    assert (code, out["error"]["kind"], out["error"]["message"]) == want

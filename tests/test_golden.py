@@ -44,7 +44,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
@@ -460,6 +460,48 @@ FINITE_JOBS = {
 JOBS.update(FINITE_JOBS)
 
 
+def spelled(x, k):
+    """The number x as the k-th of five JSON spellings: a bare int (or
+    its fraction text), a numeric string, a JSON decimal, the string
+    "2p/2q", and "-0" for a zero."""
+    x = Fraction(x)
+    decimal = float(x) if Fraction(float(x)) == x else str(x)
+    return [x.numerator if x.denominator == 1 else str(x), str(x), decimal,
+            "%d/%d" % (2 * x.numerator, 2 * x.denominator),
+            "-0" if x == 0 else str(x)][k % 5]
+
+
+def respelled(alg):
+    """An algebra JSON with every entry in a spelling that cycles with
+    its position."""
+    k = count()
+    return dict(alg, unit=[spelled(x, next(k)) for x in alg["unit"]],
+                mult=[[[spelled(x, next(k)) for x in vec] for vec in row]
+                      for row in alg["mult"]])
+
+
+# stdout that the wire layer must print byte for byte: a message with a
+# non-ASCII character, a double quote and a backslash, a table read
+# from every spelling of its numbers, and a --seed that is echoed
+BAD_COEFF = dumps({"u": {"n": 2, "grade": 1,
+                         "terms": [{"idx": [0], "coeff": 'x0\u00e9"\\'}]},
+                   "v": {"n": 2, "grade": 1, "terms": []}})
+WIRE_JOBS = {
+    "schouten-escaped-error": (["schouten", "-i", BAD_COEFF], 1,
+                               "842690d1e12970876c42ba1b25ceb65868516525b1c65c5fd6149643b2fb3592"),
+    "schouten-escaped-error-text": (["schouten", "--format", "text", "-i",
+                                     BAD_COEFF], 1,
+                                    "3d33e061992e6c4c2e523af0e1abd5575d025b5a66f81d6bc5bea32488f0d6fe"),
+    "der-x2y2-respelled": (ncalg("der", "--algebra", respelled(X2Y2_HALF)),
+                           0, "e16a9b17db546613b76dfcc7bb37c2cfb6abee0b914c1cd99b8543c66b0ef126"),
+    "check-seed": (["check", "--seed", "20260", "-i", dumps(LP)], 0,
+                   "2ab5cfddadfc4fe1ee3cbbab8c9988d002a59caca228f12847b751ed4648f569"),
+    "check-seed-text": (["check", "--format", "text", "--seed", "-3", "-i",
+                         dumps(field(2, 0, every=3))], 0,
+                        "9006ec7b0aaffa3611b8c7140c92e1c4d22a6bb280a5f05f654c32f5661829e8"),
+}
+
+
 @pytest.mark.parametrize("name", list(JOBS))
 def test_cli_stdout_matches_golden_digest(name):
     argv, digest = JOBS[name]
@@ -467,4 +509,14 @@ def test_cli_stdout_matches_golden_digest(name):
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(WIRE_JOBS))
+def test_wire_layer_stdout_matches_golden_digest(name):
+    argv, want_code, digest = WIRE_JOBS[name]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == want_code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
