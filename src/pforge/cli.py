@@ -14,7 +14,7 @@ from decimal import Decimal
 from functools import cache
 
 from . import forms, multivec, serialize
-from .serialize import InputError, dump, str_fractions
+from .serialize import InputError, dump, dump_lines
 from .ratpoly import parse_poly, PolyParseError, DimensionMismatch
 from .multivec import jacobiator, GradeMismatch
 from .forms import NonInvolutive
@@ -104,15 +104,9 @@ def _nonnegative(value, flag, top=None):
 
 
 def _emit(args, payload):
-    payload = str_fractions(payload)
     if args.seed is not None:
-        payload.setdefault("seed", args.seed)
-    if args.format == "text":
-        for key in sorted(payload):
-            sys.stdout.write("%s: %s\n"
-                             % (key, json.dumps(payload[key], sort_keys=True)))
-    else:
-        sys.stdout.write(dump(payload))
+        payload = {"seed": args.seed, **payload}
+    sys.stdout.write((dump_lines if args.format == "text" else dump)(payload))
     return 0
 
 

@@ -36,16 +36,21 @@ class Form(Graded):
 form_wedge = wedge
 
 
-def _check_pair(a, u):
-    """Raise unless a is a form and u a multivector over the same n."""
+def _check_form(a):
     if not isinstance(a, Form):
         raise TypeError("%s operand where a Form is needed"
                         % type(a).__name__)
+
+
+def _check_pair(a, u):
+    """Raise unless a is a form and u a multivector over the same n."""
+    _check_form(a)
     a._check(u, Multivector)
 
 
 def form_d(a):
     """Exterior derivative; d(f dx_I) = sum_i (df/dx_i) dx_i ^ dx_I."""
+    _check_form(a)
     w = _width(_degree(a))
     return Form.build(a.n, a.grade + 1, _form_d(a.n, _pack(a, w), w, {}), w)
 

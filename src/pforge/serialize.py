@@ -122,11 +122,21 @@ def fraction_from_json(x):
     raise InputError("exponent of %r beyond +-%d" % (x, EXPONENT_BOUND))
 
 
+def _numbers(xs, memo):
+    """[fraction_from_json(x) for x in xs], reading each distinct str(x)
+    once per memo: the value depends on that text alone, and a text
+    enters the memo only once read without error, so a bad entry fails
+    where and as it would if every entry were read."""
+    return [memo[t] if (t := str(x)) in memo
+            else memo.setdefault(t, fraction_from_json(x)) for x in xs]
+
+
 def matrix_from_json(rows, what="matrix"):
     if not isinstance(rows, list) or \
             not all(isinstance(r, list) for r in rows):
         raise InputError("%s must be a list of rows" % what)
-    return [[fraction_from_json(x) for x in r] for r in rows]
+    memo = {}
+    return [_numbers(r, memo) for r in rows]
 
 
 def _structure_constants(obj, fields, message, key):
@@ -144,8 +154,8 @@ def _structure_constants(obj, fields, message, key):
             raise TypeError
     except (TypeError, IndexError, KeyError):
         raise InputError("%s must be a dim x dim table of vectors" % key)
-    return dim, [[[fraction_from_json(x) for x in vec] for vec in row]
-                 for row in table]
+    memo = {}
+    return dim, [[_numbers(vec, memo) for vec in row] for row in table]
 
 
 def algebra_from_json(obj):
@@ -186,28 +196,46 @@ def polys_from_json(items, n):
     return out
 
 
-def dump(obj):
-    """Canonical JSON bytes: sorted keys, stable separators."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def str_fractions(x):
-    """Recursively stringify exact numbers for JSON output.
-
-    A Fraction prints as a string, and so does an int that is an entry
-    of a list or tuple: a coordinate, whether it is held as an int or as
-    a Fraction.  An int that is a dict value (a dim, a rank, a count)
-    stays a number, and so does a bool."""
-    if isinstance(x, Fraction):
-        return str(x)
+def _text(x, nl, entry='"%d"'):
+    """The JSON text of x.  A Fraction prints as a string, and so does
+    an int that is a list or tuple entry (by `entry`: "%d" in the wire
+    form of a graded element, whose idx entries are numbers); an int or
+    bool that is a dict value stays a number.  Keys are str(k), sorted.
+    nl is a newline and the current indentation, or "" for one line."""
+    inner = nl and nl + "  "
+    sep = "," + inner if nl else ", "
     if isinstance(x, (list, tuple)):
-        return [str(v) if type(v) is int else str_fractions(v) for v in x]
+        items = [entry % v if type(v) is int else _text(v, inner, entry)
+                 for v in x]
+        return "[" + inner + sep.join(items) + nl + "]" if items else "[]"
     if isinstance(x, dict):
-        return {str(k): str_fractions(v) for k, v in x.items()}
-    if isinstance(x, Poly):
+        items = [_ESCAPE(k) + ": " + _text(v, inner, entry) for k, v in
+                 sorted({str(k): v for k, v in x.items()}.items())]
+        return "{" + inner + sep.join(items) + nl + "}" if items else "{}"
+    if isinstance(x, Fraction):
+        return '"%s"' % x
+    if isinstance(x, str):
+        return _ESCAPE(x)
+    if type(x) is int:
         return str(x)
-    if isinstance(x, Multivector):
-        return multivector_to_json(x)
-    if isinstance(x, Form):
-        return form_to_json(x)
-    return x
+    if isinstance(x, Poly):
+        return _ESCAPE(str(x))
+    if isinstance(x, (Multivector, Form)):
+        wire = form_to_json if isinstance(x, Form) else multivector_to_json
+        return _text(wire(x), nl, "%d")
+    return json.dumps(x)
+
+
+def dump(obj):
+    """Canonical JSON text of a result, indented by two spaces."""
+    return _text(obj, "\n") + "\n"
+
+
+def dump_lines(payload):
+    """One `key: value` line per key of a result dict, sorted, each
+    value on one line."""
+    return "".join("%s: %s\n" % (k, _text(v, "")) for k, v in
+                   sorted({str(k): v for k, v in payload.items()}.items()))

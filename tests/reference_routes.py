@@ -39,12 +39,16 @@ that pforge computes another way:
   once did) built from the literal shuffle sum, and `form_basis` and
   `koszul_d` visit every derivation index t, where `superalg` sums both
   products and every residue into one accumulator and reads only nonzero
-  module-action coordinates and structure constants.
+  module-action coordinates and structure constants;
+* `dump` and `dump_lines` print a result as the CLI did before its
+  one-pass writer: `str_fractions` builds a stringified copy, which
+  `json.dumps` prints, indented or one value per line.
 
 Nothing here is fast; each is only a second road to the same exact
 values.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -53,6 +57,7 @@ from operator import neg
 
 from pforge import linalg
 from pforge.ratpoly import Poly, PolyParseError
+from pforge.serialize import multivector_to_json, form_to_json
 from pforge.multivec import Multivector, GradeMismatch, sort_sign, \
     schouten, wedge, lichnerowicz_dp, all_index_tuples, _pack, _schouten
 from pforge.forms import Form, form_d, d_poly, interior, pair, pbracket_of, \
@@ -590,3 +595,41 @@ def koszul_check(A):
             "dim_der": space.d_der,
             "form_dims": dims,
             "counterexample": counterexample}
+
+
+# -- printing -----------------------------------------------------------
+
+
+def str_fractions(x):
+    """Recursively stringify exact numbers for JSON output.
+
+    A Fraction prints as a string, and so does an int that is an entry
+    of a list or tuple: a coordinate, whether it is held as an int or as
+    a Fraction.  An int that is a dict value (a dim, a rank, a count)
+    stays a number, and so does a bool."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [str(v) if type(v) is int else str_fractions(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): str_fractions(v) for k, v in x.items()}
+    if isinstance(x, Poly):
+        return str(x)
+    if isinstance(x, Multivector):
+        return multivector_to_json(x)
+    if isinstance(x, Form):
+        return form_to_json(x)
+    return x
+
+
+def dump(obj):
+    """The JSON output of a result, indented by two spaces."""
+    return json.dumps(str_fractions(obj), sort_keys=True, indent=2) + "\n"
+
+
+def dump_lines(payload):
+    """The text output of a result dict: one `key: value` line per key."""
+    payload = str_fractions(payload)
+    return "".join("%s: %s\n" % (key, json.dumps(payload[key],
+                                                 sort_keys=True))
+                   for key in sorted(payload))

@@ -222,6 +222,21 @@ def test_pair_needs_a_form_and_a_multivector():
             pair(a, u)
 
 
+def test_d_and_lie_derivative_need_a_form():
+    # d of the derivation d0 used to read it as dx0 and return -dx0^dx1
+    u = Multivector(2, 1, {(0,): parse_poly("x1", 2)})
+    x = Multivector.basis(2, (1,))
+    message = "Multivector operand where a Form is needed"
+    with pytest.raises(TypeError, match=message):
+        form_d(u)
+    for a in (u, Multivector.from_poly(parse_poly("x0", 2))):
+        with pytest.raises(TypeError, match=message):
+            lie_derivative(x, a)
+    with pytest.raises(TypeError, match=message):
+        interior(x, u)
+    assert form_d(Form.from_poly(parse_poly("x0", 2))) == Form.basis(2, (0,))
+
+
 def test_equality_with_a_non_container_is_false():
     assert (Multivector.zero(2, 1) == 0) is False
     assert Form.zero(2, 0) != "0"

@@ -5,7 +5,10 @@ import pytest
 from pforge import cli, serialize
 from pforge.serialize import InputError
 from pforge.ratpoly import parse_poly
-from conftest import bivector, random_form, random_multivector, rng_for
+import reference_routes
+from conftest import (bivector, random_form, random_multivector, random_poly,
+                      rng_for)
+from test_golden import JOBS, WIRE_JOBS
 
 
 def test_multivector_round_trip():
@@ -83,11 +86,78 @@ def test_point_and_fraction_parsing():
 
 def test_dump_is_canonical():
     u = bivector(2, {(0, 1): "x0"})
-    payload = serialize.str_fractions({"p": u, "c": Fraction(1, 2)})
+    payload = {"p": u, "c": Fraction(1, 2)}
     text = serialize.dump(payload)
     assert text == serialize.dump(payload)
     assert text.endswith("\n")
     assert '"c": "1/2"' in text
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_STRINGS = ["", "x", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f",
+            "\u00e9t\u00e9", "\u2203 \U0001d53c", "\x7f\ud800"]
+
+
+def _random_tree(rng, depth):
+    """A tree of the values a result may hold, with every container
+    kind among its inner nodes while depth lasts."""
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        return rng.choice([True, False, None, 0, -1, 7, 10 ** 30,
+                           Fraction(-3, 4), Fraction(5), Fraction(0),
+                           Fraction(1, 10 ** 20)] + _STRINGS)
+    if kind == 1:
+        n = rng.randint(1, 3)
+        return rng.choice([random_poly(n, rng), random_multivector(
+            n, rng.randint(0, n), rng), random_form(n, rng.randint(0, n), rng)])
+    if kind == 2:
+        return rng.choice([[], (), {}, _List(), _Dict()])
+    items = [_random_tree(rng, depth - 1) for _ in range(rng.randint(1, 4))]
+    if kind == 3:
+        return rng.choice([list, tuple, _List])(items)
+    # an int key and its text may meet, and str(k) keeps the last value
+    keys = [rng.choice([rng.randint(-2, 3), str(rng.randint(-2, 3))]
+                       + _STRINGS) for _ in items]
+    return rng.choice([dict, _Dict])(zip(keys, items))
+
+
+def _captured_payloads(monkeypatch):
+    """The raw payload that every golden job hands to the printer."""
+    payloads = []
+
+    def capture(args, payload):
+        payloads.append(payload)
+        return 0
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    monkeypatch.setattr(cli, "_error", lambda args, kind, message, code:
+                        capture(args, {"error": {"kind": kind,
+                                                 "message": str(message)}}))
+    for argv in [job[0] for job in list(JOBS.values())
+                 + list(WIRE_JOBS.values())]:
+        cli.main(argv)
+    return payloads
+
+
+def test_writer_matches_the_reference_route(monkeypatch):
+    # the one-pass writer against str_fractions + json.dumps, in both
+    # layouts, byte for byte
+    payloads = _captured_payloads(monkeypatch)
+    assert len(payloads) == len(JOBS) + len(WIRE_JOBS)
+    rng = rng_for(280)
+    payloads += [_random_tree(rng, 4) for _ in range(300)]
+    for x in payloads:
+        assert serialize.dump(x) == reference_routes.dump(x)
+        lines = x if isinstance(x, dict) else {"tree": x, 0: [x]}
+        assert serialize.dump_lines(lines) == \
+            reference_routes.dump_lines(lines)
 
 
 def test_algebra_parsers():

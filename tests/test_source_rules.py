@@ -197,3 +197,11 @@ def test_no_process_wide_caches():
                     not _read_only(node, parents[id(node)]):
                 bad(node, "module-level %s used other than read" % node.id)
     assert found == []
+
+
+def test_results_are_printed_only_by_serialize():
+    # every result goes through serialize's one-pass writer; json.dumps
+    # with an indent runs the pure-Python encoder that the writer
+    # replaced, and a second printer elsewhere could drift from it
+    assert _grep(r"\bjson\.dumps?\b", skip={"serialize.py"}) == []
+    assert _grep(r"\bindent\s*=") == []
