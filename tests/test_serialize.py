@@ -151,7 +151,7 @@ def test_writer_matches_the_reference_route(monkeypatch):
     # layouts, byte for byte
     payloads = _captured_payloads(monkeypatch)
     assert len(payloads) == len(JOBS) + len(WIRE_JOBS)
-    rng = rng_for(280)
+    rng = rng_for(57)
     payloads += [_random_tree(rng, 4) for _ in range(300)]
     for x in payloads:
         assert serialize.dump(x) == reference_routes.dump(x)
