@@ -67,7 +67,8 @@ _OPERATORS = {
 
 def _load_json(source, what="input"):
     """Inline JSON text or a path to a JSON file; a JSON number with a
-    fraction or an exponent is the exact `Decimal` of its text."""
+    fraction or an exponent is the exact `Decimal` of its text.  A bare
+    integer past `int`'s digit limit is a ValueError of `json.loads`."""
     if source is None:
         raise InputError("missing %s" % what)
     text = source
@@ -76,7 +77,7 @@ def _load_json(source, what="input"):
             text = fh.read()
     try:
         return json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError("%s is not valid JSON: %s" % (what, exc))
 
 

@@ -77,16 +77,15 @@ def _degree(u):
                default=0)
 
 
-def _pack_poly(p, w):
-    """{packed monomial: coefficient} of a Poly: exponent e_i goes in
-    bits [w*i, w*(i+1)) of one int."""
-    shifts = range(0, w * p.n, w)
-    return {sum(map(lshift, e, shifts)): c for e, c in p.terms.items()}
-
-
 def _pack(u, w):
-    """The packed element {idx: {packed monomial: coefficient}} of u."""
-    return {idx: _pack_poly(c, w) for idx, c in u.terms.items()}
+    """The packed element {idx: {packed monomial: coefficient}} of u:
+    exponent e_i goes in bits [w*i, w*(i+1)) of one int, and each
+    distinct monomial of u is packed once."""
+    shifts = range(0, w * u.n, w)
+    packed = {e: sum(map(lshift, e, shifts))
+              for e in set().union(*[c.terms for c in u.terms.values()])}
+    return {idx: dict(zip(map(packed.__getitem__, c.terms), c.terms.values()))
+            for idx, c in u.terms.items()}
 
 
 def _diff(f, i, w):

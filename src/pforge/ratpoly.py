@@ -235,42 +235,44 @@ class Poly:
     # -- presentation -------------------------------------------------
 
     def __str__(self):
-        return format_poly(self, {})
+        return format_polys([self])[0]
 
     def __repr__(self):
         return "Poly(%d, %s)" % (self.n, str(self))
 
 
-def format_poly(p, names):
-    """The canonical text of p, in graded lex order: descending lex, then
-    stably by degree, with built-in comparisons.  names is an {exponent
-    tuple: monomial text} memo that polynomials printed together share."""
-    terms = p.terms
-    if not terms:
-        return "0"
-    keys = sorted(terms, reverse=True)
-    keys.sort(key=sum)
-    parts = []
-    for e in keys:
-        c = terms[e]
-        m = names.get(e)
-        if m is None:
-            m = names[e] = "*".join(["x%d^%d" % (i, k) if k > 1 else
-                                     "x%d" % i for i, k in enumerate(e) if k])
-        sign, c = ("- ", -c) if c < 0 else ("+ ", c)
-        parts.append(sign + (str(c) if not m else m if c == 1
-                             else str(c) + "*" + m))
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+def format_polys(polys):
+    """The canonical texts of polys, in graded lex order.  Their distinct
+    monomials are sorted once (descending lex, then stably by degree)
+    and named once, as a " + %s*name" template; each text joins the
+    templates of its terms in rank order and fills in its coefficients
+    with one `%`, then three replaces fix the signs and unit factors."""
+    monos = sorted(set().union(*[p.terms for p in polys]), reverse=True)
+    monos.sort(key=sum)
+    rank = dict(zip(monos, range(len(monos))))
+    forms = [" + %s*" + "*".join(["x%d^%d" % (i, k) if k > 1 else "x%d" % i
+                                  for i, k in enumerate(e) if k])
+             if any(e) else " + %s" for e in monos]
+    texts = []
+    for p in polys:
+        order = sorted(map(rank.__getitem__, p.terms))
+        text = "".join(map(forms.__getitem__, order)) % tuple(
+            map(p.terms.__getitem__, map(monos.__getitem__, order)))
+        text = text.replace("+ -", "- ").replace("+ 1*", "+ ") \
+            .replace("- 1*", "- ")
+        texts.append(text[3:] if text[1:2] == "+" else
+                     "-" + text[3:] if text else "0")
+    return texts
 
 
 # parse_poly's grammar on whitespace-free text: each term after the first
 # starts at a sign, has a coefficient or a factor (the lookahead) and may
-# end in one newline; _TERMS_RE's lookahead stops an empty match at the end.
-_FACTOR = r"(?:x\d+(?:\^\d+)?\*?)"
-_POLY_RE = re.compile(r"(?:(?:\A[+-]?|[+-])(?=\d|\*?x)"
-                      r"(?:\d+(?:/\d+)?)?\*?%s*\n?)+" % _FACTOR)
-_TERMS_RE = re.compile(r"(?=.)([+-]?)(\d*)(?:/(\d+))?\*?(%s*)\n?" % _FACTOR)
+# end in one newline.  _TERMS_RE reads only text that _POLY_RE accepted, so
+# a term's factors are all up to the next sign or newline; its lookahead
+# stops an empty match at the end.
+_POLY_RE = re.compile(r"(?:(?:\A[+-]?|[+-])(?=\d|\*?x)(?:\d+(?:/\d+)?)?"
+                      r"\*?(?:x\d+(?:\^\d+)?\*?)*\n?)+")
+_TERMS_RE = re.compile(r"(?=.)([+-]?)(\d*)(?:/(\d+))?\*?([^+\-\n]*)\n?")
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
@@ -284,8 +286,8 @@ def parse_poly(text, n, monomials=None):
     One regex checks the whole text, `findall` reads its terms and
     factors, and `_reject` names the first bad term of any error.
     monomials is a {factor text: exponent tuple} memo that texts parsed
-    together at one n share, as `format_poly`'s names are shared; a
-    factor text enters it only once read without error.
+    together at one n share; a factor text enters it only once read
+    without error.
     """
     s = text.replace("−", "-").replace(" ", "").replace("\t", "")
     if not _POLY_RE.fullmatch(s):

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .linalg import exact
-from .ratpoly import Poly, parse_poly, format_poly, PolyParseError
+from .ratpoly import Poly, parse_poly, format_polys, PolyParseError
 from .multivec import Multivector, GradeMismatch, sort_sign
 from .forms import Form
 
@@ -88,10 +88,11 @@ def form_from_json(obj):
 
 
 def multivector_to_json(u):
-    names = {}      # monomial texts, shared by u's coefficients
+    terms = u.sorted_terms()
+    texts = format_polys([c for _, c in terms])
     return {"n": u.n, "grade": u.grade,
-            "terms": [{"idx": list(idx), "coeff": format_poly(c, names)}
-                      for idx, c in u.sorted_terms()]}
+            "terms": [{"idx": list(idx), "coeff": text}
+                      for (idx, _), text in zip(terms, texts)]}
 
 
 def form_to_json(a):
@@ -204,10 +205,13 @@ def _text(x, nl, entry='"%d"'):
     an int that is a list or tuple entry (by `entry`: "%d" in the wire
     form of a graded element, whose idx entries are numbers); an int or
     bool that is a dict value stays a number.  Keys are str(k), sorted.
+    The Polys of a list are printed together, by one `format_polys`.
     nl is a newline and the current indentation, or "" for one line."""
     inner = nl and nl + "  "
     sep = "," + inner if nl else ", "
     if isinstance(x, (list, tuple)):
+        if x and all(isinstance(v, Poly) for v in x):
+            return _text(format_polys(x), nl, entry)
         items = [entry % v if type(v) is int else _text(v, inner, entry)
                  for v in x]
         return "[" + inner + sep.join(items) + nl + "]" if items else "[]"

@@ -330,6 +330,22 @@ def test_huge_decimal_exponents_are_refused(text, quoted):
     assert "exponent" in out["error"]["message"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int has no digit limit on this Python")
+@pytest.mark.parametrize("quoted", [True, False], ids=["string", "bare"])
+def test_integers_past_the_digit_limit_are_refused(quoted):
+    # json.loads raises a plain ValueError on a bare integer this long,
+    # and fraction_from_json on the same digits as a string
+    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    entry = '"%s"' % digits if quoted else digits
+    code, out = in_process("ncalg", "der", "--algebra",
+                           '{"dim": 1, "mult": [[[%s]]], "unit": [1]}' % entry)
+    assert code == 1
+    assert out["error"]["kind"] == "bad-input"
+    assert out["error"]["message"].startswith(
+        "bad rational number" if quoted else "algebra is not valid JSON")
+
+
 def _with_bad_entry(shape, bad, where, good=("1", '"1"')):
     """JSON text of a nested list of the given shape whose entries
     alternate the spellings `good`, with `bad` put in place of the first

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pforge.ratpoly import (Poly, parse_poly, format_poly, PolyParseError,
+from pforge.ratpoly import (Poly, parse_poly, format_polys, PolyParseError,
                             DimensionMismatch)
 import reference_routes as ref
 from conftest import rng_for
@@ -222,6 +222,12 @@ def test_parser_matches_the_chunk_parser_on_random_strings():
              "x0 +", "*", "*x0", "x0**x1", "2**x0", "x0\n", "x0\n+1",
              "x0\n\n", "4/2*x1 - 1/2 - 3/2", "-x0 + x0", "007*x001^02",
              "٣*x١", "", " \t", "1//2", "(x0", "y", "x0^"]
+    # the term reader takes every factor up to the next sign or newline,
+    # so texts that end a term early or late must still be refused
+    cases += ["x0*", "2*x1^2*", "1/2*", "x0*+x1", "x0\n+x1\n-2*x2\n",
+              "x0\nx1", "x0\n\n+x1", "\nx0", "−x0 − 2*x1", "x0−", "−",
+              "x0 + x1 + 2x", "x0 + 3*y1", "x0 - x1 + 1/0*x2", "x0 + x9",
+              "x0*x1 + x0^", "1 + x0**", "x0 + 2/3/4", "x0 + *"]
     # a number past int's digit limit raises before a later bad term
     big = "9" * 4400
     cases += [big + "+*", "1/" + big + "+*", "x0^" + big + "+*",
@@ -262,7 +268,35 @@ def test_printer_matches_the_key_sorted_printer():
         for _ in range(400):
             p = _random_poly(n, rng)
             want = ref.poly_str(p)
-            assert str(p) == want == format_poly(p, names), p.terms
+            assert str(p) == want == ref.format_poly(p, names), p.terms
             assert parse_poly(want, n) == p
     assert str(Poly.const(3, Fraction(-1, 2))) == "-1/2"
     assert str(Poly(0, {(): 5})) == "5" and str(Poly.zero(2)) == "0"
+
+
+_EDGE_COEFFS = [1, -1, 11, -11, Fraction(1, 2), Fraction(-1, 3), 21]
+
+
+def test_one_printer_matches_the_per_poly_printer():
+    # polynomials printed together share one monomial order and one set
+    # of names, so each text must be the one it has printed alone
+    rng = rng_for(1214)
+    for n in range(1, 9):
+        for _ in range(60):
+            polys = []
+            for _ in range(rng.randint(1, 8)):
+                p = _random_poly(n, rng)
+                if rng.random() < 0.5:
+                    terms = dict(p.terms)
+                    for e in list(terms) + [(0,) * n]:
+                        terms[e] = rng.choice(_EDGE_COEFFS)
+                    p = Poly(n, terms)
+                polys.append(p if rng.random() < 0.9 else Poly.zero(n))
+            want = [ref.format_poly(p, {}) for p in polys]
+            assert format_polys(polys) == want, [p.terms for p in polys]
+            assert [str(p) for p in polys] == want
+    assert format_polys([]) == []
+    assert format_polys([Poly.zero(3), Poly.const(3, -1)]) == ["0", "-1"]
+    assert format_polys([Poly(2, {(1, 0): -1, (0, 1): 11, (0, 0): 1}),
+                         Poly(2, {(1, 0): Fraction(-1, 3), (2, 1): 21})]) \
+        == ["1 - x0 + 11*x1", "-1/3*x0 + 21*x0^2*x1"]

@@ -4,7 +4,9 @@ import pytest
 
 from pforge import cli, serialize
 from pforge.serialize import InputError
-from pforge.ratpoly import parse_poly
+from pforge.ratpoly import Poly, format_polys, parse_poly
+from pforge.multivec import Multivector
+from pforge.forms import Form
 import reference_routes
 from conftest import (bivector, random_form, random_multivector, random_poly,
                       rng_for)
@@ -118,7 +120,9 @@ def _random_tree(rng, depth):
         return rng.choice([random_poly(n, rng), random_multivector(
             n, rng.randint(0, n), rng), random_form(n, rng.randint(0, n), rng)])
     if kind == 2:
-        return rng.choice([[], (), {}, _List(), _Dict()])
+        n = rng.randint(1, 3)
+        return rng.choice([[], (), {}, _List(), _Dict(), [random_poly(
+            n, rng, terms=rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]])
     items = [_random_tree(rng, depth - 1) for _ in range(rng.randint(1, 4))]
     if kind == 3:
         return rng.choice([list, tuple, _List])(items)
@@ -158,6 +162,37 @@ def test_writer_matches_the_reference_route(monkeypatch):
         lines = x if isinstance(x, dict) else {"tree": x, 0: [x]}
         assert serialize.dump_lines(lines) == \
             reference_routes.dump_lines(lines)
+
+
+def _polys_printed_together(x):
+    """Each list of Polys that a payload prints by one `format_polys`: a
+    list of Polys, and the coefficients of one graded element."""
+    if isinstance(x, (Multivector, Form)):
+        yield [c for _, c in x.sorted_terms()]
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _polys_printed_together(v)
+    elif isinstance(x, (list, tuple)):
+        if x and all(isinstance(v, Poly) for v in x):
+            yield list(x)
+        for v in x:
+            yield from _polys_printed_together(v)
+    elif isinstance(x, Poly):
+        yield [x]
+
+
+def test_printer_matches_the_reference_on_golden_payloads(monkeypatch):
+    # every polynomial of a golden job's result, printed together with
+    # its neighbours, against the per-poly printer that format_polys
+    # replaced
+    seen = 0
+    for x in _captured_payloads(monkeypatch):
+        for polys in _polys_printed_together(x):
+            names = {}
+            assert format_polys(polys) == [reference_routes.format_poly(
+                p, names) for p in polys]
+            seen += len(polys)
+    assert seen > 200
 
 
 def test_algebra_parsers():
