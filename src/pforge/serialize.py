@@ -210,7 +210,8 @@ def _text(x, nl, entry='"%d"'):
     inner = nl and nl + "  "
     sep = "," + inner if nl else ", "
     if isinstance(x, (list, tuple)):
-        if x and all(isinstance(v, Poly) for v in x):
+        if x and isinstance(x[0], Poly) and all(isinstance(v, Poly)
+                                                 for v in x):
             return _text(format_polys(x), nl, entry)
         items = [entry % v if type(v) is int else _text(v, inner, entry)
                  for v in x]
