@@ -205,14 +205,10 @@ def _text(x, nl, entry='"%d"'):
     an int that is a list or tuple entry (by `entry`: "%d" in the wire
     form of a graded element, whose idx entries are numbers); an int or
     bool that is a dict value stays a number.  Keys are str(k), sorted.
-    The Polys of a list are printed together, by one `format_polys`.
     nl is a newline and the current indentation, or "" for one line."""
     inner = nl and nl + "  "
     sep = "," + inner if nl else ", "
     if isinstance(x, (list, tuple)):
-        if x and isinstance(x[0], Poly) and all(isinstance(v, Poly)
-                                                 for v in x):
-            return _text(format_polys(x), nl, entry)
         items = [entry % v if type(v) is int else _text(v, inner, entry)
                  for v in x]
         return "[" + inner + sep.join(items) + nl + "]" if items else "[]"

@@ -23,10 +23,6 @@ that pforge computes another way:
   as they were before the one-regex parser and the built-in-sorted
   printer: a chunk regex per term with its error messages, and a Python
   key function for graded lex order;
-* `format_poly` is the built-in-sorted printer that
-  `ratpoly.format_polys` replaced: it sorts each polynomial's exponent
-  tuples itself and writes each term with its own sign and unit
-  branches;
 * `der_brackets` and `operator_space_mu` write dense commutators
   (`commutator`, by `linalg.mat_mul`) of operators over Der(A) and over
   V = Der(A) + A by a `linalg.Subspace` solve, where `ncalg.derivations`
@@ -310,29 +306,6 @@ def poly_str(p):
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def format_poly(p, names):
-    """The canonical text of p, in graded lex order: descending lex, then
-    stably by degree, with built-in comparisons.  names is an {exponent
-    tuple: monomial text} memo that polynomials printed together share."""
-    terms = p.terms
-    if not terms:
-        return "0"
-    keys = sorted(terms, reverse=True)
-    keys.sort(key=sum)
-    parts = []
-    for e in keys:
-        c = terms[e]
-        m = names.get(e)
-        if m is None:
-            m = names[e] = "*".join(["x%d^%d" % (i, k) if k > 1 else
-                                     "x%d" % i for i, k in enumerate(e) if k])
-        sign, c = ("- ", -c) if c < 0 else ("+ ", c)
-        parts.append(sign + (str(c) if not m else m if c == 1
-                             else str(c) + "*" + m))
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _TERM_RE = re.compile(
@@ -628,7 +601,7 @@ def koszul_check(A):
 
 def str_fractions(x):
     """Recursively stringify exact numbers for JSON output, and print
-    polynomials and graded elements by `format_poly`.
+    polynomials and graded elements by `poly_str`.
 
     A Fraction prints as a string, and so does an int that is an entry
     of a list or tuple: a coordinate, whether it is held as an int or as
@@ -641,11 +614,10 @@ def str_fractions(x):
     if isinstance(x, dict):
         return {str(k): str_fractions(v) for k, v in x.items()}
     if isinstance(x, Poly):
-        return format_poly(x, {})
+        return poly_str(x)
     if isinstance(x, (Multivector, Form)):
-        names = {}
         wire = {"n": x.n, "grade": x.grade,
-                "terms": [{"idx": list(idx), "coeff": format_poly(c, names)}
+                "terms": [{"idx": list(idx), "coeff": poly_str(c)}
                           for idx, c in x.sorted_terms()]}
         return dict(wire, kind="form") if isinstance(x, Form) else wire
     return x

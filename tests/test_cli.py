@@ -335,11 +335,18 @@ def test_huge_decimal_exponents_are_refused(text, quoted):
 @pytest.mark.parametrize("quoted", [True, False], ids=["string", "bare"])
 def test_integers_past_the_digit_limit_are_refused(quoted):
     # json.loads raises a plain ValueError on a bare integer this long,
-    # and fraction_from_json on the same digits as a string
-    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    # and fraction_from_json on the same digits as a string; the default
+    # limit is set for the test, since PYTHONINTMAXSTRDIGITS=0 lifts it
+    digits = "9" * 5000
     entry = '"%s"' % digits if quoted else digits
-    code, out = in_process("ncalg", "der", "--algebra",
-                           '{"dim": 1, "mult": [[[%s]]], "unit": [1]}' % entry)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = in_process(
+            "ncalg", "der", "--algebra",
+            '{"dim": 1, "mult": [[[%s]]], "unit": [1]}' % entry)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert code == 1
     assert out["error"]["kind"] == "bad-input"
     assert out["error"]["message"].startswith(

@@ -165,8 +165,9 @@ def test_writer_matches_the_reference_route(monkeypatch):
 
 
 def _polys_printed_together(x):
-    """Each list of Polys that a payload prints by one `format_polys`: a
-    list of Polys, and the coefficients of one graded element."""
+    """The Polys of a payload in the groups `format_polys` prints them
+    in, the coefficients of one graded element and a lone Poly, and
+    each list of Polys as one more batch."""
     if isinstance(x, (Multivector, Form)):
         yield [c for _, c in x.sorted_terms()]
     elif isinstance(x, dict):
@@ -183,14 +184,12 @@ def _polys_printed_together(x):
 
 def test_printer_matches_the_reference_on_golden_payloads(monkeypatch):
     # every polynomial of a golden job's result, printed together with
-    # its neighbours, against the per-poly printer that format_polys
-    # replaced
+    # its neighbours, against the key-sorted printer
     seen = 0
     for x in _captured_payloads(monkeypatch):
         for polys in _polys_printed_together(x):
-            names = {}
-            assert format_polys(polys) == [reference_routes.format_poly(
-                p, names) for p in polys]
+            assert format_polys(polys) == [reference_routes.poly_str(p)
+                                           for p in polys]
             seen += len(polys)
     assert seen > 200
 
