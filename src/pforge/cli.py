@@ -66,17 +66,16 @@ _OPERATORS = {
 
 
 def _load_json(source, what="input"):
-    """Inline JSON text or a path to a JSON file; a JSON number with a
-    fraction or an exponent is the exact `Decimal` of its text.  A bare
-    integer past `int`'s digit limit is a ValueError of `json.loads`."""
+    """Inline JSON text or a path to a UTF-8 JSON file; a number with a
+    fraction or an exponent is the exact `Decimal` of its text.  Bad
+    UTF-8 and a bare integer past the digit limit are ValueErrors too."""
     if source is None:
         raise InputError("missing %s" % what)
-    text = source
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        return json.loads(text, parse_float=Decimal)
+        if os.path.exists(source):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        return json.loads(source, parse_float=Decimal)
     except ValueError as exc:
         raise InputError("%s is not valid JSON: %s" % (what, exc))
 

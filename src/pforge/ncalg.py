@@ -194,20 +194,28 @@ def derivations(A):
 
 
 def _leibniz_rows(A):
-    """Rows of X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0 over the unknowns
-    X[r][c] at r * d + c: d rows (r = 0..d-1) per pair (i, j) in
-    lexicographic order, read off the nonzero structure constants."""
+    """The distinct nonzero rows of X(e_i e_j) - X(e_i) e_j - e_i X(e_j)
+    = 0 over the unknowns X[r][c] at r * d + c, each kept where it first
+    appears, zero entries dropped: X(e_i) e_j reads X[s][i] in row r for
+    each (r, x) in sc[s][j], and e_i X(e_j) reads X[s][j] for sc[i][s]."""
     d, sc = A.dim, A._sparse
-    rows = []
-    for i, j in product(range(d), repeat=2):
-        block = [{r * d + c: x for c, x in sc[i][j]} for r in range(d)]
-        for s in range(d):
-            # X(e_i) e_j reads X[s][i], and e_i X(e_j) reads X[s][j]
-            for terms, k in ((sc[s][j], s * d + i), (sc[i][s], s * d + j)):
-                for r, x in terms:
-                    block[r][k] = block[r].get(k, 0) - x
-        rows.extend(block)
-    return rows
+    D = range(d)
+    right = [[(s * d, r, x) for s in D for r, x in sc[s][j]] for j in D]
+    left = [[(s * d, r, x) for s in D for r, x in sc[i][s]] for i in D]
+    rows = {}
+    for i, j in product(D, repeat=2):
+        e = sc[i][j]
+        block = {r: {r * d + c: x for c, x in e} for r in D if e}
+        for terms, c in ((right[j], i), (left[i], j)):
+            for s, r, x in terms:
+                row = block.setdefault(r, {})
+                row[s + c] = row.get(s + c, 0) - x
+        for row in block.values():
+            if 0 in row.values():
+                row = {k: x for k, x in row.items() if x}
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
 
 
 def _structure_constants(k, coords, error, message):

@@ -118,9 +118,12 @@ def fraction_from_json(x):
         exponent = _EXPONENT.search(text)
         if not exponent or abs(int(exponent[1])) <= EXPONENT_BOUND:
             return exact(Fraction(text))
+        message = "exponent of %%s beyond +-%d" % EXPONENT_BOUND
     except (ValueError, ZeroDivisionError):
-        raise InputError("bad rational number %r" % (x,))
-    raise InputError("exponent of %r beyond +-%d" % (x, EXPONENT_BOUND))
+        message = "bad rational number %s"
+    n = len(repr(x))  # a long text shows its first characters and length
+    raise InputError(message % ("%.40r... (%d characters)" % (x, n)
+                                if n > 40 else repr(x)))
 
 
 def _numbers(xs, memo):

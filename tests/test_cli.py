@@ -102,6 +102,19 @@ def test_input_from_file(tmp_path):
     assert json.loads(r.stdout)["rank"] == 2
 
 
+def test_input_file_that_is_not_utf8_is_bad_input(tmp_path):
+    # a \xff byte inside a coefficient string cannot be decoded
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 2, "grade": 2, "terms": '
+                     b'[{"idx": [0, 1], "coeff": "x\xff"}]}')
+    r = run("check", "-i", str(path))
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    error = json.loads(r.stdout)["error"]
+    assert error["kind"] == "bad-input"
+    assert "utf-8" in error["message"]
+
+
 @pytest.mark.parametrize("command", ["rank", "integrable"])
 def test_negative_point_attached_with_equals(command):
     r = run(command, "-i", SO3, "--point=-1,0,2")
@@ -351,6 +364,8 @@ def test_integers_past_the_digit_limit_are_refused(quoted):
     assert out["error"]["kind"] == "bad-input"
     assert out["error"]["message"].startswith(
         "bad rational number" if quoted else "algebra is not valid JSON")
+    # the string form names the text by its start and its length
+    assert len(out["error"]["message"]) < 200
 
 
 def _with_bad_entry(shape, bad, where, good=("1", '"1"')):

@@ -236,6 +236,19 @@ def test_fraction_from_json_agrees_with_fraction(x):
     assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/" + "x" * 5000, "bad rational number '1/xxx"),
+    ("1" * 5000 + "e2000", "exponent of '111"),
+    (["x"] * 2000, "bad rational number ['x', 'x'")])
+def test_long_bad_numbers_are_named_by_their_start_and_length(text,
+                                                              message):
+    with pytest.raises(InputError) as info:
+        serialize.fraction_from_json(text)
+    got = str(info.value)
+    assert got.startswith(message) and len(got) < 200
+    assert "(%d characters)" % len(repr(text)) in got
+
+
 def test_decimal_exponents_are_read_up_to_the_bound():
     bound = serialize.EXPONENT_BOUND
     assert serialize.fraction_from_json("1e%d" % bound) == 10 ** bound
