@@ -137,21 +137,15 @@ def test_associativity_witness_is_none_on_the_catalog():
         assert A.associativity_witness() is None is associativity_witness(A)
 
 
-def distinct_rows(rows):
-    """The distinct nonzero rows of a Leibniz system, zero entries
-    dropped, as frozensets of (column, value) pairs."""
-    return {frozenset((k, x) for k, x in row.items() if x)
-            for row in rows} - {frozenset()}
-
-
 def assert_distinct_oracle_rows(A):
     """`_leibniz_rows` lists each distinct nonzero row of the dense
-    oracle's system once, with no zero entry, and no other row."""
+    oracle's system once, zero entries dropped, and no other row."""
     rows = ncalg._leibniz_rows(A)
     got = [frozenset(row.items()) for row in rows]
+    want = {frozenset((k, x) for k, x in row.items() if x)
+            for row in leibniz_rows(A)} - {frozenset()}
     assert all(x for row in rows for x in row.values())
-    assert len(set(got)) == len(got)
-    assert set(got) == distinct_rows(leibniz_rows(A))
+    assert len(set(got)) == len(got) and set(got) == want
     return rows
 
 
