@@ -13,6 +13,7 @@ RECORDS = sorted(p for p in ROOT.glob("BENCH_*.json")
                  if p.stem[len("BENCH_"):].isdigit())
 KEYS = {"change", "claimed", "command", "machine", "method", "parent",
         "workloads"}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_records_are_found():
@@ -21,10 +22,11 @@ def test_records_are_found():
 
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
 def test_record_has_the_fields_and_a_declared_claim(path):
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     record = json.loads(path.read_text())
     assert KEYS <= set(record), KEYS - set(record)
     claimed = record["claimed"]
     if claimed is not None:
-        assert claimed["workload"] in {w["name"] for w in bench["workloads"]}
-        assert claimed["metric"] in {m["name"] for m in bench["end_to_end"]}
+        assert claimed["workload"] in {w["name"]
+                                       for w in BENCHMARK["workloads"]}
+        assert claimed["metric"] in {m["name"]
+                                     for m in BENCHMARK["end_to_end"]}
